@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -40,7 +41,9 @@ __all__ = [
     "VlfGains",
     "ObrSingles",
     "ObrPairs",
+    "CRITERIA",
     "CriteriaReport",
+    "CriteriaTable",
     "SweepMeta",
     "SweepResult",
     "classify_regime",
@@ -59,6 +62,63 @@ REGIME_TOL = 1e-9
 #: Some products sit exactly on their threshold analytically, so rounding
 #: noise of order 1e-14 must not flip an entanglement flag.
 FLAG_MARGIN = 1e-10
+
+#: Criterion names in the order the criteria core returns them and the sweep
+#: CSV lists them after its tau column.
+CRITERIA = (
+    "v12_raw", "v13_raw", "v23_raw",
+    "v12_opt", "v13_opt", "v23_opt",
+    "g1", "g2", "g3",
+    "obr1", "obr2", "obr3",
+    "obr23", "obr13", "obr12",
+)
+
+
+# Entrywise arithmetic shared by the two forms of the core: a batch of one
+# as Python floats, a sweep as float64 arrays.  Plain +, -, *, / round the
+# same way in both, so every helper here keeps the two bit-for-bit equal.
+
+def _where(cond, a, b):
+    """a where cond holds, else b; a Python bool picks one whole operand."""
+    if isinstance(cond, bool):
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
+def _max(values):
+    """Entrywise maximum of a sequence of floats or of equal-shape arrays."""
+    if isinstance(values[0], np.ndarray):
+        return np.maximum.reduce(values)
+    return max(values)
+
+
+def _all(cond):
+    return cond if isinstance(cond, bool) else bool(cond.all())
+
+
+def _each(fn, x):
+    """fn of a float, or of every entry of an array through the same libm
+    call (numpy's own transcendental kernels may round differently); a
+    result too large for a float becomes an infinity."""
+
+    def safe(v):
+        try:
+            return fn(v)
+        except OverflowError:
+            return math.copysign(math.inf, v)
+
+    if isinstance(x, np.ndarray):
+        return np.array([safe(v) for v in x.tolist()], dtype=float)
+    return safe(x)
+
+
+def _check_finite(values, message):
+    """ValueError(message) unless every entry of every value is finite."""
+    total = 0.0
+    for v in values:
+        total = total + abs(v)
+    if not _all(np.isfinite(total)):
+        raise ValueError(message)
 
 
 class InvalidCouplingError(ValueError):
@@ -264,6 +324,24 @@ class CriteriaReport:
     obr_single: ObrSingles
     obr_pair: ObrPairs
 
+    @classmethod
+    def from_values(cls, t, sign, values):
+        """A report from the 15 criterion values in CRITERIA order."""
+        return cls(
+            t=float(t),
+            sign=sign,
+            vlf_raw=VlfTriple(*values[0:3]),
+            vlf_opt=VlfTriple(*values[3:6]),
+            gains=VlfGains(*values[6:9]),
+            obr_single=ObrSingles(*values[9:12]),
+            obr_pair=ObrPairs(*values[12:15]),
+        )
+
+    def values(self):
+        """The 15 criterion values in CRITERIA order."""
+        return (*self.vlf_raw, *self.vlf_opt, *self.gains, *self.obr_single,
+                *self.obr_pair)
+
     @property
     def vlf_flag(self):
         """Tripartite entanglement: at least two optimised sums below 4."""
@@ -287,23 +365,68 @@ class SweepMeta:
     tau_convention: TauConvention
 
 
+class CriteriaTable(Sequence):
+    """The CriteriaReports of a time grid, stored as one array.
+
+    values has one row per grid point and one column per criterion, in
+    CRITERIA order; ts holds the raw times and sign the inference sign of
+    every row.  Indexing builds a CriteriaReport on demand.
+    """
+
+    def __init__(self, ts, values, sign):
+        ts = np.array(ts, dtype=float)
+        values = np.array(values, dtype=float).reshape(len(ts), len(CRITERIA))
+        ts.setflags(write=False)
+        values.setflags(write=False)
+        self.ts = ts
+        self.values = values
+        self.sign = sign
+
+    @classmethod
+    def from_reports(cls, reports):
+        reports = tuple(reports)
+        sign = reports[0].sign if reports else None
+        if any(r.sign is not sign for r in reports):
+            raise ValueError("every report of a table must use the same sign")
+        return cls([r.t for r in reports], [r.values() for r in reports], sign)
+
+    def __len__(self):
+        return len(self.ts)
+
+    def __getitem__(self, index):
+        return CriteriaReport.from_values(
+            self.ts[index], self.sign, self.values[index].tolist()
+        )
+
+    def __iter__(self):
+        for t, row in zip(self.ts.tolist(), self.values.tolist()):
+            yield CriteriaReport.from_values(t, self.sign, row)
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Criteria reports on a strictly increasing dimensionless time grid."""
+    """Criteria reports on a strictly increasing dimensionless time grid.
+
+    reports may be given as any sequence of CriteriaReports; it is kept as
+    a CriteriaTable, whose array the CSV writers read directly.
+    """
 
     taus: np.ndarray
-    reports: tuple
+    reports: CriteriaTable
     meta: SweepMeta
 
     def __post_init__(self):
         taus = np.array(self.taus, dtype=float)
-        if taus.ndim != 1 or len(taus) != len(self.reports):
+        reports = self.reports
+        if not isinstance(reports, CriteriaTable):
+            reports = CriteriaTable.from_reports(reports)
+        if taus.ndim != 1 or len(taus) != len(reports):
             raise ValueError("taus and reports must have matching lengths")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "reports", tuple(self.reports))
+        object.__setattr__(self, "reports", reports)
 
 
 def classify_regime(c, tol=REGIME_TOL):

@@ -29,6 +29,8 @@ from .core import (
     PropagatorPair,
     RegimeError,
     RegimeKind,
+    _check_finite,
+    _each,
     classify_regime,
 )
 
@@ -69,27 +71,86 @@ def _check_time(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
 
 
-def _pair_from_factors(c, t, a, b):
-    """Assemble both blocks from the shared scalar factors.
+def _factors(c, regime, t):
+    """The two scalar factors every propagator entry is built from.
 
     a = (cosh(rate*t) - 1) / (kappa1^2 - kappa2^2) and b = sinh(rate*t)/rate
-    in the hyperbolic regime; the periodic case supplies the trigonometric
-    analogues.  The Y block is the inverse transpose of the X block, which
-    is what preserves the canonical commutators.
+    in the hyperbolic regime, with cosh(rate*t) - 1 evaluated as
+    2 sinh^2(rate*t / 2) so they stay accurate arbitrarily close to the
+    degenerate point; the periodic regime has the trigonometric analogues
+    (1 - cos(xi t) = 2 sin^2(xi t / 2)).  At the degenerate point the drift
+    is nilpotent, exp(A t) = I + A t + A^2 t^2 / 2 exactly, and couplings
+    inside the tolerance window keep a tiny residual gap that the series
+    terms absorb.  t is a float or an array of times; a factor too large
+    for a float becomes an infinity.
+    """
+    gap = c.kappa1 * c.kappa1 - c.kappa2 * c.kappa2
+    rate = regime.rate
+    if regime.kind is RegimeKind.HYPERBOLIC:
+        half = _each(math.sinh, 0.5 * rate * t)
+        return 2.0 * half * half / gap, _each(math.sinh, rate * t) / rate
+    if regime.kind is RegimeKind.PERIODIC:
+        half = _each(math.sin, 0.5 * rate * t)
+        return -2.0 * half * half / gap, _each(math.sin, rate * t) / rate
+    u = gap * t * t
+    a = 0.5 * t * t * (1.0 + u / 12.0 + u * u / 360.0)
+    b = t * (1.0 + u / 6.0 + u * u / 120.0)
+    return a, b
+
+
+def _propagator_entries(c, a, b):
+    """The six distinct entries (d11, d22, d33, off, p, q) of the X block
+
+        mx = [[d11, -off, p], [off, d22, q], [p, -q, d33]].
+
+    The Y block is the inverse transpose, my = S mx S with
+    S = diag(1, -1, -1), which is what preserves the canonical commutators.
     """
     k1, k2 = c.kappa1, c.kappa2
-    gap = k1 * k1 - k2 * k2
     d11 = 1.0 + k1 * k1 * a
     d22 = 1.0 - k2 * k2 * a
-    d33 = 1.0 + gap * a
-    off = k1 * k2 * a
-    mx = np.array(
-        [[d11, -off, k1 * b], [off, d22, k2 * b], [k1 * b, -k2 * b, d33]]
-    )
-    my = np.array(
-        [[d11, off, -k1 * b], [-off, d22, k2 * b], [-k1 * b, -k2 * b, d33]]
-    )
+    d33 = 1.0 + (k1 * k1 - k2 * k2) * a
+    return d11, d22, d33, k1 * k2 * a, k1 * b, k2 * b
+
+
+def _pair_from_factors(c, t, a, b):
+    """Both propagator blocks as matrices."""
+    d11, d22, d33, off, p, q = _propagator_entries(c, a, b)
+    mx = np.array([[d11, -off, p], [off, d22, q], [p, -q, d33]])
+    my = np.array([[d11, off, -p], [-off, d22, q], [-p, -q, d33]])
     return PropagatorPair(mx, my, t)
+
+
+def moment_entries(c, regime, t):
+    """Independent moment entries (c11, c22, c33, c12, c13, c23) of cx and cy.
+
+    Vacuum input makes cx = mx @ mx.T, written out entry by entry; cy =
+    S cx S flips the sign of <Y1 Y2> and <Y1 Y3>.  t is a float (one state)
+    or an array (a sweep, to be run under np.errstate); regime must be
+    classify_regime(c).  Raises ValueError when the moments overflow.
+    """
+    d11, d22, d33, off, p, q = _propagator_entries(c, *_factors(c, regime, t))
+    x = (
+        d11 * d11 + off * off + p * p,
+        off * off + d22 * d22 + q * q,
+        p * p + q * q + d33 * d33,
+        d11 * off - off * d22 + p * q,
+        d11 * p + off * q + p * d33,
+        off * p - d22 * q + q * d33,
+    )
+    _check_finite(x, "second moments overflow double precision; choose a smaller tau")
+    return x, (x[0], x[1], x[2], -x[3], -x[4], x[5])
+
+
+def _analytic(c, t, kind=None):
+    """Closed-form propagator, after checking t and, if given, the regime."""
+    _check_time(t)
+    regime = classify_regime(c)
+    if kind is not None and regime.kind is not kind:
+        raise RegimeError(
+            f"couplings {c} are {regime.kind.value}, not {kind.value}"
+        )
+    return _pair_from_factors(c, t, *_factors(c, regime, t))
 
 
 def propagator_hyperbolic(c, t):
@@ -97,36 +158,17 @@ def propagator_hyperbolic(c, t):
 
     Entries are the cosh/sinh coefficient matrices of the solved equations
     of motion, e.g. mx[0][0] = (kappa1^2 cosh(Omega t) - kappa2^2)/Omega^2.
-    cosh(Omega t) - 1 is evaluated as 2 sinh^2(Omega t / 2) so the entries
-    stay accurate arbitrarily close to the degenerate point.
     """
-    _check_time(t)
-    regime = classify_regime(c)
-    if regime.kind is not RegimeKind.HYPERBOLIC:
-        raise RegimeError(f"couplings {c} are {regime.kind.value}, not hyperbolic")
-    gap = c.kappa1 * c.kappa1 - c.kappa2 * c.kappa2
-    half = math.sinh(0.5 * regime.rate * t)
-    a = 2.0 * half * half / gap
-    b = math.sinh(regime.rate * t) / regime.rate
-    return _pair_from_factors(c, t, a, b)
+    return _analytic(c, t, RegimeKind.HYPERBOLIC)
 
 
 def propagator_periodic(c, t):
     """Closed-form propagator for kappa2 > kappa1 (rate xi).
 
     Entries are the cos/sin coefficient matrices, e.g. mx[0][0] =
-    (kappa2^2 - kappa1^2 cos(xi t))/xi^2, with 1 - cos(xi t) evaluated as
-    2 sin^2(xi t / 2).
+    (kappa2^2 - kappa1^2 cos(xi t))/xi^2.
     """
-    _check_time(t)
-    regime = classify_regime(c)
-    if regime.kind is not RegimeKind.PERIODIC:
-        raise RegimeError(f"couplings {c} are {regime.kind.value}, not periodic")
-    gap = c.kappa1 * c.kappa1 - c.kappa2 * c.kappa2
-    half = math.sin(0.5 * regime.rate * t)
-    a = -2.0 * half * half / gap
-    b = math.sin(regime.rate * t) / regime.rate
-    return _pair_from_factors(c, t, a, b)
+    return _analytic(c, t, RegimeKind.PERIODIC)
 
 
 def propagator_degenerate(c, t):
@@ -134,27 +176,13 @@ def propagator_degenerate(c, t):
 
     A^3 = 0 makes exp(A t) = I + A t + A^2 t^2 / 2 exactly, the limiting
     polynomial of the hyperbolic and periodic forms as the rate vanishes.
-    Couplings inside the degeneracy tolerance window keep a tiny residual
-    gap = kappa1^2 - kappa2^2, which the series terms below absorb.
     """
-    _check_time(t)
-    regime = classify_regime(c)
-    if regime.kind is not RegimeKind.DEGENERATE:
-        raise RegimeError(f"couplings {c} are {regime.kind.value}, not degenerate")
-    u = (c.kappa1 * c.kappa1 - c.kappa2 * c.kappa2) * t * t
-    a = 0.5 * t * t * (1.0 + u / 12.0 + u * u / 360.0)
-    b = t * (1.0 + u / 6.0 + u * u / 120.0)
-    return _pair_from_factors(c, t, a, b)
+    return _analytic(c, t, RegimeKind.DEGENERATE)
 
 
 def propagator_analytic(c, t):
     """Closed-form propagator for whichever regime the couplings are in."""
-    kind = classify_regime(c).kind
-    if kind is RegimeKind.HYPERBOLIC:
-        return propagator_hyperbolic(c, t)
-    if kind is RegimeKind.PERIODIC:
-        return propagator_periodic(c, t)
-    return propagator_degenerate(c, t)
+    return _analytic(c, t)
 
 
 def _expm(a):
@@ -193,19 +221,24 @@ def outer_moments(pair):
     return MomentState(sym(pair.mx), sym(pair.my))
 
 
+def _block(c11, c22, c33, c12, c13, c23):
+    return np.array([[c11, c12, c13], [c12, c22, c23], [c13, c23, c33]])
+
+
 def moments_at(c, t, method=MomentMethod.ANALYTIC):
     """Second-moment blocks at time t from vacuum initial conditions.
 
     The initial covariance is the identity, so cx = mx @ mx.T and
-    cy = my @ my.T for the selected propagator.
+    cy = my @ my.T for the selected propagator.  The analytic method is
+    moment_entries on a batch of one.
     """
     if method is MomentMethod.ANALYTIC:
-        pair = propagator_analytic(c, t)
-    elif method is MomentMethod.EXPM:
-        pair = propagator_expm(c, t)
-    else:
-        raise ValueError(f"unknown moment method {method!r}")
-    return outer_moments(pair)
+        _check_time(t)
+        x, y = moment_entries(c, classify_regime(c), float(t))
+        return MomentState(_block(*x), _block(*y))
+    if method is MomentMethod.EXPM:
+        return outer_moments(propagator_expm(c, t))
+    raise ValueError(f"unknown moment method {method!r}")
 
 
 def closed_form_moments(c, t):

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CRITERIA,
     Couplings,
+    CriteriaTable,
     MomentMethod,
     RegimeKind,
     Sign,
@@ -23,9 +25,9 @@ from .core import (
     TauConvention,
     classify_regime,
 )
-from .criteria import evaluate_all
+from .criteria import criteria_values
 from .oracle import compare_moments, mc_moments, rk4_propagator
-from .propagator import closed_form_moments, moments_at, outer_moments
+from .propagator import closed_form_moments, moment_entries, moments_at, outer_moments
 
 __all__ = [
     "RK4_STEPS_PER_UNIT_TAU",
@@ -43,27 +45,9 @@ __all__ = [
 #: Step density used by the rk4 comparison in oracle runs.
 RK4_STEPS_PER_UNIT_TAU = 10_000
 
-_SWEEP_COLUMNS = (
-    "tau",
-    "v12_raw",
-    "v13_raw",
-    "v23_raw",
-    "v12_opt",
-    "v13_opt",
-    "v23_opt",
-    "g1",
-    "g2",
-    "g3",
-    "obr1",
-    "obr2",
-    "obr3",
-    "obr23",
-    "obr13",
-    "obr12",
-)
-
-_VLF_COLUMNS = ("tau", "v12_raw", "v13_raw", "v23_raw", "v12_opt", "v13_opt", "v23_opt")
-_OBR_PAIR_COLUMNS = ("tau", "obr23", "obr13", "obr12")
+_SWEEP_COLUMNS = ("tau",) + CRITERIA
+_VLF_COLUMNS = ("tau",) + CRITERIA[:6]
+_OBR_PAIR_COLUMNS = ("tau",) + CRITERIA[12:]
 
 #: Figure presets: the published ratios with the other coupling pinned to 1,
 #: tau = rate * t on [0, 3].  The source ranges are not stated numerically,
@@ -115,6 +99,12 @@ class RunConfig:
         return np.linspace(self.tau_min, self.tau_max, self.points)
 
 
+def _scale(c, regime, convention):
+    if convention is TauConvention.MAX_KAPPA or regime.kind is RegimeKind.DEGENERATE:
+        return c.kappa_max
+    return regime.rate
+
+
 def time_scale(c, convention):
     """Frequency that converts dimensionless tau to raw time, t = tau / scale.
 
@@ -124,39 +114,34 @@ def time_scale(c, convention):
     """
     if convention is TauConvention.MAX_KAPPA:
         return c.kappa_max
-    regime = classify_regime(c)
-    if regime.kind is RegimeKind.DEGENERATE:
-        return c.kappa_max
-    return regime.rate
+    return _scale(c, classify_regime(c), convention)
 
 
 def run_sweep(cfg):
-    """Evaluate every criterion on a uniform tau grid."""
+    """Evaluate every criterion on a uniform tau grid, as one array pass.
+
+    The regime is classified once; moment_entries and criteria_values then
+    run on the whole grid, the same arithmetic moments_at and evaluate_all
+    run on a batch of one.  Raises ValueError when a value overflows.
+    """
     c = cfg.couplings
-    scale = time_scale(c, cfg.tau_convention)
+    regime = classify_regime(c)
     taus = cfg.taus()
-    reports = tuple(
-        evaluate_all(moments_at(c, tau / scale), tau / scale, cfg.sign) for tau in taus
-    )
+    ts = taus / _scale(c, regime, cfg.tau_convention)
+    with np.errstate(all="ignore"):
+        x, y = moment_entries(c, regime, ts)
+        values = np.column_stack(criteria_values(x, y, cfg.sign))
     meta = SweepMeta(cfg.kappa1, cfg.kappa2, cfg.tau_convention)
-    return SweepResult(taus, reports, meta)
+    return SweepResult(taus, CriteriaTable(ts, values, cfg.sign), meta)
 
 
-def _report_row(report):
-    return (
-        *report.vlf_raw,
-        *report.vlf_opt,
-        *report.gains,
-        *report.obr_single,
-        *report.obr_pair,
-    )
-
-
-def _csv_lines(metadata, columns, rows):
+def _csv_lines(metadata, columns, table):
+    """Metadata lines, the header, then one '%.17g' row per line of table,
+    the same text as format(v, ".17g") per value."""
     lines = [f"# {key} = {value}" for key, value in metadata]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    row = ",".join(["%.17g"] * len(columns))
+    lines.extend(row % tuple(values) for values in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -168,12 +153,11 @@ def sweep_csv_text(result):
         ("kappa2", _fmt(meta.kappa2)),
         ("tau_convention", meta.tau_convention.value),
     ]
-    if result.reports:
-        metadata.append(("sign", result.reports[0].sign.value))
-    rows = [
-        (tau, *_report_row(rep)) for tau, rep in zip(result.taus, result.reports)
-    ]
-    return _csv_lines(metadata, _SWEEP_COLUMNS, rows)
+    if len(result.reports):
+        metadata.append(("sign", result.reports.sign.value))
+    return _csv_lines(
+        metadata, _SWEEP_COLUMNS, np.column_stack([result.taus, result.reports.values])
+    )
 
 
 def write_sweep_csv(result, path):
@@ -183,22 +167,13 @@ def write_sweep_csv(result, path):
     return path
 
 
-def _figure_rows(kind, sweeps):
-    taus = sweeps[0].taus
-    rows = []
-    for idx, tau in enumerate(taus):
-        if kind == "vlf":
-            rep = sweeps[0].reports[idx]
-            rows.append((tau, *rep.vlf_raw, *rep.vlf_opt))
-        elif kind == "obr_single":
-            row = [tau]
-            for sweep in sweeps:
-                row.extend(sweep.reports[idx].obr_single)
-            rows.append(tuple(row))
-        else:
-            rep = sweeps[0].reports[idx]
-            rows.append((tau, *rep.obr_pair))
-    return rows
+#: Criterion columns plotted by each figure kind, per panel.
+_FIGURE_SLICES = {"vlf": slice(0, 6), "obr_single": slice(9, 12), "obr_pair": slice(12, 15)}
+
+
+def _figure_table(kind, sweeps):
+    panels = [s.reports.values[:, _FIGURE_SLICES[kind]] for s in sweeps]
+    return np.column_stack([sweeps[0].taus] + panels)
 
 
 def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
@@ -235,7 +210,6 @@ def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
     else:
         columns = _OBR_PAIR_COLUMNS
 
-    rows = _figure_rows(kind, sweeps)
     metadata = [("figure", str(which))]
     for label, (kappa1, kappa2) in zip(("left", "right"), couplings):
         prefix = f"{label}_" if len(couplings) == 2 else ""
@@ -247,7 +221,7 @@ def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"fig{which}.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_lines(metadata, columns, rows))
+        fh.write(_csv_lines(metadata, columns, _figure_table(kind, sweeps)))
 
     sidecar_path = os.path.join(out_dir, f"fig{which}_params.txt")
     sidecar = [f"figure {which}: {kind} criteria"]

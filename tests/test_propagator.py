@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import trimode.propagator
 from trimode import (
     Couplings,
     MomentMethod,
@@ -199,6 +200,21 @@ class TestMoments:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             moments_at(HYP, 1.0, "analytic")
+
+    @pytest.mark.parametrize("c", [HYP, PER, DEG])
+    def test_classifies_the_regime_once(self, c, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return classify_regime(*args, **kwargs)
+
+        monkeypatch.setattr(trimode.propagator, "classify_regime", counting)
+        moments_at(c, 1.3)
+        assert len(calls) == 1
+        calls.clear()
+        propagator_analytic(c, 1.3)
+        assert len(calls) == 1
 
 
 class TestClosedFormMoments:

@@ -2,15 +2,20 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import trimode.core
+import trimode.propagator
+import trimode.sweep
 from trimode import (
     Couplings,
     RunConfig,
     Sign,
     TauConvention,
+    classify_regime,
     load_config_file,
     reproduce_figure,
     run_oracle_check,
@@ -100,6 +105,19 @@ class TestRunSweep:
         result = run_sweep(RunConfig(points=3, tau_convention=TauConvention.MAX_KAPPA))
         assert result.meta.tau_convention is TauConvention.MAX_KAPPA
         assert result.meta.kappa1 == 1.2
+
+    @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
+    def test_classifies_the_regime_once_per_sweep(self, kappas, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return classify_regime(*args, **kwargs)
+
+        for module in (trimode.core, trimode.propagator, trimode.sweep):
+            monkeypatch.setattr(module, "classify_regime", counting)
+        run_sweep(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=101))
+        assert len(calls) == 1
 
     def test_degenerate_couplings_sweep(self):
         result = run_sweep(RunConfig(kappa1=1.0, kappa2=1.0, points=5))
@@ -326,3 +344,64 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "obr_single.obr1 = 1" in proc.stdout
+
+
+def eval_values(capsys, *argv):
+    assert main(["eval", *argv]) == 0
+    out = capsys.readouterr().out
+    return dict(line.split(" = ") for line in out.strip().splitlines())
+
+
+class TestOverflow:
+    """Moments past double precision exit 4 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--kappa1", "1.2", "--kappa2", "1.0", "--tau", "800"],
+            ["eval", "--kappa1", "1.2", "--kappa2", "1.0", "--tau", "400"],
+            ["sweep", "--tau-max", "800"],
+        ],
+    )
+    def test_exit_code_and_single_error_line(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "overflow" in lines[0]
+
+    def test_no_traceback_or_warning_on_stderr(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "trimode.cli", "sweep",
+             "--tau-max", "800", "--points", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
+
+class TestLongTimeCertification:
+    """Past tau = 7 the inference products used to cancel to rounding noise
+    for (1.2, 1.0), and the flags then certified entanglement falsely."""
+
+    #: obr23 at tau = 20, from the mpmath matrix exponential at 65 digits.
+    OBR23_TAU20 = 0.006196103891029317
+
+    @pytest.mark.parametrize("tau", ["15", "20", "25"])
+    def test_single_products_do_not_certify(self, tau, capsys):
+        values = eval_values(capsys, "--kappa1", "1.2", "--kappa2", "1.0", "--tau", tau)
+        assert values["obr_single_flag"] == "false"
+        assert abs(float(values["obr_single.obr2"]) - 1.0) <= 1e-12
+
+    def test_pair_product_matches_mpmath(self, capsys):
+        values = eval_values(capsys, "--kappa1", "1.2", "--kappa2", "1.0", "--tau", "20")
+        got = float(values["obr_pair.obr23"])
+        assert abs(got - self.OBR23_TAU20) <= 1e-10 * self.OBR23_TAU20
