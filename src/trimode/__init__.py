@@ -3,132 +3,14 @@ three optical modes coupled by interlinked parametric interactions with
 undepleted classical pumps.
 """
 
-from .core import (
-    REGIME_TOL,
-    CombinationError,
-    Couplings,
-    CriteriaReport,
-    InvalidCouplingError,
-    MomentMethod,
-    MomentState,
-    ObrPairs,
-    ObrSingles,
-    PropagatorPair,
-    PumpConfig,
-    Quadrature,
-    Regime,
-    RegimeError,
-    RegimeKind,
-    Sign,
-    SweepMeta,
-    SweepResult,
-    TauConvention,
-    VlfGains,
-    VlfTriple,
-    classify_regime,
-    kappa_from_pump,
-    vacuum_moments,
-    validate_moment_state,
-)
-from .criteria import (
-    DENOMINATOR_FLOOR,
-    UNIT_GAINS,
-    QuadCombo,
-    combo_covariance,
-    combo_variance,
-    evaluate_all,
-    inferred_variance_pair,
-    inferred_variance_single,
-    obr_pair,
-    obr_single,
-    vlf_gains,
-    vlf_value,
-)
-from .oracle import ComparisonReport, compare_moments, mc_moments, rk4_propagator
-from .propagator import (
-    DriftPair,
-    closed_form_moments,
-    drift_matrices,
-    moments_at,
-    outer_moments,
-    propagator_analytic,
-    propagator_degenerate,
-    propagator_expm,
-    propagator_hyperbolic,
-    propagator_periodic,
-)
-from .sweep import (
-    RunConfig,
-    load_config_file,
-    reproduce_figure,
-    run_oracle_check,
-    run_sweep,
-    sweep_csv_text,
-    time_scale,
-    write_sweep_csv,
-)
+from . import core, criteria, oracle, propagator, sweep
+from .core import *
+from .criteria import *
+from .oracle import *
+from .propagator import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "REGIME_TOL",
-    "DENOMINATOR_FLOOR",
-    "UNIT_GAINS",
-    "InvalidCouplingError",
-    "RegimeError",
-    "CombinationError",
-    "Couplings",
-    "PumpConfig",
-    "Regime",
-    "RegimeKind",
-    "Quadrature",
-    "Sign",
-    "TauConvention",
-    "MomentMethod",
-    "PropagatorPair",
-    "MomentState",
-    "VlfTriple",
-    "VlfGains",
-    "ObrSingles",
-    "ObrPairs",
-    "CriteriaReport",
-    "SweepMeta",
-    "SweepResult",
-    "QuadCombo",
-    "DriftPair",
-    "ComparisonReport",
-    "RunConfig",
-    "classify_regime",
-    "kappa_from_pump",
-    "vacuum_moments",
-    "validate_moment_state",
-    "drift_matrices",
-    "propagator_hyperbolic",
-    "propagator_periodic",
-    "propagator_degenerate",
-    "propagator_analytic",
-    "propagator_expm",
-    "outer_moments",
-    "moments_at",
-    "closed_form_moments",
-    "combo_variance",
-    "combo_covariance",
-    "inferred_variance_single",
-    "obr_single",
-    "inferred_variance_pair",
-    "obr_pair",
-    "vlf_gains",
-    "vlf_value",
-    "evaluate_all",
-    "rk4_propagator",
-    "mc_moments",
-    "compare_moments",
-    "time_scale",
-    "run_sweep",
-    "sweep_csv_text",
-    "write_sweep_csv",
-    "reproduce_figure",
-    "run_oracle_check",
-    "load_config_file",
-]
+__all__ = ["__version__", *core.__all__, *criteria.__all__, *oracle.__all__,
+           *propagator.__all__, *sweep.__all__]

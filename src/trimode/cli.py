@@ -15,6 +15,7 @@ always win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .core import Sign, TauConvention
@@ -33,20 +34,6 @@ from .sweep import (
 )
 
 __all__ = ["build_parser", "main"]
-
-_CONFIG_FIELDS = {
-    "kappa1": float,
-    "kappa2": float,
-    "tau_min": float,
-    "tau_max": float,
-    "points": int,
-    "tau_convention": str,
-    "sign": str,
-    "seed": int,
-    "mc_samples": int,
-    "out": str,
-}
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -104,40 +91,34 @@ def build_parser():
 
 
 def _merge_config(args):
-    """Resolve flags > config file > RunConfig defaults."""
+    """Resolve flags > config file > RunConfig defaults.
+
+    Every RunConfig field is a flag and a config key of the same name; a
+    value is cast with the type of the field's default (str for out).
+    """
     file_values = {}
     if args.config is not None:
         file_values = load_config_file(args.config)
-        unknown = set(file_values) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    resolved = {}
-    for key, cast in _CONFIG_FIELDS.items():
-        flag_value = getattr(args, key if key != "out" else "out", None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in file_values:
-            resolved[key] = cast(file_values[key])
+    fields = dataclasses.fields(RunConfig)
+    unknown = set(file_values) - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     kwargs = {}
-    for key in ("kappa1", "kappa2", "tau_min", "tau_max", "points", "seed",
-                "mc_samples"):
-        if key in resolved:
-            kwargs[key] = resolved[key]
-    if "tau_convention" in resolved:
-        kwargs["tau_convention"] = TauConvention(resolved["tau_convention"])
-    if "sign" in resolved:
-        kwargs["sign"] = Sign(resolved["sign"])
-    if "out" in resolved:
-        kwargs["out_path"] = resolved["out"]
+    for f in fields:
+        value = getattr(args, f.name, None)
+        if value is None:
+            value = file_values.get(f.name)
+        if value is not None:
+            cast = str if f.default is None else type(f.default)
+            kwargs[f.name] = cast(value)
     return RunConfig(**kwargs)
 
 
 def _cmd_sweep(cfg):
     result = run_sweep(cfg)
-    if cfg.out_path:
-        write_sweep_csv(result, cfg.out_path)
+    if cfg.out:
+        write_sweep_csv(result, cfg.out)
     else:
         sys.stdout.write(sweep_csv_text(result))
     return 0
@@ -172,8 +153,8 @@ def _cmd_oracle(cfg):
             f"{report.worst_entry[2]}] tau={report.worst_entry[3]:.6g}"
         )
     text = "\n".join(lines) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     sys.stdout.write(text)
     return 0 if all_passed else 1
@@ -214,7 +195,7 @@ def main(argv=None):
         if args.command == "sweep":
             return _cmd_sweep(cfg)
         if args.command == "figures":
-            return _cmd_figures(cfg, args.which, cfg.out_path or ".")
+            return _cmd_figures(cfg, args.which, cfg.out or ".")
         if args.command == "oracle":
             return _cmd_oracle(cfg)
         return _cmd_eval(cfg, args.tau)

@@ -26,14 +26,12 @@ __all__ = [
     "FLAG_MARGIN",
     "InvalidCouplingError",
     "RegimeError",
-    "CombinationError",
     "RegimeKind",
     "Quadrature",
     "Sign",
     "TauConvention",
     "MomentMethod",
     "Couplings",
-    "PumpConfig",
     "Regime",
     "PropagatorPair",
     "MomentState",
@@ -44,10 +42,8 @@ __all__ = [
     "CRITERIA",
     "CriteriaReport",
     "CriteriaTable",
-    "SweepMeta",
     "SweepResult",
     "classify_regime",
-    "kappa_from_pump",
     "vacuum_moments",
     "validate_moment_state",
 ]
@@ -122,15 +118,11 @@ def _check_finite(values, message):
 
 
 class InvalidCouplingError(ValueError):
-    """Couplings or pump parameters outside the valid domain."""
+    """Couplings outside the valid domain."""
 
 
 class RegimeError(ValueError):
     """Operation invoked for a coupling regime it does not support."""
-
-
-class CombinationError(ValueError):
-    """Quadrature combination that has no stored moments (X-Y cross terms)."""
 
 
 class RegimeKind(Enum):
@@ -189,20 +181,6 @@ class Couplings:
     @property
     def kappa_max(self):
         return max(self.kappa1, self.kappa2)
-
-
-@dataclass(frozen=True)
-class PumpConfig:
-    """Nonlinear couplings chi1, chi2 and classical pump amplitudes."""
-
-    chi1: float
-    chi2: float
-    pump4: float
-    pump5: float
-
-    def __post_init__(self):
-        for name in ("chi1", "chi2", "pump4", "pump5"):
-            _require_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -267,9 +245,6 @@ class MomentState:
                 raise ValueError(f"{name} is not symmetric")
         object.__setattr__(self, "cx", cx)
         object.__setattr__(self, "cy", cy)
-
-    def block(self, quad):
-        return self.cx if quad is Quadrature.X else self.cy
 
 
 class VlfTriple(NamedTuple):
@@ -358,13 +333,6 @@ class CriteriaReport:
         return all(v < 4.0 - FLAG_MARGIN for v in self.obr_pair)
 
 
-@dataclass(frozen=True)
-class SweepMeta:
-    kappa1: float
-    kappa2: float
-    tau_convention: TauConvention
-
-
 class CriteriaTable(Sequence):
     """The CriteriaReports of a time grid, stored as one array.
 
@@ -408,12 +376,13 @@ class SweepResult:
     """Criteria reports on a strictly increasing dimensionless time grid.
 
     reports may be given as any sequence of CriteriaReports; it is kept as
-    a CriteriaTable, whose array the CSV writers read directly.
+    a CriteriaTable, whose array the CSV writers read directly.  meta is
+    the RunConfig that produced the sweep.
     """
 
     taus: np.ndarray
     reports: CriteriaTable
-    meta: SweepMeta
+    meta: object
 
     def __post_init__(self):
         taus = np.array(self.taus, dtype=float)
@@ -444,22 +413,6 @@ def classify_regime(c, tol=REGIME_TOL):
     if gap > 0:
         return Regime(RegimeKind.HYPERBOLIC, math.sqrt(gap))
     return Regime(RegimeKind.PERIODIC, math.sqrt(-gap))
-
-
-def kappa_from_pump(p):
-    """Effective couplings kappa_i from nonlinearities and classical pumps.
-
-    kappa1 = chi1 * pump4 and kappa2 = chi2 * pump5; both products must be
-    strictly positive.
-    """
-    kappa1 = p.chi1 * p.pump4
-    kappa2 = p.chi2 * p.pump5
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise InvalidCouplingError(
-            "chi1*pump4 and chi2*pump5 must both be positive, got "
-            f"{kappa1!r} and {kappa2!r}"
-        )
-    return Couplings(kappa1, kappa2)
 
 
 def vacuum_moments():

@@ -19,14 +19,9 @@ indices in the public functions are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
-    CombinationError,
     CriteriaReport,
-    Quadrature,
     Sign,
     VlfGains,
     _all,
@@ -38,12 +33,7 @@ from .core import (
 __all__ = [
     "DENOMINATOR_FLOOR",
     "UNIT_GAINS",
-    "QuadCombo",
-    "combo_variance",
-    "combo_covariance",
-    "inferred_variance_single",
     "obr_single",
-    "inferred_variance_pair",
     "obr_pair",
     "vlf_gains",
     "vlf_value",
@@ -60,49 +50,9 @@ UNIT_GAINS = VlfGains(1.0, 1.0, 1.0)
 _VALID_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
-class QuadCombo:
-    """A linear combination sum_i weights[i] * quad_i of one quadrature type."""
-
-    quad: Quadrature
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (3,):
-            raise ValueError(f"weights must be a 3-vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.all(w == 0):
-            raise ValueError("at least one weight must be nonzero")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
 def _check_mode(i):
     if i not in (1, 2, 3):
         raise ValueError(f"mode index must be 1, 2 or 3, got {i!r}")
-
-
-def combo_variance(m, a):
-    """Variance of a quadrature combination (means vanish identically)."""
-    c = m.block(a.quad)
-    return float(a.weights @ c @ a.weights)
-
-
-def combo_covariance(m, a, b):
-    """Covariance of two combinations of the same quadrature type.
-
-    X and Y never mix under this dynamics, so cross-quadrature moments are
-    identically zero and are not stored; requesting one is an error.
-    """
-    if a.quad is not b.quad:
-        raise CombinationError(
-            "cross-quadrature covariances are not stored (they vanish "
-            "identically for this dynamics)"
-        )
-    c = m.block(a.quad)
-    return float(a.weights @ c @ b.weights)
 
 
 #: Largest defect |cx @ cy - I| / (|cx| |cy|), in max-abs entry norms, that
@@ -263,12 +213,11 @@ def criteria_values(x, y, sign=Sign.PLUS):
 
 
 def _residuals(m, sign):
-    """{quadrature: (singles, pairs)} of a moment state, both by mode."""
+    """((singles, pairs) of cx, (singles, pairs) of cy), both by mode."""
     x, y = _entries(m.cx), _entries(m.cy)
     ax, ay = _adjugates(x, y)
     s = _sign_value(sign)
-    return {Quadrature.X: _mode_residuals(x, ax, s),
-            Quadrature.Y: _mode_residuals(y, ay, s)}
+    return _mode_residuals(x, ax, s), _mode_residuals(y, ay, s)
 
 
 def _remaining_mode(j, k):
@@ -279,40 +228,28 @@ def _remaining_mode(j, k):
     return 6 - j - k
 
 
-def inferred_variance_single(m, quad, i, sign=Sign.PLUS):
-    """Residual variance of quad_i after the optimal estimate from quad_j +/- quad_k.
+def obr_single(m, i, sign=Sign.PLUS):
+    """Inference product Vinf(X_i) * Vinf(Y_i); EPR evidence when below 1.
 
     Vinf(X_i) = V(X_i) - V(X_i, X_j +/- X_k)^2 / V(X_j +/- X_k), with j < k
-    the other two modes, evaluated without that subtraction (see
+    the other two modes, is evaluated without that subtraction (see
     _residual).  A combination variance below DENOMINATOR_FLOOR yields no
-    information and leaves V(quad_i) unchanged.
+    information and leaves V(X_i) unchanged.
     """
     _check_mode(i)
-    return _residuals(m, sign)[quad][0][i - 1]
-
-
-def obr_single(m, i, sign=Sign.PLUS):
-    """Inference product Vinf(X_i) * Vinf(Y_i); EPR evidence when below 1."""
-    _check_mode(i)
-    r = _residuals(m, sign)
-    return r[Quadrature.X][0][i - 1] * r[Quadrature.Y][0][i - 1]
-
-
-def inferred_variance_pair(m, quad, j, k, sign=Sign.PLUS):
-    """Residual variance of quad_j +/- quad_k after the estimate from quad_i.
-
-    Vinf(X_j +/- X_k) = V(X_j +/- X_k) - V(X_i, X_j +/- X_k)^2 / V(X_i)
-    where i is the remaining mode, evaluated without that subtraction.
-    """
-    i = _remaining_mode(j, k)
-    return _residuals(m, sign)[quad][1][i - 1]
+    x, y = _residuals(m, sign)
+    return x[0][i - 1] * y[0][i - 1]
 
 
 def obr_pair(m, j, k, sign=Sign.PLUS):
-    """Inference product for the combined mode j, k; EPR evidence when below 4."""
+    """Inference product for the combined mode j, k; EPR evidence when below 4.
+
+    Vinf(X_j +/- X_k) = V(X_j +/- X_k) - V(X_i, X_j +/- X_k)^2 / V(X_i),
+    where i is the remaining mode, is evaluated without that subtraction.
+    """
     i = _remaining_mode(j, k)
-    r = _residuals(m, sign)
-    return r[Quadrature.X][1][i - 1] * r[Quadrature.Y][1][i - 1]
+    x, y = _residuals(m, sign)
+    return x[1][i - 1] * y[1][i - 1]
 
 
 def vlf_gains(m):

@@ -2,8 +2,9 @@
 
 None of these share formulas with the closed-form propagators: rk4
 integrates the equations of motion numerically, mc_moments samples the
-zero-mean Gaussian quadrature statistics directly, and compare_moments
-reduces two states to a structured error report.
+second moments of n vacuum draws through the analytic propagator (one
+Wishart draw per block, so a result depends only on (seed, n)), and
+compare_moments reduces two states to a structured error report.
 """
 
 from __future__ import annotations
@@ -17,18 +18,11 @@ from .core import MomentState, PropagatorPair, Quadrature
 from .propagator import drift_matrices, propagator_analytic
 
 __all__ = [
-    "MC_SHARD_SIZE",
     "ComparisonReport",
     "rk4_propagator",
     "mc_moments",
     "compare_moments",
 ]
-
-#: Samples per Monte Carlo shard.  Each shard draws from its own jumped
-#: counter-based stream, so the result depends only on (seed, n) and never
-#: on how many workers execute the shards.
-MC_SHARD_SIZE = 1 << 17
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -67,43 +61,51 @@ def rk4_propagator(c, t, steps):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    d = drift_matrices(c)
+    ax, ay = drift_matrices(c)
     h = t / steps
-    mx = np.linalg.matrix_power(_rk4_step_matrix(d.ax, h), steps)
-    my = np.linalg.matrix_power(_rk4_step_matrix(d.ay, h), steps)
+    mx = np.linalg.matrix_power(_rk4_step_matrix(ax, h), steps)
+    my = np.linalg.matrix_power(_rk4_step_matrix(ay, h), steps)
     return PropagatorPair(mx, my, t)
+
+
+def _scatter(rng, n):
+    """Scatter matrix sum_s z_s z_s' of n independent standard normal
+    3-vectors z_s, i.e. one draw of the Wishart law W_3(n, I).
+
+    For n >= 3 this is the Bartlett decomposition (Odell & Feiveson, JASA
+    61, 199 (1966)): W = A A' with A lower triangular, A_ii^2 ~ chi^2(n - i)
+    for i = 0, 1, 2 and standard normal entries below the diagonal, so the
+    cost does not depend on n.  Below 3 the law is singular and the n
+    samples are summed directly.
+    """
+    if n < 3:
+        z = rng.standard_normal((n, 3))
+        return z.T @ z
+    d = np.sqrt(rng.chisquare(n - np.arange(3))).tolist()
+    z = rng.standard_normal(3).tolist()
+    a = np.array([[d[0], 0.0, 0.0], [z[0], d[1], 0.0], [z[1], z[2], d[2]]])
+    return a @ a.T
 
 
 def mc_moments(c, t, n, seed):
     """Sample second moments of the evolved quadratures.
 
-    Draws n independent 6-vectors of unit-variance normals (the vacuum
-    statistics of X1..X3, Y1..Y3), pushes them through the analytic
-    propagator blocks and averages the outer products.  Reproducible for a
-    fixed seed; sharded over jumped Philox streams of MC_SHARD_SIZE samples
-    so the sum is independent of any parallel execution layout.
+    The sample moments of n independent vacuum 6-vectors (X1..X3, Y1..Y3,
+    unit-variance normals) pushed through the analytic propagator blocks.
+    X and Y are independent, so each block is S = M W M' / n for one
+    Wishart draw W of the n samples' scatter matrix: exactly the law of
+    averaging n outer products, at a cost independent of n.  A result
+    depends only on (seed, n).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     pair = propagator_analytic(c, t)
-    base = np.random.Philox(key=int(seed))
-    sxx = np.zeros((3, 3))
-    syy = np.zeros((3, 3))
-    drawn = 0
-    shard = 0
-    while drawn < n:
-        m = min(MC_SHARD_SIZE, n - drawn)
-        rng = np.random.Generator(base.jumped(shard))
-        z = rng.standard_normal((m, 6))
-        xs = z[:, :3] @ pair.mx.T
-        ys = z[:, 3:] @ pair.my.T
-        sxx += xs.T @ xs
-        syy += ys.T @ ys
-        drawn += m
-        shard += 1
-    sxx = 0.5 * (sxx + sxx.T) / n
-    syy = 0.5 * (syy + syy.T) / n
-    return MomentState(sxx, syy)
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    blocks = []
+    for m in (pair.mx, pair.my):
+        s = m @ _scatter(rng, n) @ m.T
+        blocks.append(0.5 * (s + s.T) / n)
+    return MomentState(*blocks)
 
 
 def compare_moments(a, b, tol, t=math.nan):

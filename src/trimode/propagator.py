@@ -18,7 +18,6 @@ degenerate point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .core import (
 )
 
 __all__ = [
-    "DriftPair",
     "drift_matrices",
     "propagator_hyperbolic",
     "propagator_periodic",
@@ -48,22 +46,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DriftPair:
-    """Constant drift matrices: dX/dt = ax @ X and dY/dt = ay @ Y."""
-
-    ax: np.ndarray
-    ay: np.ndarray
-
-
 def drift_matrices(c):
-    """Drift matrices of the quadrature equations of motion, rows = modes 1..3."""
+    """Drift matrices (ax, ay) of the quadrature equations of motion,
+    dX/dt = ax @ X and dY/dt = ay @ Y, rows = modes 1..3."""
     k1, k2 = c.kappa1, c.kappa2
     ax = np.array([[0.0, 0.0, k1], [0.0, 0.0, k2], [k1, -k2, 0.0]])
     ay = np.array([[0.0, 0.0, -k1], [0.0, 0.0, k2], [-k1, -k2, 0.0]])
     ax.setflags(write=False)
     ay.setflags(write=False)
-    return DriftPair(ax, ay)
+    return ax, ay
 
 
 def _check_time(t):
@@ -207,8 +198,8 @@ def _expm(a):
 def propagator_expm(c, t):
     """Regime-independent propagator via the matrix exponential of the drift."""
     _check_time(t)
-    d = drift_matrices(c)
-    return PropagatorPair(_expm(d.ax * t), _expm(d.ay * t), t)
+    ax, ay = drift_matrices(c)
+    return PropagatorPair(_expm(ax * t), _expm(ay * t), t)
 
 
 def outer_moments(pair):

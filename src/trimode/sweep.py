@@ -20,7 +20,6 @@ from .core import (
     MomentMethod,
     RegimeKind,
     Sign,
-    SweepMeta,
     SweepResult,
     TauConvention,
     classify_regime,
@@ -67,7 +66,11 @@ def _fmt(x):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a sweep, figure or oracle run needs."""
+    """Everything a sweep, figure or oracle run needs.
+
+    Each field is also a CLI flag and a config-file key of the same name
+    (underscores or dashes); out is the output path or directory.
+    """
 
     kappa1: float = 1.2
     kappa2: float = 1.0
@@ -78,7 +81,7 @@ class RunConfig:
     sign: Sign = Sign.PLUS
     seed: int = 1
     mc_samples: int = 10**6
-    out_path: str | None = None
+    out: str | None = None
 
     def __post_init__(self):
         Couplings(self.kappa1, self.kappa2)
@@ -131,8 +134,7 @@ def run_sweep(cfg):
     with np.errstate(all="ignore"):
         x, y = moment_entries(c, regime, ts)
         values = np.column_stack(criteria_values(x, y, cfg.sign))
-    meta = SweepMeta(cfg.kappa1, cfg.kappa2, cfg.tau_convention)
-    return SweepResult(taus, CriteriaTable(ts, values, cfg.sign), meta)
+    return SweepResult(taus, CriteriaTable(ts, values, cfg.sign), cfg)
 
 
 def _csv_lines(metadata, columns, table):

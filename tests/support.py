@@ -3,6 +3,7 @@ independent oracle (matrix exponential plus direct formula transcription,
 cross-checked against each other to 1e-12 before freezing).
 """
 
+import mpmath as mp
 import numpy as np
 
 from trimode import Couplings
@@ -93,3 +94,13 @@ def grid_points(n_tau=26, tau_max=3.0):
 
 def relclose(actual, expected, rtol=1e-12):
     return abs(actual - expected) <= rtol * abs(expected)
+
+
+def mp_residual(block, w, v):
+    """w'Cw - (w'Cv)^2 / v'Cv of the float entries, at 50 digits: the
+    residual variance of w.Q after the best linear estimate from v.Q."""
+    with mp.workdps(50):
+        c = mp.matrix(block.tolist())
+        w, v = mp.matrix(w), mp.matrix(v)
+        ww, wv, vv = ((a.T * c * b)[0] for a, b in ((w, w), (w, v), (v, v)))
+        return float(ww - wv * wv / vv)

@@ -13,16 +13,13 @@ from trimode import (
     ObrPairs,
     ObrSingles,
     PropagatorPair,
-    PumpConfig,
     RegimeKind,
+    RunConfig,
     Sign,
-    SweepMeta,
     SweepResult,
-    TauConvention,
     VlfGains,
     VlfTriple,
     classify_regime,
-    kappa_from_pump,
     moments_at,
     vacuum_moments,
     validate_moment_state,
@@ -83,22 +80,6 @@ class TestClassifyRegime:
             assert r.rate**2 + lo == pytest.approx(hi, rel=1e-12)
         r = classify_regime(Couplings(0.7, 0.7))
         assert r.rate**2 + 0.49 == pytest.approx(0.49, rel=1e-12)
-
-
-class TestKappaFromPump:
-    def test_products(self):
-        c = kappa_from_pump(PumpConfig(0.1, 0.1, 12.0, 10.0))
-        assert c.kappa1 == pytest.approx(1.2, rel=1e-15)
-        assert c.kappa2 == pytest.approx(1.0, rel=1e-15)
-
-    def test_unit(self):
-        c = kappa_from_pump(PumpConfig(1.0, 1.0, 1.0, 1.0))
-        assert (c.kappa1, c.kappa2) == (1.0, 1.0)
-
-    @pytest.mark.parametrize("pump", [0.0, -3.0])
-    def test_nonpositive_product_rejected(self, pump):
-        with pytest.raises(InvalidCouplingError):
-            kappa_from_pump(PumpConfig(0.5, 0.5, pump, 2.0))
 
 
 class TestVacuum:
@@ -210,12 +191,10 @@ class TestCriteriaReportFlags:
 class TestSweepResult:
     def test_requires_increasing_taus(self):
         rep = _report()
-        meta = SweepMeta(1.2, 1.0, TauConvention.RATE)
         with pytest.raises(ValueError):
-            SweepResult(np.array([0.0, 0.0]), (rep, rep), meta)
+            SweepResult(np.array([0.0, 0.0]), (rep, rep), RunConfig())
 
     def test_requires_matching_lengths(self):
         rep = _report()
-        meta = SweepMeta(1.2, 1.0, TauConvention.RATE)
         with pytest.raises(ValueError):
-            SweepResult(np.array([0.0, 1.0, 2.0]), (rep, rep), meta)
+            SweepResult(np.array([0.0, 1.0, 2.0]), (rep, rep), RunConfig())

@@ -5,18 +5,11 @@ import pytest
 
 from trimode import (
     UNIT_GAINS,
-    CombinationError,
     Couplings,
     MomentState,
-    QuadCombo,
-    Quadrature,
     Sign,
     VlfGains,
-    combo_covariance,
-    combo_variance,
     evaluate_all,
-    inferred_variance_pair,
-    inferred_variance_single,
     moments_at,
     obr_pair,
     obr_single,
@@ -52,15 +45,19 @@ from support import (
     VY12_OPT,
     VY_UNIT,
     grid_points,
+    mp_residual,
 )
 
+#: (w, v) of the residual V(w.Q | v.Q) behind obr_single(m, i) and
+#: obr_pair(m, j, k) with the plus sign, by mode i (j, k the other two).
+SINGLE = {1: ([1, 0, 0], [0, 1, 1]), 2: ([0, 1, 0], [1, 0, 1]),
+          3: ([0, 0, 1], [1, 1, 0])}
+PAIR = {i: (v, w) for i, (w, v) in SINGLE.items()}
 
-def xw(*w):
-    return QuadCombo(Quadrature.X, np.array(w, dtype=float))
 
-
-def yw(*w):
-    return QuadCombo(Quadrature.Y, np.array(w, dtype=float))
+def mp_product(m, w, v):
+    """The inference product of V(w.X | v.X) and V(w.Y | v.Y), at 50 digits."""
+    return mp_residual(m.cx, w, v) * mp_residual(m.cy, w, v)
 
 
 @pytest.fixture(scope="module")
@@ -73,91 +70,46 @@ def m2():
     return moments_at(PER, T2)
 
 
-class TestQuadCombo:
-    def test_rejects_zero_weights(self):
-        with pytest.raises(ValueError):
-            QuadCombo(Quadrature.X, np.zeros(3))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            QuadCombo(Quadrature.X, np.ones(4))
-
-
-class TestComboVariance:
-    def test_vacuum_difference(self):
-        assert combo_variance(vacuum_moments(), xw(1, -1, 0)) == 2.0
-
-    def test_witness(self, m1):
-        assert combo_variance(m1, xw(1, -1, 0)) == pytest.approx(V12_X, rel=1e-12)
-
-    def test_single_mode_is_diagonal(self, m1):
-        assert combo_variance(m1, xw(0, 0, 1)) == pytest.approx(
-            m1.cx[2, 2], rel=1e-15
-        )
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(3)
-        for c, t, _ in grid_points(n_tau=5):
-            m = moments_at(c, t)
-            w = rng.uniform(-2, 2, size=3)
-            if np.all(w == 0):
-                continue
-            assert combo_variance(m, QuadCombo(Quadrature.X, w)) >= -1e-12
-
-
-class TestComboCovariance:
-    def test_vacuum_disjoint_modes(self):
-        m = vacuum_moments()
-        assert combo_covariance(m, xw(1, 0, 0), xw(0, 1, 0)) == 0.0
-
-    def test_witness(self, m1):
-        got = combo_covariance(m1, yw(0, 0, 1), yw(1, 1, 0))
-        assert got == pytest.approx(CY1[0, 2] + CY1[1, 2], rel=1e-12)
-
-    def test_symmetry(self, m1):
-        a, b = yw(1, 0, 2), yw(0, -1, 1)
-        assert combo_covariance(m1, a, b) == pytest.approx(
-            combo_covariance(m1, b, a), rel=1e-15
-        )
-
-    def test_cross_quadrature_rejected(self, m1):
-        with pytest.raises(CombinationError):
-            combo_covariance(m1, xw(1, 0, 0), yw(1, 0, 0))
-
-
 class TestInferredSingle:
+    """Residuals V(Q_i | Q_j + Q_k), read through obr_single."""
+
     def test_vacuum(self):
-        assert inferred_variance_single(vacuum_moments(), Quadrature.X, 1) == 1.0
+        for i in (1, 2, 3):
+            for sign in Sign:
+                assert obr_single(vacuum_moments(), i, sign) == 1.0
 
     def test_witness_mode_1(self, m1):
-        got = inferred_variance_single(m1, Quadrature.X, 1)
-        assert got == pytest.approx(VINF_X1, rel=1e-12)
+        assert mp_residual(m1.cx, *SINGLE[1]) == pytest.approx(VINF_X1, rel=1e-12)
+        assert obr_single(m1, 1) == pytest.approx(mp_product(m1, *SINGLE[1]),
+                                                  rel=1e-12)
 
     def test_modes_2_and_3_stay_at_vacuum_level(self, m1, m2):
         for m in (m1, m2):
-            for quad in (Quadrature.X, Quadrature.Y):
-                for i in (2, 3):
-                    assert inferred_variance_single(m, quad, i) == pytest.approx(
+            for i in (2, 3):
+                for block in (m.cx, m.cy):
+                    assert mp_residual(block, *SINGLE[i]) == pytest.approx(
                         1.0, abs=1e-10
                     )
+                assert obr_single(m, i) == pytest.approx(1.0, abs=1e-10)
 
     def test_never_exceeds_own_variance(self, m1):
-        for quad in (Quadrature.X, Quadrature.Y):
-            block = m1.block(quad)
-            for i in (1, 2, 3):
-                v = inferred_variance_single(m1, quad, i)
-                assert 0.0 <= v <= block[i - 1, i - 1] + 1e-12
+        for i in (1, 2, 3):
+            own = m1.cx[i - 1, i - 1] * m1.cy[i - 1, i - 1]
+            assert 0.0 <= obr_single(m1, i) <= own + 1e-12
+            assert obr_single(m1, i) == pytest.approx(
+                mp_product(m1, *SINGLE[i]), rel=1e-12, abs=1e-12
+            )
 
     def test_uninformative_combination_leaves_variance(self):
         # V(X2 + X3) below the floor: inference is dropped, not divided by
         cx = np.eye(3)
         cx[1, 2] = cx[2, 1] = -(1.0 - 2.5e-13)
         m = MomentState(cx, np.eye(3))
-        assert inferred_variance_single(m, Quadrature.X, 1) == 1.0
+        assert obr_single(m, 1) == 1.0
 
     def test_invalid_mode(self, m1):
         with pytest.raises(ValueError):
-            inferred_variance_single(m1, Quadrature.X, 4)
+            obr_single(m1, 4)
 
 
 class TestObrSingle:
@@ -179,8 +131,8 @@ class TestObrSingle:
                 assert obr_single(m, 3) == pytest.approx(1.0, abs=1e-10)
 
     def test_mode_1_product_is_a_square(self, m1):
-        vx = inferred_variance_single(m1, Quadrature.X, 1)
-        vy = inferred_variance_single(m1, Quadrature.Y, 1)
+        vx = mp_residual(m1.cx, *SINGLE[1])
+        vy = mp_residual(m1.cy, *SINGLE[1])
         assert abs(vx - vy) < 1e-10
         assert obr_single(m1, 1) == pytest.approx(vx * vx, rel=1e-10)
 
@@ -191,21 +143,27 @@ class TestObrSingle:
 
 
 class TestInferredPair:
+    """Residuals V(Q_j + Q_k | Q_i), read through obr_pair."""
+
     def test_vacuum(self):
-        assert inferred_variance_pair(vacuum_moments(), Quadrature.X, 2, 3) == 2.0
+        for j, k in ((2, 3), (1, 3), (1, 2)):
+            for sign in Sign:
+                assert obr_pair(vacuum_moments(), j, k, sign) == 4.0
 
     def test_witness(self, m1):
-        got = inferred_variance_pair(m1, Quadrature.X, 2, 3)
-        assert got == pytest.approx(VINFPAIR_X23, rel=1e-12)
+        assert mp_residual(m1.cx, *PAIR[1]) == pytest.approx(VINFPAIR_X23, rel=1e-12)
+        assert obr_pair(m1, 2, 3) == pytest.approx(mp_product(m1, *PAIR[1]),
+                                                   rel=1e-12)
 
     def test_sign_pattern_makes_x_and_y_equal(self, m1):
-        vx = inferred_variance_pair(m1, Quadrature.X, 2, 3)
-        vy = inferred_variance_pair(m1, Quadrature.Y, 2, 3)
+        vx = mp_residual(m1.cx, *PAIR[1])
+        vy = mp_residual(m1.cy, *PAIR[1])
         assert vx == pytest.approx(vy, rel=1e-10)
+        assert obr_pair(m1, 2, 3) == pytest.approx(vx * vx, rel=1e-10)
 
     def test_equal_modes_rejected(self, m1):
         with pytest.raises(ValueError):
-            inferred_variance_pair(m1, Quadrature.X, 2, 2)
+            obr_pair(m1, 2, 2)
 
 
 class TestObrPair:
@@ -273,17 +231,20 @@ class TestVlfValue:
         for c, t, _ in grid_points(n_tau=6):
             m = moments_at(c, t)
             g = vlf_gains(m)
-            for i, j in ((1, 2), (1, 3), (2, 3)):
+            rep = evaluate_all(m, t)
+            for (i, j), opt in zip(((1, 2), (1, 3), (2, 3)), rep.vlf_opt):
                 wx = np.zeros(3)
                 wx[i - 1], wx[j - 1] = 1.0, -1.0
-                lhs = vlf_value(m, (i, j), g)
-                rhs = combo_variance(
-                    m, QuadCombo(Quadrature.X, wx)
-                ) + inferred_variance_pair(m, Quadrature.Y, i, j, Sign.PLUS)
-                assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
+                rhs = wx @ m.cx @ wx + mp_residual(m.cy, *PAIR[6 - i - j])
+                assert vlf_value(m, (i, j), g) == pytest.approx(
+                    rhs, abs=1e-10, rel=1e-10
+                )
+                assert opt == pytest.approx(rhs, abs=1e-10, rel=1e-10)
 
     def test_witness_inferred_component(self, m1):
-        got = inferred_variance_pair(m1, Quadrature.Y, 1, 2, Sign.PLUS)
+        assert mp_residual(m1.cy, *PAIR[3]) == pytest.approx(VY12_OPT, rel=1e-11)
+        wx = np.array([1.0, -1.0, 0.0])
+        got = evaluate_all(m1, T1).vlf_opt.v12 - wx @ m1.cx @ wx
         assert got == pytest.approx(VY12_OPT, rel=1e-11)
 
     def test_invalid_pair(self, m1):

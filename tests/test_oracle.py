@@ -19,7 +19,6 @@ from trimode import (
     rk4_propagator,
     vacuum_moments,
 )
-from trimode.oracle import MC_SHARD_SIZE
 from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of
 
 
@@ -89,12 +88,33 @@ class TestMcMoments:
         assert np.max(np.abs(m.cx - np.eye(3))) < 0.02
         assert np.max(np.abs(m.cy - np.eye(3))) < 0.02
 
-    def test_shard_boundaries_do_not_matter_for_validity(self):
-        # sample counts below, at and just above the shard size
-        for n in (1000, MC_SHARD_SIZE, MC_SHARD_SIZE + 1):
-            m = mc_moments(HYP, 0.1, n, seed=9)
-            assert np.all(np.isfinite(m.cx))
-            assert np.max(np.abs(m.cx - m.cx.T)) == 0.0
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**40])
+    def test_finite_and_exactly_symmetric(self, n):
+        m = mc_moments(HYP, 0.1, n, seed=9)
+        for block in (m.cx, m.cy):
+            assert np.all(np.isfinite(block))
+            assert np.array_equal(block, block.T)
+
+    def test_cost_does_not_grow_with_the_sample_count(self):
+        # 2^40 samples drawn one by one would take hours
+        m = mc_moments(HYP, T1, 2**40, seed=9)
+        assert compare_moments(moments_at(HYP, T1), m, 1e-4).max_abs_err < 1e-4
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_entries_follow_the_wishart_law(self, n):
+        # n S is Wishart: mean n C and Var(n S_ij) = n (C_ij^2 + C_ii C_jj),
+        # for the direct sum (n = 2) and the Bartlett draw (n = 5) alike.
+        t = 0.5
+        exact = moments_at(HYP, t)
+        draws = [mc_moments(HYP, t, n, seed) for seed in range(4000)]
+        root_k = np.sqrt(len(draws))
+        for quad, c in (("cx", exact.cx), ("cy", exact.cy)):
+            ns = n * np.array([getattr(m, quad) for m in draws])
+            mean = ns.mean(axis=0)
+            dev2 = (ns - mean) ** 2
+            var = n * (c * c + np.outer(np.diag(c), np.diag(c)))
+            assert np.all(np.abs(mean - n * c) < 5.0 * ns.std(axis=0) / root_k)
+            assert np.all(np.abs(dev2.mean(axis=0) - var) < 5.0 * dev2.std(axis=0) / root_k)
 
     @pytest.mark.parametrize("n", [0, -5, 1.5])
     def test_invalid_sample_count(self, n):

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +10,15 @@ from trimode import (
     DENOMINATOR_FLOOR,
     Couplings,
     MomentState,
-    Quadrature,
     RunConfig,
     Sign,
     evaluate_all,
-    inferred_variance_pair,
-    inferred_variance_single,
     moments_at,
+    obr_pair,
+    obr_single,
     run_sweep,
 )
+from support import mp_residual
 
 kappas = st.floats(min_value=0.2, max_value=3.0)
 #: Couplings anywhere, including exactly and nearly degenerate pairs.
@@ -65,15 +64,6 @@ def test_modes_two_and_three_stay_on_the_bound(kappa_pair, tau):
     assert abs(rep.obr_single.obr3 - 1.0) <= 1e-12
 
 
-def mp_residual(block, w, v):
-    """w'Cw - (w'Cv)^2 / v'Cv of the float entries, at 50 digits."""
-    with mp.workdps(50):
-        c = mp.matrix(block.tolist())
-        w, v = mp.matrix(w), mp.matrix(v)
-        ww, wv, vv = ((a.T * c * b)[0] for a, b in ((w, w), (w, v), (v, v)))
-        return float(ww - wv * wv / vv)
-
-
 @settings(max_examples=40, deadline=None)
 @given(couplings, st.floats(min_value=0.1, max_value=3.0),
        st.floats(min_value=1.5, max_value=4.0))
@@ -82,12 +72,9 @@ def test_mixed_state_takes_the_cofactor_path(kappa_pair, tau, thermal):
     # definite but breaks cx @ cy = I, so adj(cx) = cy no longer holds.
     pure = state(kappa_pair, tau)
     m = MomentState(thermal * pure.cx, thermal * pure.cy)
-    for quad, block in ((Quadrature.X, m.cx), (Quadrature.Y, m.cy)):
-        want = mp_residual(block, [1, 0, 0], [0, 1, 1])
-        got = inferred_variance_single(m, quad, 1)
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
-        want = mp_residual(block, [0, 1, 1], [1, 0, 0])
-        got = inferred_variance_pair(m, quad, 2, 3)
+    for got, w, v in ((obr_single(m, 1), [1, 0, 0], [0, 1, 1]),
+                      (obr_pair(m, 2, 3), [0, 1, 1], [1, 0, 0])):
+        want = mp_residual(m.cx, w, v) * mp_residual(m.cy, w, v)
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -95,15 +82,17 @@ def test_mixed_state_takes_the_cofactor_path(kappa_pair, tau, thermal):
 @given(st.floats(min_value=0.0, max_value=0.49 * DENOMINATOR_FLOOR),
        st.floats(min_value=0.5, max_value=5.0))
 def test_floor_returns_the_unconditioned_variance(gap, own):
+    # The vacuum Y block has residuals V(Y1 | Y2 + Y3) = 1 and
+    # V(Y2 + Y3 | Y1) = 2 exactly, so each product isolates its X residual.
     # V(X2 + X3) = 2 - 2 (1 - gap) = 2 gap stays below the floor.
     cx = np.eye(3)
     cx[0, 0] = own
     cx[1, 2] = cx[2, 1] = -(1.0 - gap)
     m = MomentState(cx, np.eye(3))
-    assert inferred_variance_single(m, Quadrature.X, 1) == own
+    assert obr_single(m, 1) == own
     # V(X1) below the floor: the pair keeps its own variance 2 + 2 c23.
     cx = np.eye(3)
     cx[0, 0] = gap
     cx[1, 2] = cx[2, 1] = 0.5 - own / 10
     m = MomentState(cx, np.eye(3))
-    assert inferred_variance_pair(m, Quadrature.X, 2, 3) == 2.0 + 2.0 * cx[1, 2]
+    assert obr_pair(m, 2, 3) == (2.0 + 2.0 * cx[1, 2]) * 2.0

@@ -295,6 +295,35 @@ class TestCli:
         assert meta["kappa2"] == "1.8"
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("command", ["sweep", "oracle"])
+    def test_config_file_sets_every_run_config_field(self, command, tmp_path,
+                                                    capsys):
+        settings = {"kappa1": "1.0", "kappa2": "1.8", "tau-min": "0.5",
+                    "tau_max": "2.5", "points": "7", "tau_convention": "maxkappa",
+                    "sign": "minus", "seed": "3", "mc_samples": "1000"}
+        cfg = tmp_path / "run.cfg"
+        from_file, from_flags = tmp_path / "file.out", tmp_path / "flags.out"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
+                       + f"out = {from_file}\n")
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        rc = main([command, "--config", str(cfg)])
+        assert main([command, *flags, "--out", str(from_flags)]) == rc
+        capsys.readouterr()
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        if command == "sweep":
+            meta, _, rows = parse_csv(from_file.read_text())
+            assert (meta["kappa2"], meta["tau_convention"], meta["sign"]) == (
+                "1.8", "maxkappa", "minus")
+            assert rows[0][0] == 0.5 and len(rows) == 7
+
+    @pytest.mark.parametrize("line", ["out-path = x.csv", "colour = red",
+                                      "sign = sideways", "points = 3.5"])
+    def test_bad_config_values_exit_4(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["sweep", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_figures_single(self, tmp_path, capsys):
         rc = main(["figures", "--which", "2", "--points", "5",
                    "--out", str(tmp_path)])
