@@ -48,10 +48,11 @@ __all__ = [
     "validate_moment_state",
 ]
 
-#: Relative tolerance on |kappa1^2 - kappa2^2| below which the dynamics is
-#: treated as degenerate.  Near-degenerate couplings are routed to the
-#: polynomial propagator because the non-degenerate closed forms divide by
-#: rate^2 and rate^4.
+#: Relative tolerance on |kappa1^2 - kappa2^2| below which the couplings
+#: count as degenerate.  It picks the time scale (the rate convention falls
+#: back to max(kappa1, kappa2) there) and guards closed_form_moments, whose
+#: forms divide by rate^3 and rate^4; the propagator itself is exact for
+#: every gap and never consults it.
 REGIME_TOL = 1e-9
 
 #: Margin below a criterion threshold before a violation counts as evidence.
@@ -81,15 +82,9 @@ def _where(cond, a, b):
     return np.where(cond, a, b)
 
 
-def _max(values):
-    """Entrywise maximum of a sequence of floats or of equal-shape arrays."""
-    if isinstance(values[0], np.ndarray):
-        return np.maximum.reduce(values)
-    return max(values)
-
-
-def _all(cond):
-    return cond if isinstance(cond, bool) else bool(cond.all())
+def _dot(u, v):
+    """u . v of two 3-vectors whose entries are floats or equal-shape arrays."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _each(fn, x):
@@ -113,7 +108,11 @@ def _check_finite(values, message):
     total = 0.0
     for v in values:
         total = total + abs(v)
-    if not _all(np.isfinite(total)):
+    if isinstance(total, float):
+        finite = math.isfinite(total)
+    else:
+        finite = np.isfinite(total).all()
+    if not finite:
         raise ValueError(message)
 
 
@@ -350,14 +349,6 @@ class CriteriaTable(Sequence):
         self.values = values
         self.sign = sign
 
-    @classmethod
-    def from_reports(cls, reports):
-        reports = tuple(reports)
-        sign = reports[0].sign if reports else None
-        if any(r.sign is not sign for r in reports):
-            raise ValueError("every report of a table must use the same sign")
-        return cls([r.t for r in reports], [r.values() for r in reports], sign)
-
     def __len__(self):
         return len(self.ts)
 
@@ -375,9 +366,8 @@ class CriteriaTable(Sequence):
 class SweepResult:
     """Criteria reports on a strictly increasing dimensionless time grid.
 
-    reports may be given as any sequence of CriteriaReports; it is kept as
-    a CriteriaTable, whose array the CSV writers read directly.  meta is
-    the RunConfig that produced the sweep.
+    reports is a CriteriaTable, whose array the CSV writers read directly.
+    meta is the RunConfig that produced the sweep.
     """
 
     taus: np.ndarray
@@ -386,16 +376,12 @@ class SweepResult:
 
     def __post_init__(self):
         taus = np.array(self.taus, dtype=float)
-        reports = self.reports
-        if not isinstance(reports, CriteriaTable):
-            reports = CriteriaTable.from_reports(reports)
-        if taus.ndim != 1 or len(taus) != len(reports):
+        if taus.ndim != 1 or len(taus) != len(self.reports):
             raise ValueError("taus and reports must have matching lengths")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "reports", reports)
 
 
 def classify_regime(c, tol=REGIME_TOL):

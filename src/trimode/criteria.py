@@ -9,11 +9,22 @@ Two families are implemented:
   obr_jk = Vinf(X_j + X_k) * Vinf(Y_j + Y_k) (bound 4), built from optimal
   linear estimates of one quadrature combination from another.
 
-criteria_values computes all of them from the six independent entries of
-each block, as plain arithmetic that runs unchanged on floats (one state)
-and on arrays (a sweep); evaluate_all and the inference, gain and sum
-functions are views of the same arithmetic on one MomentState.  All mode
-indices in the public functions are 1-based.
+Every criterion is a function of quadratic forms, on the vectors e_i and
+e_i +/- e_j, of the two blocks and of their adjugates: each inference
+residual is a ratio of such forms (see _residual).  A state propagated
+from vacuum carries the rows r1, r2, r3 of its X propagator block, and
+row_criteria reads every form as a squared norm: cx = M M' gives
+q'cx q = |M'q|^2, cy = S cx S with S = diag(1, -1, -1), and the state is
+pure, so adj(cx) = cy and adj(cy) = cx.  The norms are |r_i|^2 and
+|r_i +/- r_j|^2, with r1 - r2 taken in a factored form that stays exact
+where the two rows nearly cancel, and |r1 - r2 - r3|^2; the gains add
+three dot products.  Nothing large is subtracted, so the values keep
+double precision wherever the moments grow.  Other states (Monte Carlo
+estimates, hand-built blocks) read the forms off their entries and
+cofactors.  The same arithmetic runs unchanged on floats (one state) and
+on arrays (a sweep); obr_single, obr_pair and vlf_gains are views of
+evaluate_all's 15 values.  All mode indices in the public functions are
+1-based.
 """
 
 from __future__ import annotations
@@ -24,9 +35,8 @@ from .core import (
     CriteriaReport,
     Sign,
     VlfGains,
-    _all,
     _check_finite,
-    _max,
+    _dot,
     _where,
 )
 
@@ -55,16 +65,6 @@ def _check_mode(i):
         raise ValueError(f"mode index must be 1, 2 or 3, got {i!r}")
 
 
-#: Largest defect |cx @ cy - I| / (|cx| |cy|), in max-abs entry norms, that
-#: still counts as a pure state.  Rounding leaves about 1e-15 on states
-#: propagated from vacuum; sampled or hand-built states sit far above.
-PURITY_TOL = 1e-12
-
-# Entry order of a symmetric block: (c11, c22, c33, c12, c13, c23); row i
-# of the full matrix is the entries _FULL[i].
-_FULL = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
-
-
 def _entries(block):
     r = block.tolist()
     return r[0][0], r[1][1], r[2][2], r[0][1], r[0][2], r[1][2]
@@ -83,41 +83,15 @@ def _cofactors(c):
     )
 
 
-def _is_pure(x, y):
-    """Whether cx @ cy = I to rounding, i.e. the state is pure.
-
-    Both blocks are scaled to unit max-abs entry first, so the test holds
-    up to the overflow limit of the moments themselves.
-    """
-    sx, sy = _max([abs(v) for v in x]), _max([abs(v) for v in y])
-    rx = 1.0 / _where(sx > 0.0, sx, 1.0)
-    ry = 1.0 / _where(sy > 0.0, sy, 1.0)
-    xs = [v * rx for v in x]
-    ys = [v * ry for v in y]
-    unit = rx * ry
-    defects = []
-    for i, row in enumerate(_FULL):
-        for j, col in enumerate(_FULL):
-            entry = xs[row[0]] * ys[col[0]] + xs[row[1]] * ys[col[1]] + xs[row[2]] * ys[col[2]]
-            defects.append(abs(entry - unit) if i == j else abs(entry))
-    return _max(defects) <= PURITY_TOL
-
-
-def _adjugates(x, y):
-    """adj(cx) and adj(cy).
-
-    A pure state has det cx = det cy = 1 and cy = cx^-1, so adj(cx) = cy
-    and adj(cy) = cx exactly; only other states need the cofactors, which
-    subtract products of moments.
-    """
-    pure = _is_pure(x, y)
-    if _all(pure):
-        return y, x
-    ax, ay = _cofactors(x), _cofactors(y)
-    if isinstance(pure, bool):
-        return ax, ay
-    return (tuple(_where(pure, p, q) for p, q in zip(y, ax)),
-            tuple(_where(pure, p, q) for p, q in zip(x, ay)))
+def _entry_forms(c):
+    """The forms of a symmetric block read off its entries: (diag, plus,
+    minus), where diag[i] = C_ii and plus[k], minus[k] are the forms of
+    e_i + e_j and e_i - e_j for the pair i < j that leaves out mode k."""
+    c11, c22, c33, c12, c13, c23 = c
+    pairs = ((c22 + c33, c23), (c11 + c33, c13), (c11 + c22, c12))
+    return ((c11, c22, c33),
+            tuple(s + 2.0 * o for s, o in pairs),
+            tuple(s - 2.0 * o for s, o in pairs))
 
 
 def _residual(num, den, own):
@@ -134,29 +108,19 @@ def _residual(num, den, own):
     return _where(small, own, _where(r < 0.0, 0.0, r))
 
 
-def _mode_residuals(c, a, s):
-    """Inference residuals of one block with adjugate a, for every mode i.
+def _mode_residuals(f, a, sign):
+    """Inference residuals of one block with forms f and adjugate forms a,
+    for every mode i.
 
     With j < k the other two modes, V(Q_i | Q_j + s Q_k) and
     V(Q_j + s Q_k | Q_i) share the numerator
-    (e_i x (e_j + s e_k))' adj(C) (...) = A_jj + A_kk - 2 s A_jk.
+    (e_i x (e_j + s e_k))' adj(C) (...), the adjugate form of e_j - s e_k.
     Returns (singles, pairs), both indexed by i.
     """
-    c11, c22, c33, c12, c13, c23 = c
-    a11, a22, a33, a12, a13, a23 = a
-    two_s = 2.0 * s
-    own = (c11, c22, c33)
-    combos = (c22 + c33 + two_s * c23, c11 + c33 + two_s * c13,
-              c11 + c22 + two_s * c12)
-    nums = (a22 + a33 - two_s * a23, a11 + a33 - two_s * a13,
-            a11 + a22 - two_s * a12)
-    singles = tuple(_residual(n, v, o) for n, v, o in zip(nums, combos, own))
-    pairs = tuple(_residual(n, o, v) for n, v, o in zip(nums, combos, own))
+    combos, nums = (f[1], a[2]) if sign is Sign.PLUS else (f[2], a[1])
+    singles = tuple(_residual(n, v, o) for n, v, o in zip(nums, combos, f[0]))
+    pairs = tuple(_residual(n, o, v) for n, v, o in zip(nums, combos, f[0]))
     return singles, pairs
-
-
-def _sign_value(sign):
-    return 1.0 if sign is Sign.PLUS else -1.0
 
 
 # Entry indices (ii, jj, kk, ij, ik, jk) of the sum over modes i < j that
@@ -185,26 +149,20 @@ def _gain(y, k):
     return -(y[ik] + y[jk]) / _where(y[kk] != 0.0, y[kk], math.nan) + 0.0
 
 
-def criteria_values(x, y, sign=Sign.PLUS):
-    """Every criterion from the independent entries of the two blocks.
-
-    x and y are (c11, c22, c33, c12, c13, c23) of cx and cy, as floats (a
-    batch of one) or as equal-length arrays (a sweep, to be run under
-    np.errstate).  Returns the 15 values in CRITERIA order: raw and
-    optimised sums, gains, single and pair products.  The optimised sum is
-    V(X_i - X_j) plus the residual of Y_i + Y_j given Y_k, the minimum over
-    the gain.  Raises ValueError when a value is not finite.
+def _values(fx, fy, ax, ay, totals, gains, sign):
+    """The 15 criteria in CRITERIA order from the forms of cx, cy, adj(cx)
+    and adj(cy), the unit-gain Y sums V(Y_i + Y_j + Y_k) by left-out mode k
+    and the gains.  The optimised sum is V(X_i - X_j) plus the residual of
+    Y_i + Y_j given Y_k, the minimum over the gain.  Raises ValueError when
+    a value is not finite.
     """
-    ax, ay = _adjugates(x, y)
-    s = _sign_value(sign)
-    x_single, x_pair = _mode_residuals(x, ax, s)
-    y_single, y_pair = _mode_residuals(y, ay, s)
-    y_plus = y_pair if s == 1.0 else _mode_residuals(y, ay, 1.0)[1]
-    diffs = [_x_difference(x, k) for k in _SUM_ORDER]
+    x_single, x_pair = _mode_residuals(fx, ax, sign)
+    y_single, y_pair = _mode_residuals(fy, ay, sign)
+    y_plus = y_pair if sign is Sign.PLUS else _mode_residuals(fy, ay, Sign.PLUS)[1]
     values = (
-        *(d + _y_sum(y, k, 1.0) for d, k in zip(diffs, _SUM_ORDER)),
-        *(d + y_plus[k] for d, k in zip(diffs, _SUM_ORDER)),
-        *(_gain(y, k) for k in range(3)),
+        *(fx[2][k] + totals[k] for k in _SUM_ORDER),
+        *(fx[2][k] + y_plus[k] for k in _SUM_ORDER),
+        *gains,
         *(p * q for p, q in zip(x_single, y_single)),
         *(p * q for p, q in zip(x_pair, y_pair)),
     )
@@ -212,12 +170,58 @@ def criteria_values(x, y, sign=Sign.PLUS):
     return values
 
 
-def _residuals(m, sign):
-    """((singles, pairs) of cx, (singles, pairs) of cy), both by mode."""
-    x, y = _entries(m.cx), _entries(m.cy)
-    ax, ay = _adjugates(x, y)
-    s = _sign_value(sign)
-    return _mode_residuals(x, ax, s), _mode_residuals(y, ay, s)
+def _entry_criteria(x, y, sign):
+    """Every criterion from the independent entries (c11, c22, c33, c12,
+    c13, c23) of the two blocks, through their cofactors."""
+    return _values(_entry_forms(x), _entry_forms(y),
+                   _entry_forms(_cofactors(x)), _entry_forms(_cofactors(y)),
+                   tuple(_y_sum(y, k, 1.0) for k in range(3)),
+                   tuple(_gain(y, k) for k in range(3)), sign)
+
+
+def _norm(u):
+    return _dot(u, u)
+
+
+def _plus(u, v):
+    return u[0] + v[0], u[1] + v[1], u[2] + v[2]
+
+
+def _minus(u, v):
+    return u[0] - v[0], u[1] - v[1], u[2] - v[2]
+
+
+def row_criteria(rows, sign=Sign.PLUS):
+    """Every criterion from the rows (r1, r2, r3, d = r1 - r2) of
+    propagator_rows, as floats (a batch of one) or as equal-length arrays
+    (a sweep, to be run under np.errstate).
+
+    cx = mx mx' makes every form of cx a squared norm of a row
+    combination; cy = S cx S swaps the plus and minus forms of the pairs
+    that contain mode 1, and adj(cx) = cy, adj(cy) = cx.  Raises ValueError
+    when the moments overflow.
+    """
+    r1, r2, r3, d = rows
+    p23, m13 = _plus(r2, r3), _minus(r1, r3)
+    diag = (_norm(r1), _norm(r2), _norm(r3))
+    plus = (_norm(p23), _norm(_plus(r1, r3)), _norm(_plus(r1, r2)))
+    minus = (_norm(_minus(r2, r3)), _norm(m13), _norm(d))
+    _check_finite((*diag, *plus, *minus),
+                  "second moments overflow double precision; choose a smaller tau")
+    fx = (diag, plus, minus)
+    fy = (diag, (plus[0], minus[1], minus[2]), (minus[0], plus[1], plus[2]))
+    totals = (_norm(_minus(d, r3)),) * 3
+    gains = (_dot(r1, p23) / diag[0], _dot(r2, m13) / diag[1], _dot(d, r3) / diag[2])
+    return _values(fx, fy, fy, fx, totals, gains, sign)
+
+
+def _state_values(m, sign):
+    """The 15 criteria of a state: from its propagator rows when it was
+    propagated from vacuum, from its cofactors otherwise."""
+    rows = getattr(m, "_rows", None)
+    if rows is not None:
+        return row_criteria(rows, sign)
+    return _entry_criteria(_entries(m.cx), _entries(m.cy), sign)
 
 
 def _remaining_mode(j, k):
@@ -237,8 +241,7 @@ def obr_single(m, i, sign=Sign.PLUS):
     information and leaves V(X_i) unchanged.
     """
     _check_mode(i)
-    x, y = _residuals(m, sign)
-    return x[0][i - 1] * y[0][i - 1]
+    return _state_values(m, sign)[8 + i]
 
 
 def obr_pair(m, j, k, sign=Sign.PLUS):
@@ -248,8 +251,7 @@ def obr_pair(m, j, k, sign=Sign.PLUS):
     where i is the remaining mode, is evaluated without that subtraction.
     """
     i = _remaining_mode(j, k)
-    x, y = _residuals(m, sign)
-    return x[1][i - 1] * y[1][i - 1]
+    return _state_values(m, sign)[11 + i]
 
 
 def vlf_gains(m):
@@ -258,11 +260,7 @@ def vlf_gains(m):
     g_i = -(sum of mode-i Y covariances with the other two modes) / <Y_i^2>;
     each enters the sum whose Y part excludes mode i's unit weight.
     """
-    y = _entries(m.cy)
-    gains = VlfGains(*(_gain(y, k) for k in range(3)))
-    if not all(math.isfinite(g) for g in gains):
-        raise ValueError(f"gains are not finite: {gains}")
-    return gains
+    return VlfGains(*_state_values(m, Sign.PLUS)[6:9])
 
 
 def vlf_value(m, pair, gains=UNIT_GAINS):
@@ -282,9 +280,8 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
 def evaluate_all(m, t, sign=Sign.PLUS):
     """All criteria for one moment state, as a CriteriaReport.
 
-    criteria_values on a batch of one.  Raw pairwise sums use unit gains,
-    optimised ones the gains from vlf_gains; the obr entries use the
-    requested two-mode combination sign, which the report records.
+    Raw pairwise sums use unit gains, optimised ones the gains from
+    vlf_gains; the obr entries use the requested two-mode combination sign,
+    which the report records.
     """
-    values = criteria_values(_entries(m.cx), _entries(m.cy), sign)
-    return CriteriaReport.from_values(t, sign, values)
+    return CriteriaReport.from_values(t, sign, _state_values(m, sign))

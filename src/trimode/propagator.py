@@ -29,6 +29,7 @@ from .core import (
     RegimeError,
     RegimeKind,
     _check_finite,
+    _dot,
     _each,
     classify_regime,
 )
@@ -62,86 +63,63 @@ def _check_time(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
 
 
-def _factors(c, regime, t):
+def _factors(c, t):
     """The two scalar factors every propagator entry is built from.
 
-    a = (cosh(rate*t) - 1) / (kappa1^2 - kappa2^2) and b = sinh(rate*t)/rate
-    in the hyperbolic regime, with cosh(rate*t) - 1 evaluated as
-    2 sinh^2(rate*t / 2) so they stay accurate arbitrarily close to the
-    degenerate point; the periodic regime has the trigonometric analogues
-    (1 - cos(xi t) = 2 sin^2(xi t / 2)).  At the degenerate point the drift
-    is nilpotent, exp(A t) = I + A t + A^2 t^2 / 2 exactly, and couplings
-    inside the tolerance window keep a tiny residual gap that the series
-    terms absorb.  t is a float or an array of times; a factor too large
-    for a float becomes an infinity.
+    a = (cosh(rate*t) - 1) / rate^2 and b = sinh(rate*t) / rate for
+    gap = kappa1^2 - kappa2^2 = rate^2 > 0, with cosh(rate*t) - 1 written
+    2 sinh^2(rate*t / 2); gap < 0 has the trigonometric analogues.  Both
+    factors are (rate t)-series with leading terms t^2/2 and t, so they
+    stay accurate as the rate vanishes, and gap = 0 gives those terms
+    exactly (the drift is nilpotent there).  t is a float or an array of
+    times; a factor too large for a float becomes an infinity.
     """
-    gap = c.kappa1 * c.kappa1 - c.kappa2 * c.kappa2
-    rate = regime.rate
-    if regime.kind is RegimeKind.HYPERBOLIC:
-        half = _each(math.sinh, 0.5 * rate * t)
-        return 2.0 * half * half / gap, _each(math.sinh, rate * t) / rate
-    if regime.kind is RegimeKind.PERIODIC:
-        half = _each(math.sin, 0.5 * rate * t)
-        return -2.0 * half * half / gap, _each(math.sin, rate * t) / rate
-    u = gap * t * t
-    a = 0.5 * t * t * (1.0 + u / 12.0 + u * u / 360.0)
-    b = t * (1.0 + u / 6.0 + u * u / 120.0)
-    return a, b
+    gap = (c.kappa1 - c.kappa2) * (c.kappa1 + c.kappa2)
+    if gap == 0.0:
+        return 0.5 * t * t, t
+    fn = math.sinh if gap > 0.0 else math.sin
+    rate = math.sqrt(abs(gap))
+    half = _each(fn, 0.5 * rate * t) / rate
+    return 2.0 * half * half, _each(fn, rate * t) / rate
 
 
-def _propagator_entries(c, a, b):
-    """The six distinct entries (d11, d22, d33, off, p, q) of the X block
+def propagator_rows(c, t):
+    """Rows r1, r2, r3 of the X propagator block, and d = r1 - r2.
 
-        mx = [[d11, -off, p], [off, d22, q], [p, -q, d33]].
-
-    The Y block is the inverse transpose, my = S mx S with
-    S = diag(1, -1, -1), which is what preserves the canonical commutators.
+    mx = [[d11, -off, p], [off, d22, q], [p, -q, d33]] with d11 = 1 +
+    kappa1^2 a, d22 = 1 - kappa2^2 a, d33 = 1 + gap a, off = kappa1 kappa2 a,
+    p = kappa1 b and q = kappa2 b.  d is taken in the factored form
+    (1 + kappa1 delta a, -(1 + kappa2 delta a), delta b), delta = kappa1 -
+    kappa2, so it stays exact where r1 and r2 nearly cancel.  The Y block
+    is the inverse transpose, my = S mx S with S = diag(1, -1, -1), which
+    is what preserves the canonical commutators.  t is a float or an array.
     """
     k1, k2 = c.kappa1, c.kappa2
-    d11 = 1.0 + k1 * k1 * a
-    d22 = 1.0 - k2 * k2 * a
-    d33 = 1.0 + (k1 * k1 - k2 * k2) * a
-    return d11, d22, d33, k1 * k2 * a, k1 * b, k2 * b
+    a, b = _factors(c, t)
+    off, p, q = k1 * k2 * a, k1 * b, k2 * b
+    delta = k1 - k2
+    r1 = (1.0 + k1 * k1 * a, -off, p)
+    r2 = (off, 1.0 - k2 * k2 * a, q)
+    r3 = (p, -q, 1.0 + delta * (k1 + k2) * a)
+    d = (1.0 + k1 * delta * a, -(1.0 + k2 * delta * a), delta * b)
+    return r1, r2, r3, d
 
 
-def _pair_from_factors(c, t, a, b):
-    """Both propagator blocks as matrices."""
-    d11, d22, d33, off, p, q = _propagator_entries(c, a, b)
-    mx = np.array([[d11, -off, p], [off, d22, q], [p, -q, d33]])
-    my = np.array([[d11, off, -p], [-off, d22, q], [-p, -q, d33]])
-    return PropagatorPair(mx, my, t)
-
-
-def moment_entries(c, regime, t):
-    """Independent moment entries (c11, c22, c33, c12, c13, c23) of cx and cy.
-
-    Vacuum input makes cx = mx @ mx.T, written out entry by entry; cy =
-    S cx S flips the sign of <Y1 Y2> and <Y1 Y3>.  t is a float (one state)
-    or an array (a sweep, to be run under np.errstate); regime must be
-    classify_regime(c).  Raises ValueError when the moments overflow.
-    """
-    d11, d22, d33, off, p, q = _propagator_entries(c, *_factors(c, regime, t))
-    x = (
-        d11 * d11 + off * off + p * p,
-        off * off + d22 * d22 + q * q,
-        p * p + q * q + d33 * d33,
-        d11 * off - off * d22 + p * q,
-        d11 * p + off * q + p * d33,
-        off * p - d22 * q + q * d33,
-    )
-    _check_finite(x, "second moments overflow double precision; choose a smaller tau")
-    return x, (x[0], x[1], x[2], -x[3], -x[4], x[5])
+#: S mx S entrywise: the sign flips that turn mx into my.
+_FLIP = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
 def _analytic(c, t, kind=None):
     """Closed-form propagator, after checking t and, if given, the regime."""
     _check_time(t)
-    regime = classify_regime(c)
-    if kind is not None and regime.kind is not kind:
-        raise RegimeError(
-            f"couplings {c} are {regime.kind.value}, not {kind.value}"
-        )
-    return _pair_from_factors(c, t, *_factors(c, regime, t))
+    if kind is not None:
+        regime = classify_regime(c)
+        if regime.kind is not kind:
+            raise RegimeError(
+                f"couplings {c} are {regime.kind.value}, not {kind.value}"
+            )
+    mx = np.array(propagator_rows(c, t)[:3])
+    return PropagatorPair(mx, mx * _FLIP, t)
 
 
 def propagator_hyperbolic(c, t):
@@ -163,10 +141,12 @@ def propagator_periodic(c, t):
 
 
 def propagator_degenerate(c, t):
-    """Exact propagator at kappa1 = kappa2, where the drift is nilpotent.
+    """Closed-form propagator for couplings inside the degeneracy window.
 
-    A^3 = 0 makes exp(A t) = I + A t + A^2 t^2 / 2 exactly, the limiting
-    polynomial of the hyperbolic and periodic forms as the rate vanishes.
+    At kappa1 = kappa2 the drift is nilpotent, A^3 = 0, and exp(A t) =
+    I + A t + A^2 t^2 / 2 exactly, the limit of the hyperbolic and periodic
+    forms as the rate vanishes; inside the window those forms are used
+    with their small rate.
     """
     return _analytic(c, t, RegimeKind.DEGENERATE)
 
@@ -203,13 +183,22 @@ def propagator_expm(c, t):
 
 
 def outer_moments(pair):
-    """Moments a propagator pair produces from vacuum: cx = mx @ mx.T etc."""
+    """Moments a propagator pair produces from vacuum: cx = mx @ mx.T etc.
+
+    When my = S mx S, as for every propagator of these equations of motion,
+    the state keeps the rows of mx (with d = r1 - r2 by subtraction), from
+    which the criteria read their values as for moments_at.
+    """
 
     def sym(m):
         s = m @ m.T
         return 0.5 * (s + s.T)
 
-    return MomentState(sym(pair.mx), sym(pair.my))
+    m = MomentState(sym(pair.mx), sym(pair.my))
+    if (pair.my == pair.mx * _FLIP).all():
+        r1, r2, r3 = pair.mx.tolist()
+        object.__setattr__(m, "_rows", (r1, r2, r3, [p - q for p, q in zip(r1, r2)]))
+    return m
 
 
 def _block(c11, c22, c33, c12, c13, c23):
@@ -220,13 +209,22 @@ def moments_at(c, t, method=MomentMethod.ANALYTIC):
     """Second-moment blocks at time t from vacuum initial conditions.
 
     The initial covariance is the identity, so cx = mx @ mx.T and
-    cy = my @ my.T for the selected propagator.  The analytic method is
-    moment_entries on a batch of one.
+    cy = my @ my.T for the selected propagator.  The analytic method forms
+    cx_ij = r_i . r_j from propagator_rows on a batch of one, and cy =
+    S cx S flips the sign of <Y1 Y2> and <Y1 Y3>; the state keeps the rows,
+    from which the criteria read their values.  Raises ValueError when the
+    moments overflow.
     """
     if method is MomentMethod.ANALYTIC:
         _check_time(t)
-        x, y = moment_entries(c, classify_regime(c), float(t))
-        return MomentState(_block(*x), _block(*y))
+        rows = propagator_rows(c, float(t))
+        r1, r2, r3, _ = rows
+        x = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3),
+             _dot(r1, r2), _dot(r1, r3), _dot(r2, r3))
+        _check_finite(x, "second moments overflow double precision; choose a smaller tau")
+        m = MomentState(_block(*x), _block(x[0], x[1], x[2], -x[3], -x[4], x[5]))
+        object.__setattr__(m, "_rows", rows)
+        return m
     if method is MomentMethod.EXPM:
         return outer_moments(propagator_expm(c, t))
     raise ValueError(f"unknown moment method {method!r}")

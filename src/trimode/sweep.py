@@ -24,9 +24,9 @@ from .core import (
     TauConvention,
     classify_regime,
 )
-from .criteria import criteria_values
+from .criteria import row_criteria
 from .oracle import compare_moments, mc_moments, rk4_propagator
-from .propagator import closed_form_moments, moment_entries, moments_at, outer_moments
+from .propagator import closed_form_moments, moments_at, outer_moments, propagator_rows
 
 __all__ = [
     "RK4_STEPS_PER_UNIT_TAU",
@@ -102,12 +102,6 @@ class RunConfig:
         return np.linspace(self.tau_min, self.tau_max, self.points)
 
 
-def _scale(c, regime, convention):
-    if convention is TauConvention.MAX_KAPPA or regime.kind is RegimeKind.DEGENERATE:
-        return c.kappa_max
-    return regime.rate
-
-
 def time_scale(c, convention):
     """Frequency that converts dimensionless tau to raw time, t = tau / scale.
 
@@ -117,23 +111,22 @@ def time_scale(c, convention):
     """
     if convention is TauConvention.MAX_KAPPA:
         return c.kappa_max
-    return _scale(c, classify_regime(c), convention)
+    regime = classify_regime(c)
+    return c.kappa_max if regime.kind is RegimeKind.DEGENERATE else regime.rate
 
 
 def run_sweep(cfg):
     """Evaluate every criterion on a uniform tau grid, as one array pass.
 
-    The regime is classified once; moment_entries and criteria_values then
-    run on the whole grid, the same arithmetic moments_at and evaluate_all
-    run on a batch of one.  Raises ValueError when a value overflows.
+    propagator_rows and row_criteria run on the whole grid, the same
+    arithmetic moments_at and evaluate_all run on a batch of one.  Raises
+    ValueError when a value overflows.
     """
     c = cfg.couplings
-    regime = classify_regime(c)
     taus = cfg.taus()
-    ts = taus / _scale(c, regime, cfg.tau_convention)
+    ts = taus / time_scale(c, cfg.tau_convention)
     with np.errstate(all="ignore"):
-        x, y = moment_entries(c, regime, ts)
-        values = np.column_stack(criteria_values(x, y, cfg.sign))
+        values = np.column_stack(row_criteria(propagator_rows(c, ts), cfg.sign))
     return SweepResult(taus, CriteriaTable(ts, values, cfg.sign), cfg)
 
 
@@ -252,7 +245,9 @@ def run_oracle_check(cfg):
     outer products (the reference), the matrix-exponential path, rk4 at
     RK4_STEPS_PER_UNIT_TAU density and Monte Carlo sampling at a few grid
     points.  Returns [(name, ComparisonReport), ...]; a run is good when
-    every report passed.
+    every report passed.  The Monte Carlo comparison is statistical: at the
+    default 10^6 samples its 1e-2 bound on the worst entry fails by chance
+    on about 2 of 9000 seeds.
     """
     c = cfg.couplings
     degenerate = classify_regime(c).kind is RegimeKind.DEGENERATE

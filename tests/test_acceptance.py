@@ -11,6 +11,7 @@ V(X_i - X_j) = 2 and V(Y_i + Y_j + g_k Y_k) = 2 + g_k^2, giving
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ def test_criterion_11_figure_determinism(tmp_path):
     for which in (1, 2, 3, 4, 5):
         a_csv, _ = reproduce_figure(which, first)
         b_csv, _ = reproduce_figure(which, second)
-        if open(a_csv, "rb").read() != open(b_csv, "rb").read():
+        if Path(a_csv).read_bytes() != Path(b_csv).read_bytes():
             mismatches.append(which)
     ok = not mismatches
     announce(11, "figure determinism", ok,

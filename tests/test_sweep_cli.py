@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,19 +163,19 @@ class TestCsv:
 class TestFigures:
     def test_fig1_schema(self, tmp_path):
         csv_path, sidecar = reproduce_figure(1, tmp_path, points=11)
-        meta, columns, rows = parse_csv(open(csv_path).read())
+        meta, columns, rows = parse_csv(Path(csv_path).read_text())
         assert columns == [
             "tau", "v12_raw", "v13_raw", "v23_raw", "v12_opt", "v13_opt", "v23_opt",
         ]
         assert meta["kappa1"] == "1.2"
         assert len(rows) == 11
-        text = open(sidecar).read()
+        text = Path(sidecar).read_text()
         assert "kappa1 = 1.2" in text
         assert "rate" in text
 
     def test_fig3_has_both_panels(self, tmp_path):
         csv_path, _ = reproduce_figure(3, tmp_path, points=21)
-        meta, columns, rows = parse_csv(open(csv_path).read())
+        meta, columns, rows = parse_csv(Path(csv_path).read_text())
         assert columns == [
             "tau",
             "obr1_left", "obr2_left", "obr3_left",
@@ -189,7 +190,7 @@ class TestFigures:
 
     def test_fig4_pairs_below_threshold(self, tmp_path):
         csv_path, _ = reproduce_figure(4, tmp_path, points=31)
-        _, columns, rows = parse_csv(open(csv_path).read())
+        _, columns, rows = parse_csv(Path(csv_path).read_text())
         assert columns == ["tau", "obr23", "obr13", "obr12"]
         for row in rows:
             values = dict(zip(columns, row))
@@ -434,3 +435,25 @@ class TestLongTimeCertification:
         values = eval_values(capsys, "--kappa1", "1.2", "--kappa2", "1.0", "--tau", "20")
         got = float(values["obr_pair.obr23"])
         assert abs(got - self.OBR23_TAU20) <= 1e-10 * self.OBR23_TAU20
+
+
+class TestNearDegenerateCorridor:
+    """Where kappa1 ~ kappa2 the moments grow like (kappa / rate)^4 while the
+    criteria stay of order one; reading the criteria off the moments used to
+    lose every digit, even at tau <= 3, and deny entanglement."""
+
+    @pytest.mark.parametrize(
+        "kappa1,kappa2,tau",
+        [
+            ("1", "1.0000000011", "1"),
+            ("1", "1.0000000011", "2"),
+            ("1.0000000011", "1", "3"),
+            ("1", "1.0000001", "3"),
+        ],
+    )
+    def test_single_product_on_the_bound_and_pairs_certify(self, kappa1, kappa2,
+                                                          tau, capsys):
+        values = eval_values(capsys, "--kappa1", kappa1, "--kappa2", kappa2,
+                             "--tau", tau)
+        assert abs(float(values["obr_single.obr3"]) - 1.0) <= 1e-12
+        assert values["obr_pair_flag"] == "true"
