@@ -45,7 +45,6 @@ __all__ = [
     "SweepResult",
     "classify_regime",
     "vacuum_moments",
-    "validate_moment_state",
 ]
 
 #: Relative tolerance on |kappa1^2 - kappa2^2| below which the couplings
@@ -405,19 +404,3 @@ def vacuum_moments():
     """Initial vacuum state: identity moment blocks."""
     return MomentState(np.eye(3), np.eye(3))
 
-
-def validate_moment_state(m, *, floor_tol=1e-12, parity_tol=1e-10, psd_tol=1e-10):
-    """Check the physical invariants an exactly propagated state must satisfy.
-
-    Raises ValueError when a diagonal drops below the vacuum floor, the X
-    and Y variances disagree, or a block has an eigenvalue below -psd_tol.
-    Statistical estimates (finite Monte Carlo samples) fluctuate around
-    these properties and should not be passed through this check.
-    """
-    for name, arr in (("cx", m.cx), ("cy", m.cy)):
-        if np.min(np.diag(arr)) < 1.0 - floor_tol:
-            raise ValueError(f"{name} diagonal below the vacuum floor: {np.diag(arr)}")
-        if np.min(np.linalg.eigvalsh(arr)) < -psd_tol:
-            raise ValueError(f"{name} is not positive semidefinite")
-    if np.max(np.abs(np.diag(m.cx) - np.diag(m.cy))) > parity_tol:
-        raise ValueError("cx and cy diagonals disagree")

@@ -4,7 +4,9 @@ None of these share formulas with the closed-form propagators: rk4
 integrates the equations of motion numerically, mc_moments samples the
 second moments of n vacuum draws through the analytic propagator (one
 Wishart draw per block, so a result depends only on (seed, n)), and
-compare_moments reduces two states to a structured error report.
+compare_moments reduces two states to a structured error report.  RK4
+and the comparison run on whole grids as (N, 3, 3) stacks; the public
+functions are grids of one.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Worst-case agreement between two moment states (or grids of them).
+    """Worst-case agreement between two moment states, or two grids of them.
 
     The combined metric is |a - b| / max(1, |a|) per entry, with the first
     state as reference; the report passes when its maximum stays within
-    tolerance.  worst_entry is (block, i, j, t) for the worst offender.
+    tolerance.  worst_entry is (block, i, j, t) for the worst offender, t
+    the label of its grid point, and max_abs_err the largest absolute
+    error at that grid point.
     """
 
     max_abs_err: float
@@ -40,8 +44,9 @@ class ComparisonReport:
     tolerance: float
 
 
-def _rk4_step_matrix(a, h):
-    """One classical RK4 step for dM/dt = a @ M, applied to the identity."""
+def _rk4_step_matrices(a, h):
+    """One classical RK4 step for dM/dt = a @ M, applied to the identity,
+    for drift stacks a and step lengths h that broadcast together."""
     eye = np.eye(3)
     k1 = a @ eye
     k2 = a @ (eye + 0.5 * h * k1)
@@ -50,21 +55,61 @@ def _rk4_step_matrix(a, h):
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _matrix_powers(a, n):
+    """a[i] ** n[i] for an (N, 3, 3) stack and integer exponents n >= 1.
+
+    Each power is the product np.linalg.matrix_power forms: a @ a for 2,
+    (a @ a) @ a for 3, and otherwise binary decomposition from the lowest
+    bit, result @ z with z = a^(2^k).  The stack is squared as a whole and
+    masks pick each matrix's own bits.  n is an int64 array or, for
+    exponents past int64, an object array of Python ints, so it never
+    wraps.
+    """
+    result = np.empty_like(a)
+    started = np.zeros(len(a), dtype=bool)
+    z, rest = a, n
+    while True:
+        bit = (rest & 1).astype(bool)
+        first, more = bit & ~started, bit & started
+        result[first] = z[first]
+        if more.any():
+            result[more] = result[more] @ z[more]
+        started |= bit
+        rest = rest >> 1
+        if not rest.any():
+            break
+        z = z @ z
+    three = n == 3
+    if three.any():
+        result[three] = (a[three] @ a[three]) @ a[three]
+    return result
+
+
+def _rk4_propagators(c, ts, steps):
+    """(N, 2, 3, 3) stack of the RK4 blocks (mx, my) from the identity to
+    every time ts[i], in steps[i] equal steps (a list of Python ints >= 1).
+
+    The step operator is constant for this linear system, so composing the
+    steps reduces to a matrix power.
+    """
+    h = ts / np.array(steps, dtype=float)
+    z = _rk4_step_matrices(np.array(drift_matrices(c)), h[:, None, None, None])
+    n = np.array(steps, dtype=np.int64 if max(steps) < 2**63 else object).repeat(2)
+    return _matrix_powers(z.reshape(-1, 3, 3), n).reshape(z.shape)
+
+
 def rk4_propagator(c, t, steps):
     """Integrate both quadrature blocks from the identity with classical RK4.
 
-    The step operator is constant for this linear system, so composing the
-    steps reduces to a matrix power; the result is the standard fixed-step
-    RK4 solution with global error O((t/steps)^4).
+    The result is the standard fixed-step RK4 solution with global error
+    O((t/steps)^4).
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    ax, ay = drift_matrices(c)
-    h = t / steps
-    mx = np.linalg.matrix_power(_rk4_step_matrix(ax, h), steps)
-    my = np.linalg.matrix_power(_rk4_step_matrix(ay, h), steps)
+    with np.errstate(all="ignore"):
+        mx, my = _rk4_propagators(c, np.array([float(t)]), [int(steps)])[0]
     return PropagatorPair(mx, my, t)
 
 
@@ -108,28 +153,41 @@ def mc_moments(c, t, n, seed):
     return MomentState(*blocks)
 
 
+def _pair(m):
+    """The (2, 3, 3) stack (cx, cy) of a moment state."""
+    return np.array([m.cx, m.cy])
+
+
+def _compare(a, b, tol, labels):
+    """Worst-case report over (N, 2, 3, 3) stacks of (cx, cy) pairs.
+
+    The worst grid point is the first one with the largest combined error;
+    within it X comes before Y and entries go row-major, and the first
+    entry at that error is the worst.  max_abs_err is the largest absolute
+    error at that grid point, and labels[i] (a tau) labels point i.
+    """
+    n = len(a)
+    diff = np.abs(a - b).reshape(n, 18)
+    rel = diff / np.maximum(1.0, np.abs(a)).reshape(n, 18)
+    point = int(np.argmax(rel.max(axis=1)))
+    entry = int(np.argmax(rel[point]))
+    quad, (i, j) = (Quadrature.X, Quadrature.Y)[entry // 9], divmod(entry % 9, 3)
+    max_rel = float(rel[point, entry])
+    return ComparisonReport(
+        max_abs_err=float(diff[point].max()),
+        max_rel_err=max_rel,
+        worst_entry=(quad, i, j, labels[point]),
+        passed=max_rel <= tol,
+        tolerance=tol,
+    )
+
+
 def compare_moments(a, b, tol, t=math.nan):
     """Entrywise error report between two moment states.
 
     Records the maximum absolute error and the maximum combined error
     |a - b| / max(1, |a|); passes when the combined maximum is within tol.
-    t only labels the worst entry (useful when scanning a grid).
+    t only labels the worst entry (useful when scanning a grid).  A grid
+    of one: run_oracle_check reduces whole grids the same way.
     """
-    max_abs = 0.0
-    max_rel = 0.0
-    worst = (Quadrature.X, 0, 0, t)
-    for quad, ma, mb in ((Quadrature.X, a.cx, b.cx), (Quadrature.Y, a.cy, b.cy)):
-        diff = np.abs(ma - mb)
-        rel = diff / np.maximum(1.0, np.abs(ma))
-        max_abs = max(max_abs, float(diff.max()))
-        if float(rel.max()) > max_rel:
-            max_rel = float(rel.max())
-            i, j = np.unravel_index(int(np.argmax(rel)), rel.shape)
-            worst = (quad, int(i), int(j), t)
-    return ComparisonReport(
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        worst_entry=worst,
-        passed=max_rel <= tol,
-        tolerance=tol,
-    )
+    return _compare(_pair(a)[None], _pair(b)[None], tol, [t])

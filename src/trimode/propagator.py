@@ -157,29 +157,50 @@ def propagator_analytic(c, t):
 
 
 def _expm(a):
-    """exp(a) by scaling and squaring with a 20-term Taylor series.
+    """exp of every matrix of a (..., 3, 3) stack, by scaling and squaring
+    with a 20-term Taylor series.
 
-    The argument is scaled so its 1-norm is at most 0.5, where the
-    truncation error of the series is far below double precision.
+    Each matrix is scaled by its own power of two so that its 1-norm is at
+    most 0.5, where the truncation error of the series is far below double
+    precision, and its result is squared that many times: the stack is
+    squared as a whole and a mask keeps each matrix at its own count
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  Raises
+    ValueError when a norm overflows.
     """
-    norm = np.max(np.sum(np.abs(a), axis=0))
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    b = a / (2.0**squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    squarings = np.ceil(_each(math.log2, np.maximum(norm / 0.5, 1.0).ravel()))
+    if not np.isfinite(squarings).all():
+        raise ValueError("matrix exponential overflows double precision; choose a smaller tau")
+    squarings = squarings.astype(int).reshape(norm.shape)
+    b = a / np.ldexp(1.0, squarings)[..., None, None]
+    result = np.eye(3)
+    term = np.eye(3)
     for k in range(1, 21):
         term = term @ b / k
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for k in range(int(squarings.max(initial=0))):
+        result = np.where((squarings > k)[..., None, None], result @ result, result)
     return result
+
+
+def _expm_propagators(c, ts):
+    """(N, 2, 3, 3) stack of the blocks (mx, my) of exp(drift * t) at
+    every time t of ts."""
+    return _expm(np.array(drift_matrices(c)) * ts[:, None, None, None])
 
 
 def propagator_expm(c, t):
     """Regime-independent propagator via the matrix exponential of the drift."""
     _check_time(t)
-    ax, ay = drift_matrices(c)
-    return PropagatorPair(_expm(ax * t), _expm(ay * t), t)
+    with np.errstate(all="ignore"):
+        mx, my = _expm_propagators(c, np.array([float(t)]))[0]
+    return PropagatorPair(mx, my, t)
+
+
+def _outer(m):
+    """m @ m.T of every matrix of a stack, made exactly symmetric."""
+    s = m @ m.swapaxes(-1, -2)
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def outer_moments(pair):
@@ -190,19 +211,36 @@ def outer_moments(pair):
     which the criteria read their values as for moments_at.
     """
 
-    def sym(m):
-        s = m @ m.T
-        return 0.5 * (s + s.T)
-
-    m = MomentState(sym(pair.mx), sym(pair.my))
+    m = MomentState(*_outer(np.array([pair.mx, pair.my])))
     if (pair.my == pair.mx * _FLIP).all():
         r1, r2, r3 = pair.mx.tolist()
         object.__setattr__(m, "_rows", (r1, r2, r3, [p - q for p, q in zip(r1, r2)]))
     return m
 
 
-def _block(c11, c22, c33, c12, c13, c23):
-    return np.array([[c11, c12, c13], [c12, c22, c23], [c13, c23, c33]])
+def _row_moments(rows):
+    """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
+    cx_ij = r_i . r_j, from propagator_rows; ValueError when they overflow."""
+    r1, r2, r3, _ = rows
+    x = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3),
+         _dot(r1, r2), _dot(r1, r3), _dot(r2, r3))
+    _check_finite(x, "second moments overflow double precision; choose a smaller tau")
+    return x
+
+
+#: Where each entry of (cx, cy) sits in (c11, c22, c33, c12, c13, c23,
+#: -c12, -c13): cy = S cx S flips the sign of <Y1 Y2> and <Y1 Y3>.
+_PAIR_INDEX = np.array([
+    [[0, 3, 4], [3, 1, 5], [4, 5, 2]],
+    [[0, 6, 7], [6, 1, 5], [7, 5, 2]],
+])
+
+
+def _moment_blocks(x):
+    """(cx, cy) from the six independent entries of cx: a (2, 3, 3) array
+    for floats, an (N, 2, 3, 3) stack for columns."""
+    c11, c22, c33, c12, c13, c23 = x
+    return np.array([c11, c22, c33, c12, c13, c23, -c12, -c13]).T[..., _PAIR_INDEX]
 
 
 def moments_at(c, t, method=MomentMethod.ANALYTIC):
@@ -218,16 +256,45 @@ def moments_at(c, t, method=MomentMethod.ANALYTIC):
     if method is MomentMethod.ANALYTIC:
         _check_time(t)
         rows = propagator_rows(c, float(t))
-        r1, r2, r3, _ = rows
-        x = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3),
-             _dot(r1, r2), _dot(r1, r3), _dot(r2, r3))
-        _check_finite(x, "second moments overflow double precision; choose a smaller tau")
-        m = MomentState(_block(*x), _block(x[0], x[1], x[2], -x[3], -x[4], x[5]))
+        m = MomentState(*_moment_blocks(_row_moments(rows)))
         object.__setattr__(m, "_rows", rows)
         return m
     if method is MomentMethod.EXPM:
         return outer_moments(propagator_expm(c, t))
     raise ValueError(f"unknown moment method {method!r}")
+
+
+def _closed_form_entries(c, t):
+    """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
+    transcribed from the solved moment formulas, at every time of an array
+    t; RegimeError at the degenerate point."""
+    k1, k2 = c.kappa1, c.kappa2
+    regime = classify_regime(c)
+    r = regime.rate
+    if regime.kind is RegimeKind.HYPERBOLIC:
+        ch = _each(math.cosh, r * t)
+        sh = _each(math.sinh, r * t)
+        xx11 = 1.0 + (2 * k1**2 / r**4) * (k1**2 * sh**2 + 2 * k2**2 * (1 - ch))
+        xx22 = 1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2
+        xx33 = 1.0 + 2 * k1**2 * sh**2 / r**2
+        xx12 = (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2)
+        xx13 = (2 * k1 * sh / r**3) * (k1**2 * ch - k2**2)
+        xx23 = (2 * k1**2 * k2 / r**3) * (ch - 1) * sh
+    elif regime.kind is RegimeKind.PERIODIC:
+        co = _each(math.cos, r * t)
+        si = _each(math.sin, r * t)
+        xx11 = 1.0 + 2 * k1**2 * (2 * k2**2 * (1 - co) - k1**2 * si**2) / r**4
+        xx22 = 1.0 + 2 * k1**2 * k2**2 * (co - 1) ** 2 / r**4
+        xx33 = 1.0 + 2 * k1**2 * si**2 / r**2
+        xx12 = (2 * k1 * k2 / r**4) * ((k1**2 + k2**2) * (1 - co) - k1**2 * si**2)
+        xx13 = (k1 / r**3) * (2 * k2**2 * si - k1**2 * _each(math.sin, 2 * r * t))
+        xx23 = (2 * k1**2 * k2 * si / r**3) * (1 - co)
+    else:
+        raise RegimeError(
+            "closed-form moment expressions are undefined at the degenerate "
+            "point; use moments_at"
+        )
+    return xx11, xx22, xx33, xx12, xx13, xx23
 
 
 def closed_form_moments(c, t):
@@ -240,32 +307,6 @@ def closed_form_moments(c, t):
     written, so near-degenerate couplings should use moments_at instead.
     """
     _check_time(t)
-    k1, k2 = c.kappa1, c.kappa2
-    regime = classify_regime(c)
-    r = regime.rate
-    if regime.kind is RegimeKind.HYPERBOLIC:
-        ch = math.cosh(r * t)
-        sh = math.sinh(r * t)
-        xx11 = 1.0 + (2 * k1**2 / r**4) * (k1**2 * sh**2 + 2 * k2**2 * (1 - ch))
-        xx22 = 1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2
-        xx33 = 1.0 + 2 * k1**2 * sh**2 / r**2
-        xx12 = (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2)
-        xx13 = (2 * k1 * sh / r**3) * (k1**2 * ch - k2**2)
-        xx23 = (2 * k1**2 * k2 / r**3) * (ch - 1) * sh
-    elif regime.kind is RegimeKind.PERIODIC:
-        co = math.cos(r * t)
-        si = math.sin(r * t)
-        xx11 = 1.0 + 2 * k1**2 * (2 * k2**2 * (1 - co) - k1**2 * si**2) / r**4
-        xx22 = 1.0 + 2 * k1**2 * k2**2 * (co - 1) ** 2 / r**4
-        xx33 = 1.0 + 2 * k1**2 * si**2 / r**2
-        xx12 = (2 * k1 * k2 / r**4) * ((k1**2 + k2**2) * (1 - co) - k1**2 * si**2)
-        xx13 = (k1 / r**3) * (2 * k2**2 * si - k1**2 * math.sin(2 * r * t))
-        xx23 = (2 * k1**2 * k2 * si / r**3) * (1 - co)
-    else:
-        raise RegimeError(
-            "closed-form moment expressions are undefined at the degenerate "
-            "point; use moments_at"
-        )
-    cx = np.array([[xx11, xx12, xx13], [xx12, xx22, xx23], [xx13, xx23, xx33]])
-    cy = np.array([[xx11, -xx12, -xx13], [-xx12, xx22, xx23], [-xx13, xx23, xx33]])
+    with np.errstate(all="ignore"):
+        cx, cy = _moment_blocks(_closed_form_entries(c, np.array([float(t)])))[0]
     return MomentState(cx, cy)

@@ -17,7 +17,6 @@ from .core import (
     CRITERIA,
     Couplings,
     CriteriaTable,
-    MomentMethod,
     RegimeKind,
     Sign,
     SweepResult,
@@ -25,8 +24,15 @@ from .core import (
     classify_regime,
 )
 from .criteria import row_criteria
-from .oracle import compare_moments, mc_moments, rk4_propagator
-from .propagator import closed_form_moments, moments_at, outer_moments, propagator_rows
+from .oracle import _compare, _pair, _rk4_propagators, mc_moments
+from .propagator import (
+    _closed_form_entries,
+    _expm_propagators,
+    _moment_blocks,
+    _outer,
+    _row_moments,
+    propagator_rows,
+)
 
 __all__ = [
     "RK4_STEPS_PER_UNIT_TAU",
@@ -232,10 +238,11 @@ def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
     return [csv_path, sidecar_path]
 
 
-def _worse(current, candidate):
-    if current is None or candidate.max_rel_err > current.max_rel_err:
-        return candidate
-    return current
+def _finite(stack, name):
+    """stack, or ValueError when any of its moments is not finite."""
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{name} moments are not finite; choose a smaller tau")
+    return stack
 
 
 def run_oracle_check(cfg):
@@ -244,57 +251,42 @@ def run_oracle_check(cfg):
     Compares the verbatim closed-form moments, the analytic propagator
     outer products (the reference), the matrix-exponential path, rk4 at
     RK4_STEPS_PER_UNIT_TAU density and Monte Carlo sampling at a few grid
-    points.  Returns [(name, ComparisonReport), ...]; a run is good when
-    every report passed.  The Monte Carlo comparison is statistical: at the
-    default 10^6 samples its 1e-2 bound on the worst entry fails by chance
-    on about 2 of 9000 seeds.
+    points.  Each path but Monte Carlo runs as one pass over (N, 3, 3)
+    stacks, and each comparison reduces the whole grid to its worst point.
+    Returns [(name, ComparisonReport), ...]; a run is good when every
+    report passed.  Raises ValueError when a moment of any path is not
+    finite.  The Monte Carlo comparison is statistical: at the default
+    10^6 samples its 1e-2 bound on the worst entry fails by chance on
+    about 2 of 9000 seeds.
     """
     c = cfg.couplings
-    degenerate = classify_regime(c).kind is RegimeKind.DEGENERATE
-    scale = time_scale(c, cfg.tau_convention)
     taus = cfg.taus()
+    ts = taus / time_scale(c, cfg.tau_convention)
+    with np.errstate(all="ignore"):
+        analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)))
+        via_expm = _finite(_outer(_expm_propagators(c, ts)), "expm")
+        steps = np.maximum(1.0, np.ceil(RK4_STEPS_PER_UNIT_TAU * taus))
+        if not np.isfinite(steps).all():
+            raise ValueError("rk4 step count overflows; choose a smaller tau")
+        rk4 = _rk4_propagators(c, ts, [int(n) for n in steps.tolist()])
+        via_rk4 = _finite(_outer(rk4), "rk4")
+        closed = None
+        if classify_regime(c).kind is not RegimeKind.DEGENERATE:
+            closed = _finite(_moment_blocks(_closed_form_entries(c, ts)), "closed-form")
 
-    worst = {"analytic vs expm": None, "rk4 vs analytic": None}
-    if not degenerate:
-        worst["closed-form vs analytic"] = None
-        worst["closed-form vs expm"] = None
+    reports = [
+        ("analytic vs expm", _compare(analytic, via_expm, 1e-9, taus)),
+        ("rk4 vs analytic", _compare(analytic, via_rk4, 1e-8, taus)),
+    ]
+    if closed is not None:
+        reports.append(("closed-form vs analytic", _compare(closed, analytic, 1e-9, taus)))
+        reports.append(("closed-form vs expm", _compare(closed, via_expm, 1e-9, taus)))
 
-    for tau in taus:
-        t = tau / scale
-        analytic = moments_at(c, t, MomentMethod.ANALYTIC)
-        via_expm = moments_at(c, t, MomentMethod.EXPM)
-        steps = max(1, int(math.ceil(RK4_STEPS_PER_UNIT_TAU * tau)))
-        via_rk4 = outer_moments(rk4_propagator(c, t, steps))
-        worst["analytic vs expm"] = _worse(
-            worst["analytic vs expm"], compare_moments(analytic, via_expm, 1e-9, tau)
-        )
-        worst["rk4 vs analytic"] = _worse(
-            worst["rk4 vs analytic"], compare_moments(analytic, via_rk4, 1e-8, tau)
-        )
-        if not degenerate:
-            closed = closed_form_moments(c, t)
-            worst["closed-form vs analytic"] = _worse(
-                worst["closed-form vs analytic"],
-                compare_moments(closed, analytic, 1e-9, tau),
-            )
-            worst["closed-form vs expm"] = _worse(
-                worst["closed-form vs expm"],
-                compare_moments(closed, via_expm, 1e-9, tau),
-            )
-
-    mc_report = None
-    for idx in sorted({len(taus) // 4, len(taus) // 2, len(taus) - 1}):
-        tau = taus[idx]
-        if tau <= 0:
-            continue
-        t = tau / scale
-        analytic = moments_at(c, t, MomentMethod.ANALYTIC)
-        sampled = mc_moments(c, t, cfg.mc_samples, cfg.seed)
-        mc_report = _worse(mc_report, compare_moments(analytic, sampled, 1e-2, tau))
-    if mc_report is not None:
-        worst["mc vs analytic"] = mc_report
-
-    return [(name, report) for name, report in worst.items()]
+    n = len(taus)
+    mc = [i for i in sorted({n // 4, n // 2, n - 1}) if taus[i] > 0]
+    sampled = np.array([_pair(mc_moments(c, ts[i], cfg.mc_samples, cfg.seed)) for i in mc])
+    reports.append(("mc vs analytic", _compare(analytic[mc], sampled, 1e-2, taus[mc])))
+    return reports
 
 
 def load_config_file(path):

@@ -8,6 +8,7 @@ benchmark without failing any other test.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,23 @@ def test_tracer_installs_and_uninstalls(tracer, capsys):
     assert calls["criteria.evaluate_all"] == 1
     assert calls["core.MomentState"] >= 1
     assert {name: getattr(trimode, name) for name in originals} == originals
+
+
+def test_tracer_reports_an_oracle_run(tracer, capsys):
+    t = tracer.Tracer()
+    t.install(trimode)
+    try:
+        # 1000 samples may fail the Monte Carlo bound (exit 1); the run
+        # itself must complete under the tracer.
+        rc = trimode.cli.main(["oracle", "--points", "3", "--mc-samples", "1000"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert rc in (0, 1)
+    report = t.report(3)
+    assert report
+    for name, (value, _) in report.items():
+        assert type(value) is float and math.isfinite(value), name
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,23 @@
 structured comparisons.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import trimode
 from trimode import (
     MomentMethod,
     MomentState,
     Quadrature,
+    RegimeKind,
+    RunConfig,
+    TauConvention,
+    classify_regime,
+    closed_form_moments,
     compare_moments,
+    drift_matrices,
     evaluate_all,
     mc_moments,
     moments_at,
@@ -17,6 +26,8 @@ from trimode import (
     propagator_expm,
     propagator_hyperbolic,
     rk4_propagator,
+    run_oracle_check,
+    time_scale,
     vacuum_moments,
 )
 from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of
@@ -183,3 +194,195 @@ class TestCompareMoments:
         a = moments_at(HYP, 1.0 / rate_of(HYP))
         b = moments_at(PER, 1.0 / rate_of(PER))
         assert not compare_moments(a, b, 1e-9).passed
+
+
+# The oracle one grid point at a time, as it was first written: the
+# matrix exponential and the comparison per point, the RK4 step matrix
+# raised by np.linalg.matrix_power, and the first worst point kept.
+
+def expm_per_point(a):
+    norm = np.max(np.sum(np.abs(a), axis=0))
+    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
+    b = a / (2.0**squarings)
+    result = np.eye(3)
+    term = np.eye(3)
+    for k in range(1, 21):
+        term = term @ b / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def rk4_step_matrix(a, h):
+    eye = np.eye(3)
+    k1 = a @ eye
+    k2 = a @ (eye + 0.5 * h * k1)
+    k3 = a @ (eye + 0.5 * h * k2)
+    k4 = a @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def outer_per_point(mx, my):
+    def sym(m):
+        s = m @ m.T
+        return 0.5 * (s + s.T)
+
+    return sym(mx), sym(my)
+
+
+def compare_per_point(a, b, tol, t):
+    """(max_rel, max_abs, worst_entry, passed) of two (cx, cy) pairs."""
+    max_abs = 0.0
+    max_rel = 0.0
+    worst = (Quadrature.X, 0, 0, t)
+    for quad, ma, mb in zip((Quadrature.X, Quadrature.Y), a, b):
+        diff = np.abs(ma - mb)
+        rel = diff / np.maximum(1.0, np.abs(ma))
+        max_abs = max(max_abs, float(diff.max()))
+        if float(rel.max()) > max_rel:
+            max_rel = float(rel.max())
+            i, j = np.unravel_index(int(np.argmax(rel)), rel.shape)
+            worst = (quad, int(i), int(j), t)
+    return (max_rel, max_abs, worst, max_rel <= tol)
+
+
+def oracle_per_point(cfg):
+    c = cfg.couplings
+    ax, ay = drift_matrices(c)
+    scale = time_scale(c, cfg.tau_convention)
+    degenerate = classify_regime(c).kind is RegimeKind.DEGENERATE
+    names = ["analytic vs expm", "rk4 vs analytic"]
+    if not degenerate:
+        names += ["closed-form vs analytic", "closed-form vs expm"]
+    worst = dict.fromkeys(names)
+
+    def keep(name, report):
+        if worst[name] is None or report[0] > worst[name][0]:
+            worst[name] = report
+
+    taus = cfg.taus()
+    for tau in taus:
+        t = tau / scale
+        m = moments_at(c, t)
+        analytic = (m.cx, m.cy)
+        via_expm = outer_per_point(expm_per_point(ax * t), expm_per_point(ay * t))
+        steps = max(1, int(math.ceil(10_000 * tau)))
+        via_rk4 = outer_per_point(
+            *(np.linalg.matrix_power(rk4_step_matrix(a, t / steps), steps) for a in (ax, ay))
+        )
+        keep("analytic vs expm", compare_per_point(analytic, via_expm, 1e-9, tau))
+        keep("rk4 vs analytic", compare_per_point(analytic, via_rk4, 1e-8, tau))
+        if not degenerate:
+            m = closed_form_moments(c, t)
+            closed = (m.cx, m.cy)
+            keep("closed-form vs analytic", compare_per_point(closed, analytic, 1e-9, tau))
+            keep("closed-form vs expm", compare_per_point(closed, via_expm, 1e-9, tau))
+
+    worst["mc vs analytic"] = None
+    for idx in sorted({len(taus) // 4, len(taus) // 2, len(taus) - 1}):
+        tau = taus[idx]
+        if tau <= 0:
+            continue
+        t = tau / scale
+        exact, sampled = moments_at(c, t), mc_moments(c, t, cfg.mc_samples, cfg.seed)
+        keep("mc vs analytic",
+             compare_per_point((exact.cx, exact.cy), (sampled.cx, sampled.cy), 1e-2, tau))
+    return list(worst.items())
+
+
+#: Grids that mix tau = 0 (no squarings, one RK4 step) with large tau, odd
+#: and even RK4 step counts (1 to 5 on the smallest grid, up to 10^9 on the
+#: longest), a Monte Carlo failure, the degenerate point and the
+#: near-degenerate corridor.
+STACKED_GRIDS = [
+    dict(points=31),
+    dict(tau_max=4.5e-4, points=10),
+    dict(kappa1=1.0, kappa2=1.8, tau_max=8.0, points=77),
+    dict(kappa1=1.0, kappa2=1.8, tau_max=1e5, points=3),
+    dict(kappa1=1.0, kappa2=1.0, points=13),
+    dict(points=5, mc_samples=200),
+    dict(kappa1=1.0, kappa2=1.0000000011, tau_max=5.0, points=16),
+    dict(kappa1=2.0, kappa2=1.0, tau_min=0.5, points=21,
+         tau_convention=TauConvention.MAX_KAPPA),
+]
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("grid", STACKED_GRIDS)
+    def test_matches_the_per_point_loop(self, grid):
+        cfg = RunConfig(**grid)
+        got = run_oracle_check(cfg)
+        want = oracle_per_point(cfg)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, report), (_, (max_rel, max_abs, worst, passed)) in zip(got, want):
+            assert report.max_rel_err == max_rel, name
+            assert report.max_abs_err == max_abs, name
+            assert report.worst_entry == worst, name
+            assert report.passed == passed, name
+
+    def test_grids_cover_small_odd_and_even_step_counts(self):
+        steps = {max(1, int(math.ceil(10_000 * tau)))
+                 for grid in STACKED_GRIDS for tau in RunConfig(**grid).taus()}
+        assert {1, 2, 3} <= steps
+        assert any(n > 3 and n % 2 for n in steps)
+        assert any(n > 3 and not n % 2 for n in steps)
+        assert max(steps) >= 10**9
+
+    def test_a_failing_run_is_covered(self):
+        reports = dict(run_oracle_check(RunConfig(points=5, mc_samples=200)))
+        assert not reports["mc vs analytic"].passed
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 1024, 30000, 2**64 + 3])
+    def test_rk4_power_is_matrix_power_bit_for_bit(self, steps):
+        t = 1.3
+        pair = rk4_propagator(HYP, t, steps)
+        for a, m in zip(drift_matrices(HYP), (pair.mx, pair.my)):
+            want = np.linalg.matrix_power(rk4_step_matrix(a, t / steps), steps)
+            assert np.array_equal(m, want)
+
+    def test_expm_is_the_per_point_expm_bit_for_bit(self):
+        for c, t, _ in grid_points(n_tau=6, tau_max=20.0):
+            pair = propagator_expm(c, t)
+            for a, m in zip(drift_matrices(c), (pair.mx, pair.my)):
+                assert np.array_equal(m, expm_per_point(a * t))
+
+
+def count_oracle_work(monkeypatch):
+    """Counters of MomentState constructions and of the per-point public
+    paths, installed in every trimode module that holds them."""
+    counts = dict.fromkeys(
+        ("MomentState", "compare_moments", "rk4_propagator", "closed_form_moments",
+         "propagator_expm"), 0)
+    modules = (trimode, trimode.core, trimode.propagator, trimode.oracle, trimode.sweep)
+    for name in list(counts)[1:]:
+        original = getattr(trimode, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    init = MomentState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["MomentState"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MomentState, "__init__", counting_init)
+    return counts
+
+
+class TestOracleWork:
+    @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
+    def test_does_not_grow_with_the_grid(self, kappas, monkeypatch):
+        counts = count_oracle_work(monkeypatch)
+        seen = []
+        for points in (11, 301):
+            run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=points))
+            seen.append(dict(counts))
+            counts.update(dict.fromkeys(counts, 0))
+        assert seen[0] == seen[1]
+        assert seen[0]["MomentState"] <= 6

@@ -418,6 +418,59 @@ class TestOverflow:
         assert proc.stderr.startswith("error: ")
 
 
+class TestOracleNonFinite:
+    """An oracle path whose moments are not finite exits 4 with one error
+    line: the expm and RK4 paths break down from about tau = 1e15 in the
+    periodic regime, and the analytic moments overflow at tau = 800."""
+
+    PERIODIC = ["oracle", "--kappa1", "1.0", "--kappa2", "1.8", "--points", "3"]
+
+    @pytest.mark.parametrize("tau_max", ["1e15", "1e16", "1e305", "1e308"])
+    def test_raises_value_error(self, tau_max):
+        cfg = RunConfig(kappa1=1.0, kappa2=1.8, points=3, tau_max=float(tau_max))
+        with pytest.raises(ValueError, match="choose a smaller tau"):
+            run_oracle_check(cfg)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            PERIODIC + ["--tau-max", "1e15"],
+            PERIODIC + ["--tau-max", "1e16"],
+            PERIODIC + ["--tau-max", "1e308"],
+            ["oracle", "--tau-max", "800"],
+        ],
+    )
+    def test_exit_code_and_single_error_line(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
+    def test_analytic_overflow_message(self, capsys):
+        assert main(["oracle", "--tau-max", "800"]) == 4
+        assert capsys.readouterr().err == (
+            "error: second moments overflow double precision; choose a smaller tau\n"
+        )
+
+    @pytest.mark.parametrize("tau_max", ["1e15", "1e16"])
+    def test_no_traceback_or_warning_on_stderr(self, tau_max):
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "trimode.cli", *self.PERIODIC,
+             "--tau-max", tau_max],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
+
 class TestLongTimeCertification:
     """Past tau = 7 the inference products used to cancel to rounding noise
     for (1.2, 1.0), and the flags then certified entanglement falsely."""
