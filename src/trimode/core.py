@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -41,7 +40,6 @@ __all__ = [
     "ObrPairs",
     "CRITERIA",
     "CriteriaReport",
-    "CriteriaTable",
     "SweepResult",
     "classify_regime",
     "vacuum_moments",
@@ -331,69 +329,52 @@ class CriteriaReport:
         return all(v < 4.0 - FLAG_MARGIN for v in self.obr_pair)
 
 
-class CriteriaTable(Sequence):
-    """The CriteriaReports of a time grid, stored as one array.
-
-    values has one row per grid point and one column per criterion, in
-    CRITERIA order; ts holds the raw times and sign the inference sign of
-    every row.  Indexing builds a CriteriaReport on demand.
-    """
-
-    def __init__(self, ts, values, sign):
-        ts = np.array(ts, dtype=float)
-        values = np.array(values, dtype=float).reshape(len(ts), len(CRITERIA))
-        ts.setflags(write=False)
-        values.setflags(write=False)
-        self.ts = ts
-        self.values = values
-        self.sign = sign
-
-    def __len__(self):
-        return len(self.ts)
-
-    def __getitem__(self, index):
-        return CriteriaReport.from_values(
-            self.ts[index], self.sign, self.values[index].tolist()
-        )
-
-    def __iter__(self):
-        for t, row in zip(self.ts.tolist(), self.values.tolist()):
-            yield CriteriaReport.from_values(t, self.sign, row)
-
-
 @dataclass(frozen=True)
 class SweepResult:
-    """Criteria reports on a strictly increasing dimensionless time grid.
+    """Every criterion on a strictly increasing dimensionless time grid.
 
-    reports is a CriteriaTable, whose array the CSV writers read directly.
-    meta is the RunConfig that produced the sweep.
+    ts holds the raw times of the taus, and values one row per grid point
+    and one column per criterion, in CRITERIA order, which the CSV writers
+    read directly.  meta is the RunConfig that produced the sweep; its sign
+    is the inference sign of every row.
     """
 
     taus: np.ndarray
-    reports: CriteriaTable
+    ts: np.ndarray
+    values: np.ndarray
     meta: object
 
     def __post_init__(self):
         taus = np.array(self.taus, dtype=float)
-        if taus.ndim != 1 or len(taus) != len(self.reports):
-            raise ValueError("taus and reports must have matching lengths")
+        ts = np.array(self.ts, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if (taus.ndim != 1 or ts.shape != taus.shape
+                or values.shape != (len(taus), len(CRITERIA))):
+            raise ValueError("taus, ts and values must have matching lengths")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
-        taus.setflags(write=False)
-        object.__setattr__(self, "taus", taus)
+        for name, arr in (("taus", taus), ("ts", ts), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def reports(self):
+        """The CriteriaReport of every grid point, built on each read."""
+        sign = self.meta.sign
+        return [CriteriaReport.from_values(t, sign, row)
+                for t, row in zip(self.ts.tolist(), self.values.tolist())]
 
 
-def classify_regime(c, tol=REGIME_TOL):
+def classify_regime(c):
     """Classify couplings as hyperbolic, periodic or degenerate.
 
-    Degenerate means |kappa1^2 - kappa2^2| <= tol * max(kappa1^2, kappa2^2);
-    the returned rate is 0 there and sqrt(|kappa1^2 - kappa2^2|) otherwise.
+    Degenerate means |kappa1^2 - kappa2^2| <= REGIME_TOL * max(kappa1^2,
+    kappa2^2); the returned rate is 0 there and sqrt(|kappa1^2 - kappa2^2|)
+    otherwise.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     gap = c.kappa1 * c.kappa1 - c.kappa2 * c.kappa2
     scale = max(c.kappa1 * c.kappa1, c.kappa2 * c.kappa2)
-    if abs(gap) <= tol * scale:
+    if abs(gap) <= REGIME_TOL * scale:
         return Regime(RegimeKind.DEGENERATE, 0.0)
     if gap > 0:
         return Regime(RegimeKind.HYPERBOLIC, math.sqrt(gap))

@@ -191,6 +191,10 @@ def _minus(u, v):
     return u[0] - v[0], u[1] - v[1], u[2] - v[2]
 
 
+def _times(g, u):
+    return g * u[0], g * u[1], g * u[2]
+
+
 def row_criteria(rows, sign=Sign.PLUS):
     """Every criterion from the rows (r1, r2, r3, d = r1 - r2) of
     propagator_rows, as floats (a batch of one) or as equal-length arrays
@@ -268,13 +272,25 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
 
     The gain applied is the one indexed by the mode absent from the pair.
     With the optimal gains this equals V(X_i - X_j) plus the inferred
-    variance of Y_i + Y_j estimated from Y_k.
+    variance of Y_i + Y_j estimated from Y_k.  A state propagated from
+    vacuum reads both variances as squared norms of row combinations:
+    X_i - X_j gives r_i - r_j, and Y_i + Y_j + g Y_k the same combination
+    of the sign-flipped rows, S q for q = e_i + e_j + g e_k.
     """
     if tuple(pair) not in _VALID_PAIRS:
         raise ValueError(f"pair must be one of {_VALID_PAIRS}, got {pair!r}")
     k = 6 - pair[0] - pair[1] - 1
-    return (_x_difference(_entries(m.cx), k)
-            + _y_sum(_entries(m.cy), k, float(gains[k])))
+    g = float(gains[k])
+    rows = getattr(m, "_rows", None)
+    if rows is None:
+        return _x_difference(_entries(m.cx), k) + _y_sum(_entries(m.cy), k, g)
+    r1, r2, r3, d = rows
+    x, y = (
+        (_minus(r2, r3), _minus(_minus(_times(g, r1), r2), r3)),
+        (_minus(r1, r3), _minus(_minus(r1, _times(g, r2)), r3)),
+        (d, _minus(d, _times(g, r3))),
+    )[k]
+    return _norm(x) + _norm(y)
 
 
 def evaluate_all(m, t, sign=Sign.PLUS):

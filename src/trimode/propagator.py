@@ -36,8 +36,6 @@ from .core import (
 
 __all__ = [
     "drift_matrices",
-    "propagator_hyperbolic",
-    "propagator_periodic",
     "propagator_degenerate",
     "propagator_analytic",
     "propagator_expm",
@@ -109,37 +107,6 @@ def propagator_rows(c, t):
 _FLIP = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
-def _analytic(c, t, kind=None):
-    """Closed-form propagator, after checking t and, if given, the regime."""
-    _check_time(t)
-    if kind is not None:
-        regime = classify_regime(c)
-        if regime.kind is not kind:
-            raise RegimeError(
-                f"couplings {c} are {regime.kind.value}, not {kind.value}"
-            )
-    mx = np.array(propagator_rows(c, t)[:3])
-    return PropagatorPair(mx, mx * _FLIP, t)
-
-
-def propagator_hyperbolic(c, t):
-    """Closed-form propagator for kappa1 > kappa2 (rate Omega).
-
-    Entries are the cosh/sinh coefficient matrices of the solved equations
-    of motion, e.g. mx[0][0] = (kappa1^2 cosh(Omega t) - kappa2^2)/Omega^2.
-    """
-    return _analytic(c, t, RegimeKind.HYPERBOLIC)
-
-
-def propagator_periodic(c, t):
-    """Closed-form propagator for kappa2 > kappa1 (rate xi).
-
-    Entries are the cos/sin coefficient matrices, e.g. mx[0][0] =
-    (kappa2^2 - kappa1^2 cos(xi t))/xi^2.
-    """
-    return _analytic(c, t, RegimeKind.PERIODIC)
-
-
 def propagator_degenerate(c, t):
     """Closed-form propagator for couplings inside the degeneracy window.
 
@@ -148,12 +115,17 @@ def propagator_degenerate(c, t):
     forms as the rate vanishes; inside the window those forms are used
     with their small rate.
     """
-    return _analytic(c, t, RegimeKind.DEGENERATE)
+    kind = classify_regime(c).kind
+    if kind is not RegimeKind.DEGENERATE:
+        raise RegimeError(f"couplings {c} are {kind.value}, not degenerate")
+    return propagator_analytic(c, t)
 
 
 def propagator_analytic(c, t):
     """Closed-form propagator for whichever regime the couplings are in."""
-    return _analytic(c, t)
+    _check_time(t)
+    mx = np.array(propagator_rows(c, t)[:3])
+    return PropagatorPair(mx, mx * _FLIP, t)
 
 
 def _expm(a):

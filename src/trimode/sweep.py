@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     CRITERIA,
     Couplings,
-    CriteriaTable,
     RegimeKind,
     Sign,
     SweepResult,
@@ -50,19 +49,16 @@ __all__ = [
 #: Step density used by the rk4 comparison in oracle runs.
 RK4_STEPS_PER_UNIT_TAU = 10_000
 
-_SWEEP_COLUMNS = ("tau",) + CRITERIA
-_VLF_COLUMNS = ("tau",) + CRITERIA[:6]
-_OBR_PAIR_COLUMNS = ("tau",) + CRITERIA[12:]
-
-#: Figure presets: the published ratios with the other coupling pinned to 1,
-#: tau = rate * t on [0, 3].  The source ranges are not stated numerically,
-#: so the sweep window is a choice and stays user-overridable.
+#: Figure presets: (kind, the CRITERIA columns plotted, the couplings of
+#: each panel), with the published ratios and the other coupling pinned to
+#: 1, tau = rate * t on [0, 3].  The source ranges are not stated
+#: numerically, so the sweep window is a choice and stays user-overridable.
 FIGURE_PRESETS = {
-    1: ("vlf", ((1.2, 1.0),)),
-    2: ("vlf", ((1.0, 1.8),)),
-    3: ("obr_single", ((1.2, 1.0), (1.0, 1.8))),
-    4: ("obr_pair", ((1.2, 1.0),)),
-    5: ("obr_pair", ((1.0, 1.8),)),
+    1: ("vlf", slice(0, 6), ((1.2, 1.0),)),
+    2: ("vlf", slice(0, 6), ((1.0, 1.8),)),
+    3: ("obr_single", slice(9, 12), ((1.2, 1.0), (1.0, 1.8))),
+    4: ("obr_pair", slice(12, 15), ((1.2, 1.0),)),
+    5: ("obr_pair", slice(12, 15), ((1.0, 1.8),)),
 }
 
 
@@ -133,7 +129,7 @@ def run_sweep(cfg):
     ts = taus / time_scale(c, cfg.tau_convention)
     with np.errstate(all="ignore"):
         values = np.column_stack(row_criteria(propagator_rows(c, ts), cfg.sign))
-    return SweepResult(taus, CriteriaTable(ts, values, cfg.sign), cfg)
+    return SweepResult(taus, ts, values, cfg)
 
 
 def _csv_lines(metadata, columns, table):
@@ -153,89 +149,59 @@ def sweep_csv_text(result):
         ("kappa1", _fmt(meta.kappa1)),
         ("kappa2", _fmt(meta.kappa2)),
         ("tau_convention", meta.tau_convention.value),
+        ("sign", meta.sign.value),
     ]
-    if len(result.reports):
-        metadata.append(("sign", result.reports.sign.value))
-    return _csv_lines(
-        metadata, _SWEEP_COLUMNS, np.column_stack([result.taus, result.reports.values])
-    )
+    return _csv_lines(metadata, ("tau",) + CRITERIA,
+                      np.column_stack([result.taus, result.values]))
 
 
-def write_sweep_csv(result, path):
-    text = sweep_csv_text(result)
+def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
 
 
-#: Criterion columns plotted by each figure kind, per panel.
-_FIGURE_SLICES = {"vlf": slice(0, 6), "obr_single": slice(9, 12), "obr_pair": slice(12, 15)}
-
-
-def _figure_table(kind, sweeps):
-    panels = [s.reports.values[:, _FIGURE_SLICES[kind]] for s in sweeps]
-    return np.column_stack([sweeps[0].taus] + panels)
+def write_sweep_csv(result, path):
+    return _write(path, sweep_csv_text(result))
 
 
 def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
                      sign=Sign.PLUS):
     """Write the data behind one published figure as CSV plus a sidecar.
 
-    Returns the paths written: fig<n>.csv with exactly the plotted curves
-    and fig<n>_params.txt recording parameters and the tau convention.
+    Each panel contributes its CRITERIA columns of the figure, suffixed
+    _left and _right when there are two panels.  Returns the paths written:
+    fig<n>.csv with exactly the plotted curves and fig<n>_params.txt
+    recording parameters and the tau convention.
     """
     if which not in FIGURE_PRESETS:
         raise ValueError(f"figure must be one of {sorted(FIGURE_PRESETS)}, got {which!r}")
-    kind, couplings = FIGURE_PRESETS[which]
-    sweeps = []
-    for kappa1, kappa2 in couplings:
-        cfg = RunConfig(
-            kappa1=kappa1,
-            kappa2=kappa2,
-            tau_min=tau_min,
-            tau_max=tau_max,
-            points=points,
-            sign=sign,
-        )
-        sweeps.append(run_sweep(cfg))
-
-    if kind == "vlf":
-        columns = _VLF_COLUMNS
-    elif kind == "obr_single":
-        suffixes = ("left", "right") if len(couplings) == 2 else ("",)
-        columns = ["tau"]
-        for suffix in suffixes[: len(couplings)]:
-            tag = f"_{suffix}" if suffix else ""
-            columns.extend(f"obr{i}{tag}" for i in (1, 2, 3))
-        columns = tuple(columns)
-    else:
-        columns = _OBR_PAIR_COLUMNS
-
+    kind, plotted, couplings = FIGURE_PRESETS[which]
+    two = len(couplings) == 2
+    columns, panels = ["tau"], []
     metadata = [("figure", str(which))]
-    for label, (kappa1, kappa2) in zip(("left", "right"), couplings):
-        prefix = f"{label}_" if len(couplings) == 2 else ""
-        metadata.append((f"{prefix}kappa1", _fmt(kappa1)))
-        metadata.append((f"{prefix}kappa2", _fmt(kappa2)))
-    metadata.append(("tau_convention", TauConvention.RATE.value))
-    metadata.append(("sign", sign.value))
-
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"fig{which}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_lines(metadata, columns, _figure_table(kind, sweeps)))
-
-    sidecar_path = os.path.join(out_dir, f"fig{which}_params.txt")
     sidecar = [f"figure {which}: {kind} criteria"]
     for label, (kappa1, kappa2) in zip(("left", "right"), couplings):
-        name = f"{label} panel" if len(couplings) == 2 else "couplings"
-        sidecar.append(f"{name}: kappa1 = {_fmt(kappa1)}, kappa2 = {_fmt(kappa2)}")
-    sidecar.append(
-        f"tau = rate * t on [{_fmt(tau_min)}, {_fmt(tau_max)}], {points} points"
-    )
+        sweep = run_sweep(RunConfig(kappa1=kappa1, kappa2=kappa2, tau_min=tau_min,
+                                    tau_max=tau_max, points=points, sign=sign))
+        suffix, prefix, panel = ((f"_{label}", f"{label}_", f"{label} panel") if two
+                                 else ("", "", "couplings"))
+        columns.extend(name + suffix for name in CRITERIA[plotted])
+        panels.append(sweep.values[:, plotted])
+        metadata.append((f"{prefix}kappa1", _fmt(kappa1)))
+        metadata.append((f"{prefix}kappa2", _fmt(kappa2)))
+        sidecar.append(f"{panel}: kappa1 = {_fmt(kappa1)}, kappa2 = {_fmt(kappa2)}")
+    metadata.append(("tau_convention", TauConvention.RATE.value))
+    metadata.append(("sign", sign.value))
+    sidecar.append(f"tau = rate * t on [{_fmt(tau_min)}, {_fmt(tau_max)}], {points} points")
     sidecar.append(f"inference sign: {sign.value}")
-    with open(sidecar_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(sidecar) + "\n")
-    return [csv_path, sidecar_path]
+
+    os.makedirs(out_dir, exist_ok=True)
+    table = np.column_stack([sweep.taus, *panels])
+    return [
+        _write(os.path.join(out_dir, f"fig{which}.csv"), _csv_lines(metadata, columns, table)),
+        _write(os.path.join(out_dir, f"fig{which}_params.txt"), "\n".join(sidecar) + "\n"),
+    ]
 
 
 def _finite(stack, name):

@@ -62,12 +62,6 @@ class TestClassifyRegime:
         assert classify_regime(inside).kind is RegimeKind.DEGENERATE
         assert classify_regime(outside).kind is RegimeKind.HYPERBOLIC
 
-    def test_custom_tolerance(self):
-        c = Couplings(1.1, 1.0)
-        assert classify_regime(c, tol=0.5).kind is RegimeKind.DEGENERATE
-        with pytest.raises(ValueError):
-            classify_regime(c, tol=-1.0)
-
     def test_rate_squared_closes_the_gap(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -180,11 +174,12 @@ class TestCriteriaReportFlags:
 
 class TestSweepResult:
     def test_requires_increasing_taus(self):
-        rep = _report()
-        with pytest.raises(ValueError):
-            SweepResult(np.array([0.0, 0.0]), (rep, rep), RunConfig())
+        values = np.array([_report().values()] * 2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepResult(np.array([0.0, 0.0]), np.array([0.0, 0.0]), values, RunConfig())
 
     def test_requires_matching_lengths(self):
-        rep = _report()
-        with pytest.raises(ValueError):
-            SweepResult(np.array([0.0, 1.0, 2.0]), (rep, rep), RunConfig())
+        values = np.array([_report().values()] * 2)
+        taus = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="matching lengths"):
+            SweepResult(taus, taus, values, RunConfig())

@@ -23,8 +23,8 @@ from trimode import (
     mc_moments,
     moments_at,
     outer_moments,
+    propagator_analytic,
     propagator_expm,
-    propagator_hyperbolic,
     rk4_propagator,
     run_oracle_check,
     time_scale,
@@ -39,7 +39,7 @@ class TestRk4:
         assert np.array_equal(pair.mx, np.eye(3))
 
     def test_matches_closed_form(self):
-        closed = propagator_hyperbolic(HYP, T1)
+        closed = propagator_analytic(HYP, T1)
         pair = rk4_propagator(HYP, T1, 10_000)
         assert np.max(np.abs(pair.mx - closed.mx)) < 1e-8
         assert np.max(np.abs(pair.my - closed.my)) < 1e-8

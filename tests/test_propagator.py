@@ -19,8 +19,6 @@ from trimode import (
     propagator_analytic,
     propagator_degenerate,
     propagator_expm,
-    propagator_hyperbolic,
-    propagator_periodic,
 )
 from support import (
     CX1,
@@ -78,50 +76,40 @@ class TestDrift:
 
 class TestHyperbolic:
     def test_identity_at_zero(self):
-        pair = propagator_hyperbolic(HYP, 0.0)
+        pair = propagator_analytic(HYP, 0.0)
         assert np.array_equal(pair.mx, np.eye(3))
         assert np.array_equal(pair.my, np.eye(3))
 
     def test_witness_point(self):
-        pair = propagator_hyperbolic(HYP, T1)
+        pair = propagator_analytic(HYP, T1)
         assert pair.mx[0, 0] == pytest.approx(MX1[0, 0], rel=1e-12)
         np.testing.assert_allclose(pair.mx, MX1, rtol=1e-12, atol=1e-13)
         cosh1 = (1.44 * math.cosh(1.0) - 1.0) / 0.44
         assert pair.mx[0, 0] == pytest.approx(cosh1, rel=1e-12)
 
     def test_symplectic_at_witness(self):
-        assert propagator_hyperbolic(HYP, T1).symplectic_defect() < 1e-12
-
-    def test_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            propagator_hyperbolic(PER, 1.0)
-        with pytest.raises(RegimeError):
-            propagator_hyperbolic(DEG, 1.0)
+        assert propagator_analytic(HYP, T1).symplectic_defect() < 1e-12
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            propagator_hyperbolic(HYP, -0.1)
+            propagator_analytic(HYP, -0.1)
 
 
 class TestPeriodic:
     def test_identity_at_zero(self):
-        pair = propagator_periodic(PER, 0.0)
+        pair = propagator_analytic(PER, 0.0)
         assert np.array_equal(pair.mx, np.eye(3))
 
     def test_full_revival(self):
         xi = rate_of(PER)
-        pair = propagator_periodic(PER, 2.0 * math.pi / xi)
+        pair = propagator_analytic(PER, 2.0 * math.pi / xi)
         assert np.max(np.abs(pair.mx - np.eye(3))) < 1e-10
         assert np.max(np.abs(pair.my - np.eye(3))) < 1e-10
 
     def test_witness_point(self):
-        pair = propagator_periodic(PER, T2)
+        pair = propagator_analytic(PER, T2)
         assert pair.mx[0, 0] == pytest.approx(MX2_00, rel=1e-12)
         assert pair.mx[0, 0] == pytest.approx(3.24 / 2.24, rel=1e-12)
-
-    def test_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            propagator_periodic(HYP, 1.0)
 
 
 class TestDegenerate:
@@ -158,20 +146,20 @@ class TestExpm:
 
     def test_matches_hyperbolic_witness(self):
         via_expm = propagator_expm(HYP, T1)
-        closed = propagator_hyperbolic(HYP, T1)
+        closed = propagator_analytic(HYP, T1)
         assert np.max(np.abs(via_expm.mx - closed.mx)) < 1e-10
         assert np.max(np.abs(via_expm.my - closed.my)) < 1e-10
 
     def test_matches_periodic_witness(self):
         via_expm = propagator_expm(PER, T2)
-        closed = propagator_periodic(PER, T2)
+        closed = propagator_analytic(PER, T2)
         assert np.max(np.abs(via_expm.mx - closed.mx)) < 1e-10
 
     def test_long_time_scaling(self):
         # large ||A t|| exercises several squarings
         c = Couplings(2.0, 1.0)
         t = 3.0 / rate_of(c)
-        closed = propagator_hyperbolic(c, t)
+        closed = propagator_analytic(c, t)
         via_expm = propagator_expm(c, t)
         rel = np.abs(via_expm.mx - closed.mx) / np.maximum(1.0, np.abs(closed.mx))
         assert rel.max() < 1e-12

@@ -19,7 +19,14 @@ import math
 import mpmath as mp
 import pytest
 
-from trimode import Couplings, MomentMethod, evaluate_all, moments_at
+from trimode import (
+    Couplings,
+    MomentMethod,
+    evaluate_all,
+    moments_at,
+    vlf_gains,
+    vlf_value,
+)
 
 HYPERBOLIC = (1.2, 1.0)
 PERIODIC = (1.0, 1.8)
@@ -153,11 +160,17 @@ def test_every_criterion(kappas, tau):
 
 def assert_close_at(kappa1, kappa2, t, tau, method=MomentMethod.ANALYTIC):
     """Products within 1e-12 of the reference, every other criterion within
-    1e-9."""
-    errors = combined_errors(computed_at(kappa1, kappa2, t, method),
-                             reference_at(kappa1, kappa2, t, tau))
+    1e-9, and so are the pairwise sums vlf_value gives at unit gains and at
+    the vlf_gains gains."""
+    m = moments_at(Couplings(kappa1, kappa2), t, method)
+    expected = reference_at(kappa1, kappa2, t, tau)
+    errors = combined_errors(evaluate_all(m, t).values(), expected)
     assert max(errors[9:]) <= 1e-12, errors
     assert max(errors[:9]) <= 1e-9, errors
+    pairs = ((1, 2), (1, 3), (2, 3))
+    sums = [vlf_value(m, p) for p in pairs] + [vlf_value(m, p, vlf_gains(m)) for p in pairs]
+    errors = combined_errors(sums, expected[:6])
+    assert max(errors) <= 1e-9, errors
 
 
 @pytest.mark.parametrize("tau", (1.0, 3.0, 10.0))

@@ -1,5 +1,6 @@
 """Sweep engine, CSV emission, figure reproduction and the CLI."""
 
+import os
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import trimode.core
 import trimode.propagator
 import trimode.sweep
 from trimode import (
+    CRITERIA,
     Couplings,
     RunConfig,
     Sign,
@@ -27,6 +29,16 @@ from trimode import (
 )
 from trimode.cli import main
 from support import DEG, HYP, PER, rate_of
+
+#: The environment of a CLI subprocess: the directory that holds the
+#: imported trimode package comes first on its PYTHONPATH.
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(trimode.core.__file__).resolve().parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+}
 
 
 def parse_csv(text):
@@ -200,6 +212,35 @@ class TestFigures:
             assert values["obr13"] < 4.0
             assert values["obr12"] < 4.0
 
+    @pytest.mark.parametrize("which", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+    def test_columns_are_the_plotted_criteria_of_each_panel(self, which, sign, tmp_path):
+        csv_path, _ = reproduce_figure(which, tmp_path, points=23, tau_max=4.5, sign=sign)
+        _, columns, rows = parse_csv(Path(csv_path).read_text())
+        table = np.array(rows)
+        kind, _, couplings = trimode.sweep.FIGURE_PRESETS[which]
+        plotted = {"vlf": CRITERIA[:6], "obr_single": CRITERIA[9:12],
+                   "obr_pair": CRITERIA[12:]}[kind]
+        labels = ("_left", "_right") if len(couplings) == 2 else ("",)
+        assert columns == ["tau"] + [n + s for s in labels for n in plotted]
+        for label, (kappa1, kappa2) in zip(labels, couplings):
+            sweep = run_sweep(RunConfig(kappa1=kappa1, kappa2=kappa2, tau_max=4.5,
+                                        points=23, sign=sign))
+            assert np.array_equal(table[:, 0], sweep.taus)
+            for name in plotted:
+                got = table[:, columns.index(name + label)]
+                assert np.array_equal(got, sweep.values[:, CRITERIA.index(name)])
+
+    def test_fig3_sidecar(self, tmp_path):
+        _, sidecar = reproduce_figure(3, tmp_path, points=21, tau_max=2.5, sign=Sign.MINUS)
+        assert Path(sidecar).read_text().splitlines() == [
+            "figure 3: obr_single criteria",
+            "left panel: kappa1 = 1.2, kappa2 = 1",
+            "right panel: kappa1 = 1, kappa2 = 1.8",
+            "tau = rate * t on [0, 2.5], 21 points",
+            "inference sign: minus",
+        ]
+
     def test_invalid_figure_number(self, tmp_path):
         with pytest.raises(ValueError):
             reproduce_figure(6, tmp_path)
@@ -371,6 +412,7 @@ class TestCli:
             [sys.executable, "-m", "trimode.cli", "eval", "--tau", "0"],
             capture_output=True,
             text=True,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0
         assert "obr_single.obr1 = 1" in proc.stdout
@@ -411,6 +453,7 @@ class TestOverflow:
              "--tau-max", "800", "--points", "5"],
             capture_output=True,
             text=True,
+            env=CLI_ENV,
         )
         assert proc.returncode == 4
         assert proc.stdout == ""
@@ -464,6 +507,7 @@ class TestOracleNonFinite:
              "--tau-max", tau_max],
             capture_output=True,
             text=True,
+            env=CLI_ENV,
         )
         assert proc.returncode == 4
         assert proc.stdout == ""
