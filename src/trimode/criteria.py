@@ -104,6 +104,11 @@ def _residual(num, den, own):
     w'Cw is returned unchanged there.
     """
     small = den < DENOMINATOR_FLOOR
+    if isinstance(small, bool):  # a batch of one: the selects as branches
+        if small:
+            return own
+        r = num / den
+        return 0.0 if r < 0.0 else r
     r = num / _where(small, 1.0, den)
     return _where(small, own, _where(r < 0.0, 0.0, r))
 

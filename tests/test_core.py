@@ -1,6 +1,7 @@
 """Data model, regime classification and vacuum state."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from trimode import (
     VlfGains,
     VlfTriple,
     classify_regime,
+    evaluate_all,
     moments_at,
     vacuum_moments,
 )
@@ -119,6 +121,65 @@ class TestMomentState:
                 assert np.min(np.linalg.eigvalsh(block)) >= -1e-10
             assert np.max(np.abs(np.diag(m.cx) - np.diag(m.cy))) <= 1e-10
 
+    def test_accepts_asymmetry_within_tolerance(self):
+        near = np.eye(3)
+        near[0, 1] = 5e-15
+        for cx, cy in ((near, np.eye(3)), (np.eye(3), near)):
+            m = MomentState(cx, cy)
+            assert np.array_equal(m.cx, cx) and np.array_equal(m.cy, cy)
+
+    def test_copies_its_inputs(self):
+        cx, cy = 2.0 * np.eye(3), 3.0 * np.eye(3)
+        m = MomentState(cx, cy)
+        cx[0, 0] = cy[0, 0] = 7.0
+        assert m.cx[0, 0] == 2.0 and m.cy[0, 0] == 3.0
+
+    def test_accepts_nested_lists_as_readonly_floats(self):
+        rows = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
+        m = MomentState(rows, rows)
+        for block in (m.cx, m.cy):
+            assert block.dtype == float
+            assert np.array_equal(block, np.array(rows, dtype=float))
+            with pytest.raises(ValueError):
+                block[0, 0] = 5.0
+
+    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    @pytest.mark.parametrize("kind", ["shape", "nan", "inf", "-inf", "asymmetry"])
+    def test_rejection_messages(self, kind, where):
+        cx, cy = _bad_blocks(kind, where)
+        name = "cy" if where == "second" else "cx"
+        with pytest.raises(ValueError, match=_message(kind, name)):
+            MomentState(cx, cy)
+
+    def test_finiteness_of_both_blocks_comes_before_symmetry(self):
+        asym, _ = _bad_blocks("asymmetry", "first")
+        _, nonfinite = _bad_blocks("nan", "second")
+        with pytest.raises(ValueError, match="^cy contains non-finite entries$"):
+            MomentState(asym, nonfinite)
+
+
+def _bad_blocks(kind, where):
+    """(first, second) with a fault of the given kind in the first, the
+    second or both blocks, the other left the identity."""
+    if kind == "shape":
+        bad = np.eye(2)
+    else:
+        bad = np.eye(3)
+        bad[1, 2] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                     "asymmetry": 1e-10}[kind]
+        if kind in ("inf", "-inf"):
+            bad[2, 1] = bad[1, 2]
+    return (bad if where != "second" else np.eye(3),
+            bad if where != "first" else np.eye(3))
+
+
+def _message(kind, name):
+    if kind == "shape":
+        return rf"^{name} must be a 3x3 matrix, got shape \(2, 2\)$"
+    if kind == "asymmetry":
+        return f"^{name} is not symmetric$"
+    return f"^{name} contains non-finite entries$"
+
 
 class TestPropagatorPair:
     def test_rejects_negative_time(self):
@@ -128,6 +189,58 @@ class TestPropagatorPair:
     def test_symplectic_defect_of_identity(self):
         pair = PropagatorPair(np.eye(3), np.eye(3), 0.0)
         assert pair.symplectic_defect() == 0.0
+
+    def test_accepts_asymmetric_blocks_and_copies_them(self):
+        mx, _ = _bad_blocks("asymmetry", "first")
+        my = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        pair = PropagatorPair(mx, my, 0.5)
+        mx[1, 2] = 9.0
+        assert pair.mx[1, 2] == 1e-10 and pair.mx[2, 1] == 0.0
+        assert np.array_equal(pair.my, np.eye(3))
+        for block in (pair.mx, pair.my):
+            with pytest.raises(ValueError):
+                block[0, 0] = 5.0
+
+    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    @pytest.mark.parametrize("kind", ["shape", "nan", "inf", "-inf"])
+    def test_rejection_messages(self, kind, where):
+        mx, my = _bad_blocks(kind, where)
+        name = "my" if where == "second" else "mx"
+        # The blocks are checked before the time.
+        with pytest.raises(ValueError, match=_message(kind, name)):
+            PropagatorPair(mx, my, -1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_time_message(self, t):
+        with pytest.raises(ValueError, match="^t must be finite and >= 0, got"):
+            PropagatorPair(np.eye(3), np.eye(3), t)
+
+
+class TestBatchOfOneWork:
+    """One point builds one validated state and nothing else: the work a
+    batch of one does, counted in calls rather than timed."""
+
+    @pytest.mark.parametrize("c,t", [(HYP, T1), (PER, 0.8), (DEG, 2.0),
+                                     (Couplings(1.0, 1.0000000011), 1.5),
+                                     (Couplings(1.0, 1.00001), 3.0)])
+    def test_one_state_no_propagator_pair_no_classification(self, c, t, monkeypatch):
+        counts = {"MomentState": 0, "PropagatorPair": 0, "classify_regime": 0}
+        for cls in (MomentState, PropagatorPair):
+            monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, counts, cls.__name__))
+        counted = _counted(classify_regime, counts, "classify_regime")
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").split(".")[0] == "trimode"
+                    and getattr(module, "classify_regime", None) is classify_regime):
+                monkeypatch.setattr(module, "classify_regime", counted)
+        evaluate_all(moments_at(c, t), t)
+        assert counts == {"MomentState": 1, "PropagatorPair": 0, "classify_regime": 0}
+
+
+def _counted(fn, counts, key):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _report(**overrides):
