@@ -96,11 +96,7 @@ def _each(fn, x):
             return math.copysign(math.inf, v)
 
     if isinstance(x, np.ndarray):
-        values = x.tolist()
-        try:
-            return np.array(list(map(fn, values)), dtype=float)
-        except OverflowError:
-            return np.array([safe(v) for v in values], dtype=float)
+        return np.array([safe(v) for v in x.tolist()], dtype=float)
     return safe(x)
 
 
@@ -205,32 +201,6 @@ def _frozen_matrix(value, name):
     return arr
 
 
-def _frozen_blocks(first, second, names, symmetric):
-    """Two read-only float 3x3 copies of first and second, checked finite
-    and, when symmetric is set, symmetric to 1e-14.
-
-    Blocks that are finite and exactly symmetric pass in one pass over one
-    (2, 3, 3) copy.  Anything else goes block by block, in order: the shape
-    and finiteness of each, then the symmetry of each, so the first fault
-    found names its block.
-    """
-    try:
-        blocks = np.array((first, second), dtype=float)
-    except (TypeError, ValueError):
-        blocks = None
-    if (blocks is not None and blocks.shape == (2, 3, 3)
-            and np.isfinite(blocks).all()
-            and (not symmetric or (blocks == blocks.swapaxes(1, 2)).all())):
-        blocks.setflags(write=False)
-        return blocks[0], blocks[1]
-    pair = (_frozen_matrix(first, names[0]), _frozen_matrix(second, names[1]))
-    if symmetric:
-        for name, arr in zip(names, pair):
-            if np.max(np.abs(arr - arr.T)) > 1e-14:
-                raise ValueError(f"{name} is not symmetric")
-    return pair
-
-
 @dataclass(frozen=True)
 class PropagatorPair:
     """Linear maps taking initial X and Y quadrature vectors to time t.
@@ -246,9 +216,8 @@ class PropagatorPair:
     t: float
 
     def __post_init__(self):
-        mx, my = _frozen_blocks(self.mx, self.my, ("mx", "my"), symmetric=False)
-        object.__setattr__(self, "mx", mx)
-        object.__setattr__(self, "my", my)
+        object.__setattr__(self, "mx", _frozen_matrix(self.mx, "mx"))
+        object.__setattr__(self, "my", _frozen_matrix(self.my, "my"))
         if not (math.isfinite(self.t) and self.t >= 0):
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
 
@@ -265,7 +234,25 @@ class MomentState:
     cy: np.ndarray
 
     def __post_init__(self):
-        cx, cy = _frozen_blocks(self.cx, self.cy, ("cx", "cy"), symmetric=True)
+        # Finite, exactly symmetric blocks pass in one pass over one
+        # (2, 3, 3) copy.  Anything else is checked block by block: the shape
+        # and finiteness of cx then cy, then the symmetry of each to 1e-14,
+        # so the first fault found names its block.
+        try:
+            blocks = np.array((self.cx, self.cy), dtype=float)
+        except (TypeError, ValueError):
+            blocks = None
+        if (blocks is not None and blocks.shape == (2, 3, 3)
+                and np.isfinite(blocks).all()
+                and (blocks == blocks.swapaxes(1, 2)).all()):
+            blocks.setflags(write=False)
+            cx, cy = blocks[0], blocks[1]
+        else:
+            cx = _frozen_matrix(self.cx, "cx")
+            cy = _frozen_matrix(self.cy, "cy")
+            for name, arr in (("cx", cx), ("cy", cy)):
+                if np.max(np.abs(arr - arr.T)) > 1e-14:
+                    raise ValueError(f"{name} is not symmetric")
         object.__setattr__(self, "cx", cx)
         object.__setattr__(self, "cy", cy)
 

@@ -1,7 +1,6 @@
 """Data model, regime classification and vacuum state."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from trimode import (
     VlfGains,
     VlfTriple,
     classify_regime,
-    evaluate_all,
     moments_at,
     vacuum_moments,
 )
@@ -214,33 +212,6 @@ class TestPropagatorPair:
     def test_time_message(self, t):
         with pytest.raises(ValueError, match="^t must be finite and >= 0, got"):
             PropagatorPair(np.eye(3), np.eye(3), t)
-
-
-class TestBatchOfOneWork:
-    """One point builds one validated state and nothing else: the work a
-    batch of one does, counted in calls rather than timed."""
-
-    @pytest.mark.parametrize("c,t", [(HYP, T1), (PER, 0.8), (DEG, 2.0),
-                                     (Couplings(1.0, 1.0000000011), 1.5),
-                                     (Couplings(1.0, 1.00001), 3.0)])
-    def test_one_state_no_propagator_pair_no_classification(self, c, t, monkeypatch):
-        counts = {"MomentState": 0, "PropagatorPair": 0, "classify_regime": 0}
-        for cls in (MomentState, PropagatorPair):
-            monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, counts, cls.__name__))
-        counted = _counted(classify_regime, counts, "classify_regime")
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").split(".")[0] == "trimode"
-                    and getattr(module, "classify_regime", None) is classify_regime):
-                monkeypatch.setattr(module, "classify_regime", counted)
-        evaluate_all(moments_at(c, t), t)
-        assert counts == {"MomentState": 1, "PropagatorPair": 0, "classify_regime": 0}
-
-
-def _counted(fn, counts, key):
-    def wrapper(*args, **kwargs):
-        counts[key] += 1
-        return fn(*args, **kwargs)
-    return wrapper
 
 
 def _report(**overrides):

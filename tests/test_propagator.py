@@ -9,11 +9,14 @@ import trimode.propagator
 from trimode import (
     Couplings,
     MomentMethod,
+    MomentState,
+    PropagatorPair,
     RegimeError,
     classify_regime,
     closed_form_moments,
     compare_moments,
     drift_matrices,
+    evaluate_all,
     moments_at,
     outer_moments,
     propagator_analytic,
@@ -188,19 +191,28 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments_at(HYP, 1.0, "analytic")
 
-    @pytest.mark.parametrize("c", [HYP, PER, DEG])
+    @pytest.mark.parametrize("c", [HYP, PER, DEG, Couplings(1.0, 1.0000000011),
+                                   Couplings(1.0, 1.00001)])
     def test_classifies_the_regime_once(self, c, monkeypatch):
-        calls = []
+        # One point, counted in calls rather than timed: no regime
+        # classification, one validated MomentState and no PropagatorPair.
+        counts = dict.fromkeys(("classify_regime", "MomentState", "PropagatorPair"), 0)
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            counts["classify_regime"] += 1
             return classify_regime(*args, **kwargs)
 
         monkeypatch.setattr(trimode.propagator, "classify_regime", counting)
-        moments_at(c, 1.3)
-        assert len(calls) == 0
+        for cls in (MomentState, PropagatorPair):
+            def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                counts[_cls.__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        evaluate_all(moments_at(c, 1.3), 1.3)
+        assert counts == {"classify_regime": 0, "MomentState": 1, "PropagatorPair": 0}
         propagator_analytic(c, 1.3)
-        assert len(calls) == 0
+        assert counts["classify_regime"] == 0
 
 
 class TestClosedFormMoments:
