@@ -192,6 +192,8 @@ class Regime:
 
 
 def _frozen_matrix(value, name):
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} has complex entries")
     arr = np.array(value, dtype=float)
     if arr.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {arr.shape}")
@@ -234,15 +236,18 @@ class MomentState:
     cy: np.ndarray
 
     def __post_init__(self):
-        # Finite, exactly symmetric blocks pass in one pass over one
-        # (2, 3, 3) copy.  Anything else is checked block by block: the shape
-        # and finiteness of cx then cy, then the symmetry of each to 1e-14,
-        # so the first fault found names its block.
+        # Finite, exactly symmetric float blocks pass in one pass over one
+        # (2, 3, 3) copy, made without a cast so that a complex block cannot
+        # lose its imaginary part on the way.  Anything else is checked block
+        # by block: complex entries, the shape and finiteness of cx then cy,
+        # then the symmetry of each to 1e-14, so the first fault found names
+        # its block.
         try:
-            blocks = np.array((self.cx, self.cy), dtype=float)
+            blocks = np.array((self.cx, self.cy))
         except (TypeError, ValueError):
             blocks = None
-        if (blocks is not None and blocks.shape == (2, 3, 3)
+        if (blocks is not None and blocks.dtype == float
+                and blocks.shape == (2, 3, 3)
                 and np.isfinite(blocks).all()
                 and (blocks == blocks.swapaxes(1, 2)).all()):
             blocks.setflags(write=False)

@@ -5,8 +5,10 @@ integrates the equations of motion numerically, mc_moments samples the
 second moments of n vacuum draws through the analytic propagator (one
 Wishart draw per block, so a result depends only on (seed, n)), and
 compare_moments reduces two states to a structured error report.  RK4
-and the comparison run on whole grids as (N, 3, 3) stacks; the public
-functions are grids of one.
+integrates the X block alone, as one (N, 3, 3) stack over a whole grid,
+and every Y block is S mx S with S = diag(1, -1, -1), once _x_drift has
+checked that the Y drift is S ax S exactly.  The comparison runs on
+whole grids of (cx, cy) pairs; the public functions are grids of one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MomentState, PropagatorPair, Quadrature
-from .propagator import drift_matrices, propagator_analytic
+from .propagator import _FLIP, _x_drift, propagator_analytic
 
 __all__ = [
     "ComparisonReport",
@@ -85,32 +87,34 @@ def _matrix_powers(a, n):
     return result
 
 
-def _rk4_propagators(c, ts, steps):
-    """(N, 2, 3, 3) stack of the RK4 blocks (mx, my) from the identity to
-    every time ts[i], in steps[i] equal steps (a list of Python ints >= 1).
+def _rk4_propagators(ax, ts, steps):
+    """(N, 3, 3) stack of the RK4 X blocks from the identity to every time
+    ts[i], in steps[i] equal steps (a list of Python ints >= 1), for the X
+    drift ax that _x_drift returns; each Y block is S mx S.
 
     The step operator is constant for this linear system, so composing the
     steps reduces to a matrix power.
     """
     h = ts / np.array(steps, dtype=float)
-    z = _rk4_step_matrices(np.array(drift_matrices(c)), h[:, None, None, None])
-    n = np.array(steps, dtype=np.int64 if max(steps) < 2**63 else object).repeat(2)
-    return _matrix_powers(z.reshape(-1, 3, 3), n).reshape(z.shape)
+    z = _rk4_step_matrices(ax, h[:, None, None])
+    n = np.array(steps, dtype=np.int64 if max(steps) < 2**63 else object)
+    return _matrix_powers(z, n)
 
 
 def rk4_propagator(c, t, steps):
     """Integrate both quadrature blocks from the identity with classical RK4.
 
     The result is the standard fixed-step RK4 solution with global error
-    O((t/steps)^4).
+    O((t/steps)^4).  Only the X block is integrated; the Y block is
+    S mx S, which _x_drift checks the drift matrices to imply exactly.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     with np.errstate(all="ignore"):
-        mx, my = _rk4_propagators(c, np.array([float(t)]), [int(steps)])[0]
-    return PropagatorPair(mx, my, t)
+        mx = _rk4_propagators(_x_drift(c), np.array([float(t)]), [int(steps)])[0]
+    return PropagatorPair(mx, mx * _FLIP, t)
 
 
 def _scatter(rng, n):

@@ -107,6 +107,20 @@ def propagator_rows(c, t):
 _FLIP = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
+def _x_drift(c):
+    """The X drift ax of c, once ay = S ax S is checked to hold exactly.
+
+    The expm and RK4 paths integrate the X block alone and take every Y
+    block from that identity, so the Y equations of motion are still
+    checked against the X ones here; ValueError when they disagree.
+    """
+    ax, ay = drift_matrices(c)
+    if not (ay == ax * _FLIP).all():
+        raise ValueError("drift identity ay = S ax S fails, "
+                         "so the Y blocks cannot follow from the X blocks")
+    return ax
+
+
 def propagator_degenerate(c, t):
     """Closed-form propagator for couplings inside the degeneracy window.
 
@@ -155,24 +169,37 @@ def _expm(a):
     return result
 
 
-def _expm_propagators(c, ts):
-    """(N, 2, 3, 3) stack of the blocks (mx, my) of exp(drift * t) at
-    every time t of ts."""
-    return _expm(np.array(drift_matrices(c)) * ts[:, None, None, None])
+def _expm_propagators(ax, ts):
+    """(N, 3, 3) stack of the X blocks exp(ax * t) at every time t of ts,
+    for the X drift ax that _x_drift returns; each Y block is S mx S."""
+    return _expm(ax * ts[:, None, None])
 
 
 def propagator_expm(c, t):
-    """Regime-independent propagator via the matrix exponential of the drift."""
+    """Regime-independent propagator via the matrix exponential of the drift.
+
+    Only the X block is exponentiated; the Y block is S mx S, which
+    _x_drift checks the drift matrices to imply exactly.
+    """
     _check_time(t)
     with np.errstate(all="ignore"):
-        mx, my = _expm_propagators(c, np.array([float(t)]))[0]
-    return PropagatorPair(mx, my, t)
+        mx = _expm_propagators(_x_drift(c), np.array([float(t)]))[0]
+    return PropagatorPair(mx, mx * _FLIP, t)
 
 
 def _outer(m):
     """m @ m.T of every matrix of a stack, made exactly symmetric."""
     s = m @ m.swapaxes(-1, -2)
     return 0.5 * (s + s.swapaxes(-1, -2))
+
+
+def _x_moments(mx):
+    """(N, 2, 3, 3) stack of the moments (cx, cy) an (N, 3, 3) stack of X
+    propagator blocks produces from vacuum: cx = mx @ mx.T, and cy = S cx S
+    by _moment_blocks, as my = S mx S gives it."""
+    cx = _outer(mx)
+    return _moment_blocks((cx[:, 0, 0], cx[:, 1, 1], cx[:, 2, 2],
+                           cx[:, 0, 1], cx[:, 0, 2], cx[:, 1, 2]))
 
 
 def outer_moments(pair):

@@ -87,6 +87,11 @@ class TestVacuum:
             assert m.cx[i, i] * m.cy[i, i] == 1.0
 
 
+#: Complex blocks as an array, as nested lists of Python complex numbers
+#: and as a list of numpy rows.
+COMPLEX_KINDS = ("complex", "complex-lists", "complex-rows")
+
+
 class TestMomentState:
     def test_rejects_asymmetry(self):
         bad = np.eye(3)
@@ -142,7 +147,8 @@ class TestMomentState:
                 block[0, 0] = 5.0
 
     @pytest.mark.parametrize("where", ["first", "second", "both"])
-    @pytest.mark.parametrize("kind", ["shape", "nan", "inf", "-inf", "asymmetry"])
+    @pytest.mark.parametrize("kind", ["shape", "nan", "inf", "-inf", "asymmetry",
+                                      *COMPLEX_KINDS])
     def test_rejection_messages(self, kind, where):
         cx, cy = _bad_blocks(kind, where)
         name = "cy" if where == "second" else "cx"
@@ -159,7 +165,11 @@ class TestMomentState:
 def _bad_blocks(kind, where):
     """(first, second) with a fault of the given kind in the first, the
     second or both blocks, the other left the identity."""
-    if kind == "shape":
+    if kind in COMPLEX_KINDS:
+        bad = np.eye(3) * (1 + 1j)
+        bad = {"complex": bad, "complex-lists": bad.tolist(),
+               "complex-rows": list(bad)}[kind]
+    elif kind == "shape":
         bad = np.eye(2)
     else:
         bad = np.eye(3)
@@ -172,6 +182,8 @@ def _bad_blocks(kind, where):
 
 
 def _message(kind, name):
+    if kind in COMPLEX_KINDS:
+        return f"^{name} has complex entries$"
     if kind == "shape":
         return rf"^{name} must be a 3x3 matrix, got shape \(2, 2\)$"
     if kind == "asymmetry":
@@ -200,7 +212,7 @@ class TestPropagatorPair:
                 block[0, 0] = 5.0
 
     @pytest.mark.parametrize("where", ["first", "second", "both"])
-    @pytest.mark.parametrize("kind", ["shape", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["shape", "nan", "inf", "-inf", *COMPLEX_KINDS])
     def test_rejection_messages(self, kind, where):
         mx, my = _bad_blocks(kind, where)
         name = "my" if where == "second" else "mx"

@@ -30,6 +30,7 @@ from trimode import (
     time_scale,
     vacuum_moments,
 )
+from trimode.cli import main
 from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of
 
 
@@ -386,3 +387,63 @@ class TestOracleWork:
             counts.update(dict.fromkeys(counts, 0))
         assert seen[0] == seen[1]
         assert seen[0]["MomentState"] <= 6
+
+    @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
+    def test_each_kernel_runs_one_x_stack(self, kappas, monkeypatch):
+        # The Y blocks come from the X ones, so the matrix exponential and
+        # the RK4 power each see one (N, 3, 3) stack of an N-point grid.
+        stacks = {"_expm": [], "_matrix_powers": []}
+        for module, name in ((trimode.propagator, "_expm"), (trimode.oracle, "_matrix_powers")):
+
+            def recording(a, *args, _name=name, _original=getattr(module, name)):
+                stacks[_name].append(a.shape)
+                return _original(a, *args)
+
+            monkeypatch.setattr(module, name, recording)
+        for points in (11, 301):
+            run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=points))
+            assert stacks == {"_expm": [(points, 3, 3)], "_matrix_powers": [(points, 3, 3)]}
+            for shapes in stacks.values():
+                shapes.clear()
+
+
+@pytest.fixture
+def wrong_y_drift(monkeypatch):
+    """drift_matrices with the sign of ay[2, 0] flipped, so that the Y drift
+    is no longer S ax S, installed in every trimode module that holds it."""
+    original = trimode.drift_matrices
+
+    def wrong(c):
+        ax, ay = original(c)
+        ay = ay.copy()
+        ay[2, 0] = -ay[2, 0]
+        return ax, ay
+
+    for module in (trimode, trimode.propagator, trimode.oracle, trimode.sweep):
+        if getattr(module, "drift_matrices", None) is original:
+            monkeypatch.setattr(module, "drift_matrices", wrong)
+
+
+class TestDriftIdentity:
+    """The expm and RK4 paths derive every Y block from the X block, so a Y
+    drift that is not S ax S must stop the oracle rather than pass it."""
+
+    @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
+    def test_run_oracle_check_fails(self, kappas, wrong_y_drift):
+        with pytest.raises(ValueError, match="drift identity"):
+            run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1]))
+
+    def test_public_propagators_fail(self, wrong_y_drift):
+        with pytest.raises(ValueError, match="drift identity"):
+            propagator_expm(HYP, T1)
+        with pytest.raises(ValueError, match="drift identity"):
+            rk4_propagator(HYP, T1, 100)
+
+    def test_cli_prints_one_error_line_and_no_pass(self, wrong_y_drift, capsys):
+        rc = main(["oracle"])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "drift identity" in lines[0]

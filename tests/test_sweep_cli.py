@@ -418,6 +418,47 @@ class TestCli:
         assert "obr_single.obr1 = 1" in proc.stdout
 
 
+#: trimode oracle stdout and exit code at its defaults in the three regimes
+#: and for a run whose Monte Carlo comparison fails; a change to how the
+#: paths are computed must leave these bytes as they are.
+ORACLE_REPORTS = {
+    (): (0, """\
+PASS analytic vs expm: max_rel=1.673e-14 max_abs=1.592e-11 tol=1e-09 worst=x[2,2] tau=2.77
+PASS rk4 vs analytic: max_rel=1.072e-11 max_abs=1.832e-08 tol=1e-08 worst=x[2,2] tau=2.99
+PASS closed-form vs analytic: max_rel=2.663e-15 max_abs=2.665e-15 tol=1e-09 worst=x[0,0] tau=0.01
+PASS closed-form vs expm: max_rel=1.673e-14 max_abs=1.569e-11 tol=1e-09 worst=x[2,2] tau=2.77
+PASS mc vs analytic: max_rel=3.570e-03 max_abs=8.183e-03 tol=1e-02 worst=y[1,1] tau=0.75
+"""),
+    ("--kappa1", "1.0", "--kappa2", "1.8"): (0, """\
+PASS analytic vs expm: max_rel=9.215e-15 max_abs=4.707e-14 tol=1e-09 worst=x[0,2] tau=2.85
+PASS rk4 vs analytic: max_rel=6.151e-12 max_abs=2.150e-11 tol=1e-08 worst=x[0,2] tau=2.78
+PASS closed-form vs analytic: max_rel=1.752e-15 max_abs=3.553e-15 tol=1e-09 worst=x[0,2] tau=2.72
+PASS closed-form vs expm: max_rel=8.794e-15 max_abs=4.707e-14 tol=1e-09 worst=x[0,2] tau=2.71
+PASS mc vs analytic: max_rel=4.773e-03 max_abs=4.773e-03 tol=1e-02 worst=y[1,2] tau=1.5
+"""),
+    ("--kappa1", "1", "--kappa2", "1"): (0, """\
+PASS analytic vs expm: max_rel=2.949e-15 max_abs=1.350e-13 tol=1e-09 worst=x[0,0] tau=2.77
+PASS rk4 vs analytic: max_rel=3.883e-12 max_abs=1.676e-10 tol=1e-08 worst=x[0,0] tau=2.72
+PASS mc vs analytic: max_rel=4.471e-03 max_abs=4.708e-03 tol=1e-02 worst=y[0,1] tau=0.75
+"""),
+    ("--points", "5", "--mc-samples", "200"): (1, """\
+PASS analytic vs expm: max_rel=7.116e-15 max_abs=2.558e-12 tol=1e-09 worst=x[0,0] tau=2.25
+PASS rk4 vs analytic: max_rel=5.625e-12 max_abs=9.128e-09 tol=1e-08 worst=x[2,2] tau=3
+PASS closed-form vs analytic: max_rel=6.597e-16 max_abs=1.705e-13 tol=1e-09 worst=x[1,1] tau=2.25
+PASS closed-form vs expm: max_rel=6.769e-15 max_abs=1.273e-11 tol=1e-09 worst=x[0,0] tau=3
+FAIL mc vs analytic: max_rel=2.812e-01 max_abs=6.444e-01 tol=1e-02 worst=y[1,1] tau=0.75
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", list(ORACLE_REPORTS),
+                         ids=lambda argv: " ".join(argv) or "defaults")
+def test_oracle_report_bytes(argv, capsys):
+    rc = main(["oracle", *argv])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (*ORACLE_REPORTS[argv], "")
+
+
 def eval_values(capsys, *argv):
     assert main(["eval", *argv]) == 0
     out = capsys.readouterr().out
