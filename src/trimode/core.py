@@ -87,17 +87,17 @@ def _dot(u, v):
 def _each(fn, x):
     """fn of a float, or of every entry of an array through the same libm
     call (numpy's own transcendental kernels may round differently); a
-    result too large for a float becomes an infinity."""
-
-    def safe(v):
-        try:
-            return fn(v)
-        except OverflowError:
-            return math.copysign(math.inf, v)
-
+    result too large for a float becomes an infinity signed like x."""
     if isinstance(x, np.ndarray):
-        return np.array([safe(v) for v in x.tolist()], dtype=float)
-    return safe(x)
+        values = x.tolist()
+        try:
+            return np.array(list(map(fn, values)), dtype=float)
+        except OverflowError:
+            return np.array([_each(fn, v) for v in values], dtype=float)
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _check_finite(values, message):
@@ -194,7 +194,13 @@ class Regime:
 def _frozen_matrix(value, name):
     if np.iscomplexobj(value):
         raise ValueError(f"{name} has complex entries")
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except TypeError:
+        # An object array hides its complex entries from iscomplexobj.
+        if np.iscomplexobj(np.array(value, dtype=object).tolist()):
+            raise ValueError(f"{name} has complex entries") from None
+        raise
     if arr.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -316,16 +322,13 @@ class CriteriaReport:
 
     @classmethod
     def from_values(cls, t, sign, values):
-        """A report from the 15 criterion values in CRITERIA order."""
-        return cls(
-            t=float(t),
-            sign=sign,
-            vlf_raw=VlfTriple(*values[0:3]),
-            vlf_opt=VlfTriple(*values[3:6]),
-            gains=VlfGains(*values[6:9]),
-            obr_single=ObrSingles(*values[9:12]),
-            obr_pair=ObrPairs(*values[12:15]),
-        )
+        """A report from the 15 values in CRITERIA order; ValueError otherwise."""
+        if len(values) != len(CRITERIA):
+            raise ValueError(f"expected {len(CRITERIA)} criterion values, got {len(values)}")
+        new = tuple.__new__
+        return cls(float(t), sign, new(VlfTriple, values[0:3]), new(VlfTriple, values[3:6]),
+                   new(VlfGains, values[6:9]), new(ObrSingles, values[9:12]),
+                   new(ObrPairs, values[12:15]))
 
     def values(self):
         """The 15 criterion values in CRITERIA order."""

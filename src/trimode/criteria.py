@@ -21,10 +21,11 @@ where the two rows nearly cancel, and |r1 - r2 - r3|^2; the gains add
 three dot products.  Nothing large is subtracted, so the values keep
 double precision wherever the moments grow.  Other states (Monte Carlo
 estimates, hand-built blocks) read the forms off their entries and
-cofactors.  The same arithmetic runs unchanged on floats (one state) and
-on arrays (a sweep); obr_single, obr_pair and vlf_gains are views of
-evaluate_all's 15 values.  All mode indices in the public functions are
-1-based.
+cofactors.  Both paths end in _values, one flat assembly of the 15 values
+with no per-mode loop, which runs unchanged on floats (one state, where a
+call's fixed cost dominates) and on arrays (a sweep), bit for bit alike;
+obr_single, obr_pair and vlf_gains are views of evaluate_all's 15 values.
+All mode indices in the public functions are 1-based.
 """
 
 from __future__ import annotations
@@ -113,26 +114,9 @@ def _residual(num, den, own):
     return _where(small, own, _where(r < 0.0, 0.0, r))
 
 
-def _mode_residuals(f, a, sign):
-    """Inference residuals of one block with forms f and adjugate forms a,
-    for every mode i.
-
-    With j < k the other two modes, V(Q_i | Q_j + s Q_k) and
-    V(Q_j + s Q_k | Q_i) share the numerator
-    (e_i x (e_j + s e_k))' adj(C) (...), the adjugate form of e_j - s e_k.
-    Returns (singles, pairs), both indexed by i.
-    """
-    combos, nums = (f[1], a[2]) if sign is Sign.PLUS else (f[2], a[1])
-    singles = tuple(_residual(n, v, o) for n, v, o in zip(nums, combos, f[0]))
-    pairs = tuple(_residual(n, o, v) for n, v, o in zip(nums, combos, f[0]))
-    return singles, pairs
-
-
 # Entry indices (ii, jj, kk, ij, ik, jk) of the sum over modes i < j that
 # leaves out mode k, by k.
 _SUM_ENTRIES = ((1, 2, 0, 5, 3, 4), (0, 2, 1, 4, 3, 5), (0, 1, 2, 3, 4, 5))
-# The sums v12, v13, v23 leave out modes 3, 2, 1.
-_SUM_ORDER = (2, 1, 0)
 
 
 def _x_difference(x, k):
@@ -155,21 +139,38 @@ def _gain(y, k):
 
 
 def _values(fx, fy, ax, ay, totals, gains, sign):
-    """The 15 criteria in CRITERIA order from the forms of cx, cy, adj(cx)
-    and adj(cy), the unit-gain Y sums V(Y_i + Y_j + Y_k) by left-out mode k
-    and the gains.  The optimised sum is V(X_i - X_j) plus the residual of
-    Y_i + Y_j given Y_k, the minimum over the gain.  Raises ValueError when
-    a value is not finite.
+    """The 15 criteria in CRITERIA order, in one flat pass, from the forms
+    (diag, plus, minus) of cx, cy, adj(cx) and adj(cy), the unit-gain Y
+    sums V(Y_i + Y_j + Y_k) by left-out mode k and the gains.  For mode i
+    and j < k the other two, V(Q_i | Q_j + s Q_k) and V(Q_j + s Q_k | Q_i)
+    divide one numerator n_i, the adjugate form of e_j - s e_k, by c_i, the
+    form of e_j + s e_k, and by that of e_i (see _residual).  The optimised
+    sums take q_i = V(Y_j + Y_k | Y_i) whatever the sign.  Raises
+    ValueError when a value is not finite.
     """
-    x_single, x_pair = _mode_residuals(fx, ax, sign)
-    y_single, y_pair = _mode_residuals(fy, ay, sign)
-    y_plus = y_pair if sign is Sign.PLUS else _mode_residuals(fy, ay, Sign.PLUS)[1]
+    (x1, x2, x3), xp, xm = fx
+    (y1, y2, y3), yp, ym = fy
+    yn = ay[2]
+    q1 = _residual(yn[0], y1, yp[0])
+    q2 = _residual(yn[1], y2, yp[1])
+    q3 = _residual(yn[2], y3, yp[2])
+    if sign is Sign.PLUS:
+        xc, xn, yc, p1, p2, p3 = xp, ax[2], yp, q1, q2, q3
+    else:
+        xc, xn, yc, yn = xm, ax[1], ym, ay[1]
+        p1 = _residual(yn[0], y1, yc[0])
+        p2 = _residual(yn[1], y2, yc[1])
+        p3 = _residual(yn[2], y3, yc[2])
     values = (
-        *(fx[2][k] + totals[k] for k in _SUM_ORDER),
-        *(fx[2][k] + y_plus[k] for k in _SUM_ORDER),
-        *gains,
-        *(p * q for p, q in zip(x_single, y_single)),
-        *(p * q for p, q in zip(x_pair, y_pair)),
+        xm[2] + totals[2], xm[1] + totals[1], xm[0] + totals[0],
+        xm[2] + q3, xm[1] + q2, xm[0] + q1,
+        gains[0], gains[1], gains[2],
+        _residual(xn[0], xc[0], x1) * _residual(yn[0], yc[0], y1),
+        _residual(xn[1], xc[1], x2) * _residual(yn[1], yc[1], y2),
+        _residual(xn[2], xc[2], x3) * _residual(yn[2], yc[2], y3),
+        _residual(xn[0], x1, xc[0]) * p1,
+        _residual(xn[1], x2, xc[1]) * p2,
+        _residual(xn[2], x3, xc[2]) * p3,
     )
     _check_finite(values, "criteria are not finite: a variance vanishes or overflows")
     return values
@@ -182,14 +183,6 @@ def _entry_criteria(x, y, sign):
                    _entry_forms(_cofactors(x)), _entry_forms(_cofactors(y)),
                    tuple(_y_sum(y, k, 1.0) for k in range(3)),
                    tuple(_gain(y, k) for k in range(3)), sign)
-
-
-def _norm(u):
-    return _dot(u, u)
-
-
-def _plus(u, v):
-    return u[0] + v[0], u[1] + v[1], u[2] + v[2]
 
 
 def _minus(u, v):
@@ -211,15 +204,18 @@ def row_criteria(rows, sign=Sign.PLUS):
     when the moments overflow.
     """
     r1, r2, r3, d = rows
-    p23, m13 = _plus(r2, r3), _minus(r1, r3)
-    diag = (_norm(r1), _norm(r2), _norm(r3))
-    plus = (_norm(p23), _norm(_plus(r1, r3)), _norm(_plus(r1, r2)))
-    minus = (_norm(_minus(r2, r3)), _norm(m13), _norm(d))
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = r1, r2, r3
+    p23, m23 = (b1 + c1, b2 + c2, b3 + c3), (b1 - c1, b2 - c2, b3 - c3)
+    p13, m13 = (a1 + c1, a2 + c2, a3 + c3), (a1 - c1, a2 - c2, a3 - c3)
+    p12, dm3 = (a1 + b1, a2 + b2, a3 + b3), (d[0] - c1, d[1] - c2, d[2] - c3)
+    diag = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3))
+    plus = (_dot(p23, p23), _dot(p13, p13), _dot(p12, p12))
+    minus = (_dot(m23, m23), _dot(m13, m13), _dot(d, d))
     _check_finite((*diag, *plus, *minus),
                   "second moments overflow double precision; choose a smaller tau")
     fx = (diag, plus, minus)
     fy = (diag, (plus[0], minus[1], minus[2]), (minus[0], plus[1], plus[2]))
-    totals = (_norm(_minus(d, r3)),) * 3
+    totals = (_dot(dm3, dm3),) * 3
     gains = (_dot(r1, p23) / diag[0], _dot(r2, m13) / diag[1], _dot(d, r3) / diag[2])
     return _values(fx, fy, fy, fx, totals, gains, sign)
 
@@ -295,7 +291,7 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
         (_minus(r1, r3), _minus(_minus(r1, _times(g, r2)), r3)),
         (d, _minus(d, _times(g, r3))),
     )[k]
-    return _norm(x) + _norm(y)
+    return _dot(x, x) + _dot(y, y)
 
 
 def evaluate_all(m, t, sign=Sign.PLUS):

@@ -23,6 +23,7 @@ from trimode import (
     moments_at,
     vacuum_moments,
 )
+from trimode.core import _each
 from support import DEG, HYP, PER, T1
 
 
@@ -87,9 +88,9 @@ class TestVacuum:
             assert m.cx[i, i] * m.cy[i, i] == 1.0
 
 
-#: Complex blocks as an array, as nested lists of Python complex numbers
-#: and as a list of numpy rows.
-COMPLEX_KINDS = ("complex", "complex-lists", "complex-rows")
+#: Complex blocks as an array, as nested lists of Python complex numbers,
+#: as a list of numpy rows and as an object array with one complex entry.
+COMPLEX_KINDS = ("complex", "complex-lists", "complex-rows", "complex-objects")
 
 
 class TestMomentState:
@@ -165,7 +166,10 @@ class TestMomentState:
 def _bad_blocks(kind, where):
     """(first, second) with a fault of the given kind in the first, the
     second or both blocks, the other left the identity."""
-    if kind in COMPLEX_KINDS:
+    if kind == "complex-objects":
+        bad = np.eye(3).astype(object)
+        bad[0, 0] = 1 + 1j
+    elif kind in COMPLEX_KINDS:
         bad = np.eye(3) * (1 + 1j)
         bad = {"complex": bad, "complex-lists": bad.tolist(),
                "complex-rows": list(bad)}[kind]
@@ -266,6 +270,44 @@ class TestCriteriaReportFlags:
         )
         assert not rep.obr_single_flag
         assert not rep.obr_pair_flag
+
+
+class TestCriteriaReportFromValues:
+    def test_matches_the_keyword_report(self):
+        built = _report(t=1.5, sign=Sign.MINUS, gains=VlfGains(0.5, -0.25, 2.0),
+                        vlf_opt=VlfTriple(3.0, 3.5, 4.0),
+                        obr_single=ObrSingles(0.5, 0.9, 0.99))
+        rep = CriteriaReport.from_values(1.5, Sign.MINUS, list(built.values()))
+        assert rep == built and hash(rep) == hash(built) and repr(rep) == repr(built)
+        for name, kind in (("vlf_raw", VlfTriple), ("vlf_opt", VlfTriple),
+                           ("gains", VlfGains), ("obr_single", ObrSingles),
+                           ("obr_pair", ObrPairs)):
+            assert type(getattr(rep, name)) is kind
+            assert getattr(rep, name) == getattr(built, name)
+        assert type(rep.t) is float
+        for flag in ("vlf_flag", "obr_single_flag", "obr_pair_flag"):
+            assert getattr(rep, flag) == getattr(built, flag)
+        assert rep.vlf_flag and rep.obr_single_flag and not rep.obr_pair_flag
+
+    @pytest.mark.parametrize("count", [0, 14, 16])
+    def test_rejects_any_count_but_15(self, count):
+        values = [1.0] * count
+        with pytest.raises(ValueError, match=f"^expected 15 criterion values, got {count}$"):
+            CriteriaReport.from_values(0.0, Sign.PLUS, values)
+
+
+class TestEach:
+    @pytest.mark.parametrize("x", [1000.0, -1000.0])
+    def test_overflow_is_a_signed_infinity(self, x):
+        assert _each(math.sinh, x) == math.copysign(math.inf, x)
+        got = _each(math.sinh, np.array([x, 0.5, -x]))
+        assert got.dtype == float
+        assert got.tolist() == [math.copysign(math.inf, x), math.sinh(0.5),
+                                math.copysign(math.inf, -x)]
+
+    def test_one_libm_call_per_entry(self):
+        xs = np.linspace(-30.0, 30.0, 601)
+        assert _each(math.sinh, xs).tolist() == [math.sinh(x) for x in xs.tolist()]
 
 
 class TestSweepResult:
