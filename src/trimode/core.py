@@ -84,20 +84,21 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _libm(fn, v):
+    """fn(v) of a float; a result too large for a float becomes an infinity
+    signed like v."""
+    try:
+        return fn(v)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def _each(fn, x):
     """fn of a float, or of every entry of an array through the same libm
-    call (numpy's own transcendental kernels may round differently); a
-    result too large for a float becomes an infinity signed like x."""
+    call (numpy's own transcendental kernels may round differently)."""
     if isinstance(x, np.ndarray):
-        values = x.tolist()
-        try:
-            return np.array(list(map(fn, values)), dtype=float)
-        except OverflowError:
-            return np.array([_each(fn, v) for v in values], dtype=float)
-    try:
-        return fn(x)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+        return np.array([_libm(fn, v) for v in x.tolist()], dtype=float)
+    return _libm(fn, x)
 
 
 def _check_finite(values, message):
@@ -192,15 +193,12 @@ class Regime:
 
 
 def _frozen_matrix(value, name):
+    if isinstance(value, np.ndarray) and value.dtype == object:
+        # An object array hides its complex entries from iscomplexobj.
+        value = value.tolist()
     if np.iscomplexobj(value):
         raise ValueError(f"{name} has complex entries")
-    try:
-        arr = np.array(value, dtype=float)
-    except TypeError:
-        # An object array hides its complex entries from iscomplexobj.
-        if np.iscomplexobj(np.array(value, dtype=object).tolist()):
-            raise ValueError(f"{name} has complex entries") from None
-        raise
+    arr = np.array(value, dtype=float)
     if arr.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -89,8 +89,11 @@ class TestVacuum:
 
 
 #: Complex blocks as an array, as nested lists of Python complex numbers,
-#: as a list of numpy rows and as an object array with one complex entry.
-COMPLEX_KINDS = ("complex", "complex-lists", "complex-rows", "complex-objects")
+#: as a list of numpy rows and as an object array with one complex entry,
+#: a Python complex or a numpy complex128 (which numpy would cast to float
+#: with only a ComplexWarning).
+COMPLEX_KINDS = ("complex", "complex-lists", "complex-rows", "complex-objects",
+                 "complex128-objects")
 
 
 class TestMomentState:
@@ -166,9 +169,9 @@ class TestMomentState:
 def _bad_blocks(kind, where):
     """(first, second) with a fault of the given kind in the first, the
     second or both blocks, the other left the identity."""
-    if kind == "complex-objects":
+    if kind in ("complex-objects", "complex128-objects"):
         bad = np.eye(3).astype(object)
-        bad[0, 0] = 1 + 1j
+        bad[0, 0] = 1 + 1j if kind == "complex-objects" else np.complex128(1 + 1j)
     elif kind in COMPLEX_KINDS:
         bad = np.eye(3) * (1 + 1j)
         bad = {"complex": bad, "complex-lists": bad.tolist(),
