@@ -45,25 +45,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    d = RunConfig()  # the defaults each help text states
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kappa1", type=float, help="first coupling (default 1.2)")
-    common.add_argument("--kappa2", type=float, help="second coupling (default 1.0)")
-    common.add_argument("--tau-min", type=float, help="grid start (default 0)")
-    common.add_argument("--tau-max", type=float, help="grid end (default 3)")
-    common.add_argument("--points", type=int, help="grid size (default 301)")
+    common.add_argument("--kappa1", type=float, help=f"first coupling (default {d.kappa1})")
+    common.add_argument("--kappa2", type=float, help=f"second coupling (default {d.kappa2})")
+    common.add_argument("--tau-min", type=float, help=f"grid start (default {d.tau_min})")
+    common.add_argument("--tau-max", type=float, help=f"grid end (default {d.tau_max})")
+    common.add_argument("--points", type=int, help=f"grid size (default {d.points})")
     common.add_argument(
         "--tau-convention",
         choices=[c.value for c in TauConvention],
-        help="tau = rate*t or tau = max(kappa)*t (default rate)",
+        help=f"tau = rate*t or tau = max(kappa)*t (default {d.tau_convention.value})",
     )
     common.add_argument(
         "--sign",
         choices=[s.value for s in Sign],
         help="two-mode combination sign used by the inference criteria",
     )
-    common.add_argument("--seed", type=int, help="Monte Carlo seed (default 1)")
+    common.add_argument("--seed", type=int, help=f"Monte Carlo seed (default {d.seed})")
     common.add_argument(
-        "--mc-samples", type=int, help="Monte Carlo sample count (default 10^6)"
+        "--mc-samples", type=int, help=f"Monte Carlo sample count (default {d.mc_samples})"
     )
     common.add_argument("--config", help="key=value config file; flags override it")
 
@@ -127,15 +128,7 @@ def _cmd_sweep(cfg):
 def _cmd_figures(cfg, which, out_dir):
     numbers = sorted(FIGURE_PRESETS) if which == "all" else [int(which)]
     for number in numbers:
-        paths = reproduce_figure(
-            number,
-            out_dir,
-            tau_min=cfg.tau_min,
-            tau_max=cfg.tau_max,
-            points=cfg.points,
-            sign=cfg.sign,
-        )
-        print(" ".join(paths))
+        print(" ".join(reproduce_figure(number, out_dir, cfg)))
     return 0
 
 

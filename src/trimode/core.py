@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -29,7 +30,6 @@ __all__ = [
     "Quadrature",
     "Sign",
     "TauConvention",
-    "MomentMethod",
     "Couplings",
     "Regime",
     "PropagatorPair",
@@ -72,13 +72,6 @@ CRITERIA = (
 # as Python floats, a sweep as float64 arrays.  Plain +, -, *, / round the
 # same way in both, so every helper here keeps the two bit-for-bit equal.
 
-def _where(cond, a, b):
-    """a where cond holds, else b; a Python bool picks one whole operand."""
-    if isinstance(cond, bool):
-        return a if cond else b
-    return np.where(cond, a, b)
-
-
 def _dot(u, v):
     """u . v of two 3-vectors whose entries are floats or equal-shape arrays."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -112,6 +105,12 @@ def _check_finite(values, message):
         finite = np.isfinite(total).all()
     if not finite:
         raise ValueError(message)
+
+
+def _check_time(t):
+    """ValueError unless the time t is finite and >= 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
 
 
 class InvalidCouplingError(ValueError):
@@ -152,28 +151,25 @@ class TauConvention(Enum):
     MAX_KAPPA = "maxkappa"
 
 
-class MomentMethod(Enum):
-    ANALYTIC = "analytic"
-    EXPM = "expm"
-
-
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise InvalidCouplingError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Couplings:
-    """Effective interaction strengths (inverse time units), both positive."""
+    """Effective interaction strengths (inverse time units), each positive
+    with a normal double as its square: about 1.5e-154 to 1.3e154."""
 
     kappa1: float
     kappa2: float
 
     def __post_init__(self):
         for name, value in (("kappa1", self.kappa1), ("kappa2", self.kappa2)):
-            _require_finite(name, value)
+            if not math.isfinite(value):
+                raise InvalidCouplingError(f"{name} must be finite, got {value!r}")
             if value <= 0:
                 raise InvalidCouplingError(f"{name} must be positive, got {value!r}")
+            square = float(value) * float(value)
+            if not sys.float_info.min <= square <= sys.float_info.max:
+                raise InvalidCouplingError(
+                    f"{name} must lie in about [1.5e-154, 1.3e154], where its square "
+                    f"is a normal double, got {value!r}")
 
     @property
     def kappa_max(self):
@@ -224,8 +220,7 @@ class PropagatorPair:
     def __post_init__(self):
         object.__setattr__(self, "mx", _frozen_matrix(self.mx, "mx"))
         object.__setattr__(self, "my", _frozen_matrix(self.my, "my"))
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
+        _check_time(self.t)
 
     def symplectic_defect(self):
         """Max-abs deviation of mx @ my.T from the identity."""

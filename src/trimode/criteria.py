@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
     CriteriaReport,
     Sign,
     VlfGains,
     _check_finite,
     _dot,
-    _where,
 )
 
 __all__ = [
@@ -110,8 +111,8 @@ def _residual(num, den, own):
             return own
         r = num / den
         return 0.0 if r < 0.0 else r
-    r = num / _where(small, 1.0, den)
-    return _where(small, own, _where(r < 0.0, 0.0, r))
+    r = num / np.where(small, 1.0, den)
+    return np.where(small, own, np.where(r < 0.0, 0.0, r))
 
 
 # Entry indices (ii, jj, kk, ij, ik, jk) of the sum over modes i < j that
@@ -132,10 +133,10 @@ def _y_sum(y, k, g):
 
 
 def _gain(y, k):
-    """g_k = -(<Y_i Y_k> + <Y_j Y_k>) / <Y_k^2>; a zero variance gives NaN,
-    which the finiteness check reports."""
+    """g_k = -(<Y_i Y_k> + <Y_j Y_k>) / <Y_k^2> of the float entries y of
+    _entries; a zero variance gives NaN, which the finiteness check reports."""
     _, _, kk, _, ik, jk = _SUM_ENTRIES[k]
-    return -(y[ik] + y[jk]) / _where(y[kk] != 0.0, y[kk], math.nan) + 0.0
+    return -(y[ik] + y[jk]) / (y[kk] if y[kk] != 0.0 else math.nan) + 0.0
 
 
 def _values(fx, fy, ax, ay, totals, gains, sign):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentState, PropagatorPair, Quadrature
+from .core import MomentState, PropagatorPair, Quadrature, _check_time
 from .propagator import _FLIP, _x_drift, propagator_analytic
 
 __all__ = [
@@ -110,8 +110,7 @@ def rk4_propagator(c, t, steps):
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    _check_time(t)
     with np.errstate(all="ignore"):
         mx = _rk4_propagators(_x_drift(c), np.array([float(t)]), [int(steps)])[0]
     return PropagatorPair(mx, mx * _FLIP, t)
@@ -130,7 +129,7 @@ def _scatter(rng, n):
     if n < 3:
         z = rng.standard_normal((n, 3))
         return z.T @ z
-    d = np.sqrt(rng.chisquare(n - np.arange(3))).tolist()
+    d = np.sqrt(rng.chisquare(n - np.arange(3.0))).tolist()
     z = rng.standard_normal(3).tolist()
     a = np.array([[d[0], 0.0, 0.0], [z[0], d[1], 0.0], [z[1], z[2], d[2]]])
     return a @ a.T

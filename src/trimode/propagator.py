@@ -23,12 +23,12 @@ import numpy as np
 
 from .core import (
     Couplings,
-    MomentMethod,
     MomentState,
     PropagatorPair,
     RegimeError,
     RegimeKind,
     _check_finite,
+    _check_time,
     _dot,
     _each,
     classify_regime,
@@ -54,11 +54,6 @@ def drift_matrices(c):
     ax.setflags(write=False)
     ay.setflags(write=False)
     return ax, ay
-
-
-def _check_time(t):
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
 
 
 def _factors(c, t):
@@ -242,57 +237,59 @@ def _moment_blocks(x):
     return np.array([c11, c22, c33, c12, c13, c23, -c12, -c13]).T[..., _PAIR_INDEX]
 
 
-def moments_at(c, t, method=MomentMethod.ANALYTIC):
+def moments_at(c, t):
     """Second-moment blocks at time t from vacuum initial conditions.
 
     The initial covariance is the identity, so cx = mx @ mx.T and
-    cy = my @ my.T for the selected propagator.  The analytic method forms
-    cx_ij = r_i . r_j from propagator_rows on a batch of one, and cy =
-    S cx S flips the sign of <Y1 Y2> and <Y1 Y3>; the state keeps the rows,
-    from which the criteria read their values.  Raises ValueError when the
-    moments overflow.
+    cy = my @ my.T.  cx_ij = r_i . r_j comes from propagator_rows on a
+    batch of one, and cy = S cx S flips the sign of <Y1 Y2> and <Y1 Y3>;
+    the state keeps the rows, from which the criteria read their values.
+    outer_moments(propagator_expm(c, t)) is the matrix-exponential check
+    of the same state.  Raises ValueError when the moments overflow.
     """
-    if method is MomentMethod.ANALYTIC:
-        _check_time(t)
-        rows = propagator_rows(c, float(t))
-        m = MomentState(*_moment_blocks(_row_moments(rows)))
-        object.__setattr__(m, "_rows", rows)
-        return m
-    if method is MomentMethod.EXPM:
-        return outer_moments(propagator_expm(c, t))
-    raise ValueError(f"unknown moment method {method!r}")
+    _check_time(t)
+    rows = propagator_rows(c, float(t))
+    m = MomentState(*_moment_blocks(_row_moments(rows)))
+    object.__setattr__(m, "_rows", rows)
+    return m
 
 
 def _closed_form_entries(c, t):
     """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
     transcribed from the solved moment formulas, at every time of an array
-    t; RegimeError at the degenerate point."""
+    t; RegimeError at the degenerate point, ValueError where rate^3 or
+    rate^4 leaves double range."""
     k1, k2 = c.kappa1, c.kappa2
     regime = classify_regime(c)
-    r = regime.rate
-    if regime.kind is RegimeKind.HYPERBOLIC:
-        ch = _each(math.cosh, r * t)
-        sh = _each(math.sinh, r * t)
-        xx11 = 1.0 + (2 * k1**2 / r**4) * (k1**2 * sh**2 + 2 * k2**2 * (1 - ch))
-        xx22 = 1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2
-        xx33 = 1.0 + 2 * k1**2 * sh**2 / r**2
-        xx12 = (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2)
-        xx13 = (2 * k1 * sh / r**3) * (k1**2 * ch - k2**2)
-        xx23 = (2 * k1**2 * k2 / r**3) * (ch - 1) * sh
-    elif regime.kind is RegimeKind.PERIODIC:
-        co = _each(math.cos, r * t)
-        si = _each(math.sin, r * t)
-        xx11 = 1.0 + 2 * k1**2 * (2 * k2**2 * (1 - co) - k1**2 * si**2) / r**4
-        xx22 = 1.0 + 2 * k1**2 * k2**2 * (co - 1) ** 2 / r**4
-        xx33 = 1.0 + 2 * k1**2 * si**2 / r**2
-        xx12 = (2 * k1 * k2 / r**4) * ((k1**2 + k2**2) * (1 - co) - k1**2 * si**2)
-        xx13 = (k1 / r**3) * (2 * k2**2 * si - k1**2 * _each(math.sin, 2 * r * t))
-        xx23 = (2 * k1**2 * k2 * si / r**3) * (1 - co)
-    else:
+    if regime.kind is RegimeKind.DEGENERATE:
         raise RegimeError(
             "closed-form moment expressions are undefined at the degenerate "
             "point; use moments_at"
         )
+    r = regime.rate
+    try:
+        if regime.kind is RegimeKind.HYPERBOLIC:
+            ch = _each(math.cosh, r * t)
+            sh = _each(math.sinh, r * t)
+            xx11 = 1.0 + (2 * k1**2 / r**4) * (k1**2 * sh**2 + 2 * k2**2 * (1 - ch))
+            xx22 = 1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2
+            xx33 = 1.0 + 2 * k1**2 * sh**2 / r**2
+            xx12 = (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2)
+            xx13 = (2 * k1 * sh / r**3) * (k1**2 * ch - k2**2)
+            xx23 = (2 * k1**2 * k2 / r**3) * (ch - 1) * sh
+        else:
+            co = _each(math.cos, r * t)
+            si = _each(math.sin, r * t)
+            xx11 = 1.0 + 2 * k1**2 * (2 * k2**2 * (1 - co) - k1**2 * si**2) / r**4
+            xx22 = 1.0 + 2 * k1**2 * k2**2 * (co - 1) ** 2 / r**4
+            xx33 = 1.0 + 2 * k1**2 * si**2 / r**2
+            xx12 = (2 * k1 * k2 / r**4) * ((k1**2 + k2**2) * (1 - co) - k1**2 * si**2)
+            xx13 = (k1 / r**3) * (2 * k2**2 * si - k1**2 * _each(math.sin, 2 * r * t))
+            xx23 = (2 * k1**2 * k2 * si / r**3) * (1 - co)
+    except (OverflowError, ZeroDivisionError):
+        # Python floats raise on an overflowing power or a zero divisor.
+        raise ValueError(f"closed-form moments leave double range at kappa1 = {k1!r}, "
+                         f"kappa2 = {k2!r}") from None
     return xx11, xx22, xx33, xx12, xx13, xx23
 
 

@@ -7,9 +7,9 @@ significant digits so parsing a file recovers every value bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Everything a sweep, figure or oracle run needs.
 
@@ -127,8 +127,8 @@ def run_sweep(cfg):
     """
     c = cfg.couplings
     taus = cfg.taus()
-    ts = taus / time_scale(c, cfg.tau_convention)
     with np.errstate(all="ignore"):
+        ts = taus / time_scale(c, cfg.tau_convention)
         values = np.column_stack(row_criteria(propagator_rows(c, ts), cfg.sign))
     return SweepResult(taus, ts, values, cfg)
 
@@ -166,12 +166,13 @@ def write_sweep_csv(result, path):
     return _write(path, sweep_csv_text(result))
 
 
-def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
-                     sign=Sign.PLUS):
+def reproduce_figure(which, out_dir, cfg=RunConfig()):
     """Write the data behind one published figure as CSV plus a sidecar.
 
-    Each panel contributes its CRITERIA columns of the figure, suffixed
-    _left and _right when there are two panels.  Returns the paths written:
+    Each panel is a sweep of cfg's tau grid and sign at the panel's
+    couplings, with tau = rate * t, and contributes its CRITERIA columns of
+    the figure, suffixed _left and _right when there are two panels.  The
+    other fields of cfg are not read.  Returns the paths written:
     fig<n>.csv with exactly the plotted curves and fig<n>_params.txt
     recording parameters and the tau convention.
     """
@@ -183,8 +184,8 @@ def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
     metadata = [("figure", str(which))]
     sidecar = [f"figure {which}: {kind} criteria"]
     for label, (kappa1, kappa2) in zip(("left", "right"), couplings):
-        sweep = run_sweep(RunConfig(kappa1=kappa1, kappa2=kappa2, tau_min=tau_min,
-                                    tau_max=tau_max, points=points, sign=sign))
+        sweep = run_sweep(dataclasses.replace(cfg, kappa1=kappa1, kappa2=kappa2,
+                                              tau_convention=TauConvention.RATE))
         suffix, prefix, panel = ((f"_{label}", f"{label}_", f"{label} panel") if two
                                  else ("", "", "couplings"))
         columns.extend(name + suffix for name in CRITERIA[plotted])
@@ -193,9 +194,10 @@ def reproduce_figure(which, out_dir, *, tau_min=0.0, tau_max=3.0, points=301,
         metadata.append((f"{prefix}kappa2", _fmt(kappa2)))
         sidecar.append(f"{panel}: kappa1 = {_fmt(kappa1)}, kappa2 = {_fmt(kappa2)}")
     metadata.append(("tau_convention", TauConvention.RATE.value))
-    metadata.append(("sign", sign.value))
-    sidecar.append(f"tau = rate * t on [{_fmt(tau_min)}, {_fmt(tau_max)}], {points} points")
-    sidecar.append(f"inference sign: {sign.value}")
+    metadata.append(("sign", cfg.sign.value))
+    sidecar.append(f"tau = rate * t on [{_fmt(cfg.tau_min)}, {_fmt(cfg.tau_max)}], "
+                   f"{cfg.points} points")
+    sidecar.append(f"inference sign: {cfg.sign.value}")
 
     os.makedirs(out_dir, exist_ok=True)
     table = np.column_stack([sweep.taus, *panels])
@@ -233,8 +235,8 @@ def run_oracle_check(cfg):
     c = cfg.couplings
     ax = _x_drift(c)
     taus = cfg.taus()
-    ts = taus / time_scale(c, cfg.tau_convention)
     with np.errstate(all="ignore"):
+        ts = taus / time_scale(c, cfg.tau_convention)
         analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)))
         via_expm = _finite(_x_moments(_expm_propagators(ax, ts)), "expm")
         steps = np.maximum(1.0, np.ceil(RK4_STEPS_PER_UNIT_TAU * taus))

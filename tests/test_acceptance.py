@@ -18,7 +18,6 @@ import pytest
 
 from trimode import (
     Couplings,
-    MomentMethod,
     RunConfig,
     VlfGains,
     compare_moments,
@@ -84,8 +83,8 @@ def test_criterion_01_oracle_equivalence(grid):
     worst_rk4 = 0.0
     for c, t, tau in grid:
         closed = closed_form_moments(c, t)
-        analytic = moments_at(c, t, MomentMethod.ANALYTIC)
-        via_expm = moments_at(c, t, MomentMethod.EXPM)
+        analytic = moments_at(c, t)
+        via_expm = outer_moments(propagator_expm(c, t))
         for a, b in ((closed, analytic), (closed, via_expm), (analytic, via_expm)):
             worst_moments = max(worst_moments, compare_moments(a, b, 1e-9).max_rel_err)
         steps = max(1, int(math.ceil(10_000 * tau)))
@@ -298,8 +297,8 @@ def test_criterion_10_degenerate_continuity():
     for ratio in (1.0 + 1e-8, 1.0 - 1e-8):
         c = Couplings(ratio, 1.0)
         for t in np.linspace(0.0, 3.0, 31):
-            near = moments_at(c, t, MomentMethod.ANALYTIC)
-            exact = moments_at(c, t, MomentMethod.EXPM)
+            near = moments_at(c, t)
+            exact = outer_moments(propagator_expm(c, t))
             worst = max(worst, compare_moments(exact, near, 1e-6).max_rel_err)
     ok = worst <= 1e-6
     announce(10, "degenerate continuity", ok, f"worst deviation {worst:.2e}")

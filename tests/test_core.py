@@ -38,6 +38,18 @@ class TestCouplings:
         with pytest.raises(InvalidCouplingError):
             Couplings(k1, k2)
 
+    @pytest.mark.parametrize("kappa", [1.5e-154, 1e-10, 1e10, 1.34e154])
+    def test_squares_are_normal_doubles(self, kappa):
+        assert Couplings(kappa, 1.0).kappa1 == Couplings(1.0, kappa).kappa2 == kappa
+
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-170, 1.49e-154, 1.35e154, 2e160, 1e300])
+    def test_squares_outside_the_normal_range(self, kappa):
+        # (2e160, 1e160) read as periodic with rate nan and (2e-170, 1e-170)
+        # as degenerate when their squares overflowed or underflowed.
+        for k1, k2 in ((kappa, 1.0), (1.0, kappa), (2 * kappa, kappa)):
+            with pytest.raises(InvalidCouplingError, match="normal double"):
+                Couplings(k1, k2)
+
 
 class TestClassifyRegime:
     def test_hyperbolic(self):

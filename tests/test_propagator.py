@@ -1,6 +1,7 @@
 """Drift construction, closed-form propagators and moment evolution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 import trimode.propagator
 from trimode import (
     Couplings,
-    MomentMethod,
     MomentState,
     PropagatorPair,
     RegimeError,
@@ -183,13 +183,9 @@ class TestMoments:
 
     def test_methods_agree(self):
         for c, t, _ in grid_points(n_tau=7):
-            a = moments_at(c, t, MomentMethod.ANALYTIC)
-            b = moments_at(c, t, MomentMethod.EXPM)
+            a = moments_at(c, t)
+            b = outer_moments(propagator_expm(c, t))
             assert compare_moments(a, b, 1e-9).passed
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            moments_at(HYP, 1.0, "analytic")
 
     @pytest.mark.parametrize("c", [HYP, PER, DEG, Couplings(1.0, 1.0000000011),
                                    Couplings(1.0, 1.00001)])
@@ -235,6 +231,18 @@ class TestClosedFormMoments:
         with pytest.raises(RegimeError):
             closed_form_moments(DEG, 1.0)
 
+    @pytest.mark.parametrize("kappas", [(1e100, 5e99), (1e-100, 5e-101), (5e99, 1e100)])
+    def test_rate_powers_out_of_range(self, kappas):
+        # rate^4 overflows, or underflows to a zero divisor, as a Python float.
+        names = re.escape(f"kappa1 = {kappas[0]!r}, kappa2 = {kappas[1]!r}")
+        with pytest.raises(ValueError, match=names):
+            closed_form_moments(Couplings(*kappas), 0.5 / kappas[0])
+
+    def test_large_couplings_in_range(self):
+        c = Couplings(1e30, 5e29)
+        t = 1.0 / classify_regime(c).rate
+        assert compare_moments(moments_at(c, t), closed_form_moments(c, t), 1e-12).passed
+
 
 class TestGridInvariants:
     def test_oracle_equivalence(self):
@@ -242,8 +250,8 @@ class TestGridInvariants:
         assert len(points) >= 100
         for c, t, tau in points:
             closed = closed_form_moments(c, t)
-            analytic = moments_at(c, t, MomentMethod.ANALYTIC)
-            via_expm = moments_at(c, t, MomentMethod.EXPM)
+            analytic = moments_at(c, t)
+            via_expm = outer_moments(propagator_expm(c, t))
             assert compare_moments(closed, analytic, 1e-9, tau).passed
             assert compare_moments(closed, via_expm, 1e-9, tau).passed
             assert compare_moments(analytic, via_expm, 1e-9, tau).passed
@@ -283,8 +291,8 @@ class TestGridInvariants:
                 c = Couplings(1.0 + direction * 10.0**-k, 1.0)
                 worst = 0.0
                 for t in ts:
-                    near = moments_at(c, t, MomentMethod.ANALYTIC)
-                    exact = moments_at(DEG, t, MomentMethod.EXPM)
+                    near = moments_at(c, t)
+                    exact = outer_moments(propagator_expm(DEG, t))
                     worst = max(worst, compare_moments(exact, near, 1.0).max_rel_err)
                 diffs.append(worst)
             assert all(a > b for a, b in zip(diffs, diffs[1:]))

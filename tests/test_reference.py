@@ -21,9 +21,10 @@ import pytest
 
 from trimode import (
     Couplings,
-    MomentMethod,
     evaluate_all,
     moments_at,
+    outer_moments,
+    propagator_expm,
     vlf_gains,
     vlf_value,
 )
@@ -114,8 +115,8 @@ def reference(kappa1, kappa2, tau):
     return reference_at(kappa1, kappa2, raw_time(kappa1, kappa2, tau), tau)
 
 
-def computed_at(kappa1, kappa2, t, method=MomentMethod.ANALYTIC):
-    return evaluate_all(moments_at(Couplings(kappa1, kappa2), t, method), t).values()
+def computed_at(kappa1, kappa2, t):
+    return evaluate_all(moments_at(Couplings(kappa1, kappa2), t), t).values()
 
 
 def computed(kappa1, kappa2, tau):
@@ -158,11 +159,15 @@ def test_every_criterion(kappas, tau):
     assert max(errors) <= 1e-9, errors
 
 
-def assert_close_at(kappa1, kappa2, t, tau, method=MomentMethod.ANALYTIC):
+def expm_moments(c, t):
+    return outer_moments(propagator_expm(c, t))
+
+
+def assert_close_at(kappa1, kappa2, t, tau, moments=moments_at):
     """Products within 1e-12 of the reference, every other criterion within
     1e-9, and so are the pairwise sums vlf_value gives at unit gains and at
     the vlf_gains gains."""
-    m = moments_at(Couplings(kappa1, kappa2), t, method)
+    m = moments(Couplings(kappa1, kappa2), t)
     expected = reference_at(kappa1, kappa2, t, tau)
     errors = combined_errors(evaluate_all(m, t).values(), expected)
     assert max(errors[9:]) <= 1e-12, errors
@@ -199,4 +204,4 @@ def test_window_at_long_times(t):
 def test_matrix_exponential_states(kappas, tau):
     # A state from any propagator of the equations of motion reads its
     # criteria from the propagator rows, not from cofactors of its moments.
-    assert_close_at(*kappas, raw_time(*kappas, tau), tau, MomentMethod.EXPM)
+    assert_close_at(*kappas, raw_time(*kappas, tau), tau, expm_moments)

@@ -1,5 +1,7 @@
 """Sweep engine, CSV emission, figure reproduction and the CLI."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trimode.core
 import trimode.propagator
@@ -174,7 +178,7 @@ class TestCsv:
 
 class TestFigures:
     def test_fig1_schema(self, tmp_path):
-        csv_path, sidecar = reproduce_figure(1, tmp_path, points=11)
+        csv_path, sidecar = reproduce_figure(1, tmp_path, RunConfig(points=11))
         meta, columns, rows = parse_csv(Path(csv_path).read_text())
         assert columns == [
             "tau", "v12_raw", "v13_raw", "v23_raw", "v12_opt", "v13_opt", "v23_opt",
@@ -186,7 +190,7 @@ class TestFigures:
         assert "rate" in text
 
     def test_fig3_has_both_panels(self, tmp_path):
-        csv_path, _ = reproduce_figure(3, tmp_path, points=21)
+        csv_path, _ = reproduce_figure(3, tmp_path, RunConfig(points=21))
         meta, columns, rows = parse_csv(Path(csv_path).read_text())
         assert columns == [
             "tau",
@@ -201,7 +205,7 @@ class TestFigures:
                 assert abs(values[name] - 1.0) < 1e-10
 
     def test_fig4_pairs_below_threshold(self, tmp_path):
-        csv_path, _ = reproduce_figure(4, tmp_path, points=31)
+        csv_path, _ = reproduce_figure(4, tmp_path, RunConfig(points=31))
         _, columns, rows = parse_csv(Path(csv_path).read_text())
         assert columns == ["tau", "obr23", "obr13", "obr12"]
         for row in rows:
@@ -215,7 +219,8 @@ class TestFigures:
     @pytest.mark.parametrize("which", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
     def test_columns_are_the_plotted_criteria_of_each_panel(self, which, sign, tmp_path):
-        csv_path, _ = reproduce_figure(which, tmp_path, points=23, tau_max=4.5, sign=sign)
+        csv_path, _ = reproduce_figure(which, tmp_path,
+                                       RunConfig(points=23, tau_max=4.5, sign=sign))
         _, columns, rows = parse_csv(Path(csv_path).read_text())
         table = np.array(rows)
         kind, _, couplings = trimode.sweep.FIGURE_PRESETS[which]
@@ -232,7 +237,8 @@ class TestFigures:
                 assert np.array_equal(got, sweep.values[:, CRITERIA.index(name)])
 
     def test_fig3_sidecar(self, tmp_path):
-        _, sidecar = reproduce_figure(3, tmp_path, points=21, tau_max=2.5, sign=Sign.MINUS)
+        _, sidecar = reproduce_figure(3, tmp_path,
+                                      RunConfig(points=21, tau_max=2.5, sign=Sign.MINUS))
         assert Path(sidecar).read_text().splitlines() == [
             "figure 3: obr_single criteria",
             "left panel: kappa1 = 1.2, kappa2 = 1",
@@ -240,6 +246,16 @@ class TestFigures:
             "tau = rate * t on [0, 2.5], 21 points",
             "inference sign: minus",
         ]
+
+    def test_reads_only_the_grid_and_sign(self, tmp_path):
+        # Panels pin their couplings and tau = rate * t whatever cfg holds.
+        base = RunConfig(points=21, tau_max=2.5)
+        other = RunConfig(kappa1=2.0, kappa2=0.5, tau_max=2.5, points=21, seed=9,
+                          mc_samples=7, tau_convention=TauConvention.MAX_KAPPA)
+        for which in (1, 3):
+            a = reproduce_figure(which, tmp_path / "a", base)
+            b = reproduce_figure(which, tmp_path / "b", other)
+            assert [Path(p).read_bytes() for p in a] == [Path(p).read_bytes() for p in b]
 
     def test_invalid_figure_number(self, tmp_path):
         with pytest.raises(ValueError):
@@ -595,3 +611,90 @@ class TestNearDegenerateCorridor:
                              "--tau", tau)
         assert abs(float(values["obr_single.obr3"]) - 1.0) <= 1e-12
         assert values["obr_pair_flag"] == "true"
+
+
+class TestDomainEdges:
+    """Inputs at the edges of the double range run, or exit 4 with one
+    error line, and never warn."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--tau", "1e-150", "--kappa1", "1e-170", "--kappa2", "2e-170"],
+            ["eval", "--tau", "1", "--kappa1", "2e160", "--kappa2", "1e160"],
+            ["oracle", "--kappa1", "1e100", "--kappa2", "5e99"],
+            ["oracle", "--kappa1", "1e-100", "--kappa2", "5e-101"],
+            ["sweep", "--points", "3", "--tau-max", "1e300", "--kappa1", "1e-10",
+             "--kappa2", "1e-10"],
+        ],
+    )
+    def test_exit_code_and_single_error_line(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
+    def test_closed_form_range_names_the_couplings(self, capsys):
+        assert main(["oracle", "--kappa1", "1e100", "--kappa2", "5e99"]) == 4
+        assert capsys.readouterr().err == (
+            "error: closed-form moments leave double range at kappa1 = 1e+100, "
+            "kappa2 = 5e+99\n")
+
+    @pytest.mark.parametrize("n", [2**63, 2**70])
+    def test_mc_samples_past_int64(self, n, capsys):
+        assert main(["oracle", "--points", "3", "--mc-samples", str(n)]) == 0
+        captured = capsys.readouterr()
+        assert [line.split()[0] for line in captured.out.splitlines()] == ["PASS"] * 5
+        assert captured.err == ""
+
+
+#: CLI numbers across and past the double range, as a shell passes them:
+#: magnitudes log-uniform in 1e-330 to 1e330 of either sign, and the zeros
+#: and non-finite values.
+cli_numbers = st.one_of(
+    st.builds("{}{:.3f}e{}".format, st.sampled_from(["", "-"]),
+              st.floats(min_value=1.0, max_value=9.999), st.integers(-330, 330)),
+    st.sampled_from(["0", "-0", "nan", "inf", "-inf"]),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """eval, sweep --points 3 or oracle --points 3 at drawn couplings and
+    tau, and for oracle a sample count up to 2**80."""
+    command = draw(st.sampled_from(["eval", "sweep", "oracle"]))
+    argv = [command] if command == "eval" else [command, "--points", "3"]
+    argv += [f"--kappa1={draw(cli_numbers)}", f"--kappa2={draw(cli_numbers)}",
+             f"--{'tau' if command == 'eval' else 'tau-max'}={draw(cli_numbers)}"]
+    if command == "oracle":
+        argv.append(f"--mc-samples={draw(st.integers(-1, 2**80))}")
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(cli_runs())
+@example(["oracle", "--points", "3", "--mc-samples", "9223372036854775808"])
+@example(["eval", "--tau", "1e-150", "--kappa1", "1e-170", "--kappa2", "2e-170"])
+@example(["eval", "--tau", "1", "--kappa1", "2e160", "--kappa2", "1e160"])
+@example(["oracle", "--kappa1", "1e100", "--kappa2", "5e99"])
+@example(["oracle", "--kappa1", "1e-100", "--kappa2", "5e-101"])
+@example(["sweep", "--points", "3", "--tau-max", "1e300", "--kappa1", "1e-10",
+          "--kappa2", "1e-10"])
+def test_cli_exits_with_a_documented_code(argv):
+    # Warnings are errors in this suite, so a leaked RuntimeWarning fails.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 1:
+        assert argv[0] == "oracle"
+        assert "FAIL " in out.getvalue()
+    else:
+        assert rc in (0, 2, 3, 4)
+    if rc == 4:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
