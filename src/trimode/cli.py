@@ -18,12 +18,13 @@ import argparse
 import dataclasses
 import sys
 
-from .core import Sign, TauConvention
+from .core import Sign, TauConvention, _check_time
 from .criteria import evaluate_all
 from .propagator import moments_at
 from .sweep import (
     FIGURE_PRESETS,
     RunConfig,
+    _write,
     load_config_file,
     reproduce_figure,
     run_oracle_check,
@@ -147,15 +148,13 @@ def _cmd_oracle(cfg):
         )
     text = "\n".join(lines) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(cfg.out, text)
     sys.stdout.write(text)
     return 0 if all_passed else 1
 
 
 def _cmd_eval(cfg, tau):
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    _check_time(tau, "tau")
     c = cfg.couplings
     t = tau / time_scale(c, cfg.tau_convention)
     report = evaluate_all(moments_at(c, t), t, cfg.sign)

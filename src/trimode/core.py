@@ -107,10 +107,10 @@ def _check_finite(values, message):
         raise ValueError(message)
 
 
-def _check_time(t):
-    """ValueError unless the time t is finite and >= 0."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+def _check_time(value, name="t"):
+    """ValueError unless value, the time called name, is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class InvalidCouplingError(ValueError):
@@ -161,7 +161,11 @@ class Couplings:
 
     def __post_init__(self):
         for name, value in (("kappa1", self.kappa1), ("kappa2", self.kappa2)):
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the double range
+                raise InvalidCouplingError(f"{name} exceeds the double range") from None
+            if not finite:
                 raise InvalidCouplingError(f"{name} must be finite, got {value!r}")
             if value <= 0:
                 raise InvalidCouplingError(f"{name} must be positive, got {value!r}")

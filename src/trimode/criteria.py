@@ -120,12 +120,6 @@ def _residual(num, den, own):
 _SUM_ENTRIES = ((1, 2, 0, 5, 3, 4), (0, 2, 1, 4, 3, 5), (0, 1, 2, 3, 4, 5))
 
 
-def _x_difference(x, k):
-    """V(X_i - X_j) of the pair that leaves out mode k."""
-    ii, jj, _, ij, _, _ = _SUM_ENTRIES[k]
-    return x[ii] + x[jj] - 2.0 * x[ij]
-
-
 def _y_sum(y, k, g):
     """V(Y_i + Y_j + g Y_k)."""
     ii, jj, kk, ij, ik, jk = _SUM_ENTRIES[k]
@@ -147,7 +141,7 @@ def _values(fx, fy, ax, ay, totals, gains, sign):
     divide one numerator n_i, the adjugate form of e_j - s e_k, by c_i, the
     form of e_j + s e_k, and by that of e_i (see _residual).  The optimised
     sums take q_i = V(Y_j + Y_k | Y_i) whatever the sign.  Raises
-    ValueError when a value is not finite.
+    ValueError when sign is not a Sign or a value is not finite.
     """
     (x1, x2, x3), xp, xm = fx
     (y1, y2, y3), yp, ym = fy
@@ -157,11 +151,13 @@ def _values(fx, fy, ax, ay, totals, gains, sign):
     q3 = _residual(yn[2], y3, yp[2])
     if sign is Sign.PLUS:
         xc, xn, yc, p1, p2, p3 = xp, ax[2], yp, q1, q2, q3
-    else:
+    elif sign is Sign.MINUS:
         xc, xn, yc, yn = xm, ax[1], ym, ay[1]
         p1 = _residual(yn[0], y1, yc[0])
         p2 = _residual(yn[1], y2, yc[1])
         p3 = _residual(yn[2], y3, yc[2])
+    else:
+        raise ValueError(f"sign must be Sign.PLUS or Sign.MINUS, got {sign!r}")
     values = (
         xm[2] + totals[2], xm[1] + totals[1], xm[0] + totals[0],
         xm[2] + q3, xm[1] + q2, xm[0] + q1,
@@ -188,10 +184,6 @@ def _entry_criteria(x, y, sign):
 
 def _minus(u, v):
     return u[0] - v[0], u[1] - v[1], u[2] - v[2]
-
-
-def _times(g, u):
-    return g * u[0], g * u[1], g * u[2]
 
 
 def row_criteria(rows, sign=Sign.PLUS):
@@ -275,9 +267,10 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
     The gain applied is the one indexed by the mode absent from the pair.
     With the optimal gains this equals V(X_i - X_j) plus the inferred
     variance of Y_i + Y_j estimated from Y_k.  A state propagated from
-    vacuum reads both variances as squared norms of row combinations:
-    X_i - X_j gives r_i - r_j, and Y_i + Y_j + g Y_k the same combination
-    of the sign-flipped rows, S q for q = e_i + e_j + g e_k.
+    vacuum reads both as squared norms of row_criteria's row combinations:
+    X_i - X_j gives r_i - r_j, and Y_i + Y_j + g Y_k gives d - r3 plus
+    (g - 1) r1 for k = 1 and (1 - g) r_k otherwise, so unit gains give
+    evaluate_all's raw sums bit for bit.
     """
     if tuple(pair) not in _VALID_PAIRS:
         raise ValueError(f"pair must be one of {_VALID_PAIRS}, got {pair!r}")
@@ -285,13 +278,11 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
     g = float(gains[k])
     rows = getattr(m, "_rows", None)
     if rows is None:
-        return _x_difference(_entries(m.cx), k) + _y_sum(_entries(m.cy), k, g)
+        return _entry_forms(_entries(m.cx))[2][k] + _y_sum(_entries(m.cy), k, g)
     r1, r2, r3, d = rows
-    x, y = (
-        (_minus(r2, r3), _minus(_minus(_times(g, r1), r2), r3)),
-        (_minus(r1, r3), _minus(_minus(r1, _times(g, r2)), r3)),
-        (d, _minus(d, _times(g, r3))),
-    )[k]
+    x = (_minus(r2, r3), _minus(r1, r3), d)[k]
+    w = g - 1.0 if k == 0 else 1.0 - g
+    y = [s + w * r for s, r in zip(_minus(d, r3), rows[k])]
     return _dot(x, x) + _dot(y, y)
 
 

@@ -8,7 +8,8 @@ compare_moments reduces two states to a structured error report.  RK4
 integrates the X block alone, as one (N, 3, 3) stack over a whole grid,
 and every Y block is S mx S with S = diag(1, -1, -1), once _x_drift has
 checked that the Y drift is S ax S exactly.  The comparison runs on
-whole grids of (cx, cy) pairs; the public functions are grids of one.
+whole grids of (cx, cy) pairs or of cx alone; the public functions are
+grids of one.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ def mc_moments(c, t, n, seed):
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
     pair = propagator_analytic(c, t)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     blocks = []
@@ -162,7 +165,7 @@ def _pair(m):
 
 
 def _compare(a, b, tol, labels):
-    """Worst-case report over (N, 2, 3, 3) stacks of (cx, cy) pairs.
+    """Worst-case report over (N, 2, 3, 3) (cx, cy) or (N, 1, 3, 3) cx stacks.
 
     The worst grid point is the first one with the largest combined error;
     within it X comes before Y and entries go row-major, and the first
@@ -170,8 +173,8 @@ def _compare(a, b, tol, labels):
     error at that grid point, and labels[i] (a tau) labels point i.
     """
     n = len(a)
-    diff = np.abs(a - b).reshape(n, 18)
-    rel = diff / np.maximum(1.0, np.abs(a)).reshape(n, 18)
+    diff = np.abs(a - b).reshape(n, -1)
+    rel = diff / np.maximum(1.0, np.abs(a)).reshape(n, -1)
     point = int(np.argmax(rel.max(axis=1)))
     entry = int(np.argmax(rel[point]))
     quad, (i, j) = (Quadrature.X, Quadrature.Y)[entry // 9], divmod(entry % 9, 3)

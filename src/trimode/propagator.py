@@ -188,15 +188,6 @@ def _outer(m):
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 
-def _x_moments(mx):
-    """(N, 2, 3, 3) stack of the moments (cx, cy) an (N, 3, 3) stack of X
-    propagator blocks produces from vacuum: cx = mx @ mx.T, and cy = S cx S
-    by _moment_blocks, as my = S mx S gives it."""
-    cx = _outer(mx)
-    return _moment_blocks((cx[:, 0, 0], cx[:, 1, 1], cx[:, 2, 2],
-                           cx[:, 0, 1], cx[:, 0, 2], cx[:, 1, 2]))
-
-
 def outer_moments(pair):
     """Moments a propagator pair produces from vacuum: cx = mx @ mx.T etc.
 

@@ -20,6 +20,7 @@ from .core import (
     Sign,
     SweepResult,
     TauConvention,
+    _check_time,
     classify_regime,
 )
 from .criteria import row_criteria
@@ -28,9 +29,9 @@ from .propagator import (
     _closed_form_entries,
     _expm_propagators,
     _moment_blocks,
+    _outer,
     _row_moments,
     _x_drift,
-    _x_moments,
     propagator_rows,
 )
 
@@ -88,8 +89,7 @@ class RunConfig:
 
     def __post_init__(self):
         Couplings(self.kappa1, self.kappa2)
-        if not (math.isfinite(self.tau_min) and self.tau_min >= 0):
-            raise ValueError(f"tau_min must be finite and >= 0, got {self.tau_min!r}")
+        _check_time(self.tau_min, "tau_min")
         if not (math.isfinite(self.tau_max) and self.tau_max > self.tau_min):
             raise ValueError("tau_max must exceed tau_min")
         if self.points < 2:
@@ -110,10 +110,12 @@ def time_scale(c, convention):
 
     RATE uses the regime rate (Omega or xi); degenerate couplings have rate
     zero, so RATE falls back to max(kappa1, kappa2) there, which MAX_KAPPA
-    uses always.
+    uses always.  ValueError for any other convention.
     """
     if convention is TauConvention.MAX_KAPPA:
         return c.kappa_max
+    if convention is not TauConvention.RATE:
+        raise ValueError(f"convention must be a TauConvention, got {convention!r}")
     regime = classify_regime(c)
     return c.kappa_max if regime.kind is RegimeKind.DEGENERATE else regime.rate
 
@@ -222,15 +224,15 @@ def run_oracle_check(cfg):
     RK4_STEPS_PER_UNIT_TAU density and Monte Carlo sampling at a few grid
     points.  Each path but Monte Carlo runs as one pass over the grid, and
     each comparison reduces the whole grid to its worst point.  expm and
-    rk4 run on the X drift alone, as one (N, 3, 3) stack each; their Y
-    moments, like those of the analytic and closed-form paths, are
-    cy = S cx S with S = diag(1, -1, -1) (_moment_blocks), which holds
-    because the Y drift is S ax S, checked exactly first.  Returns
-    [(name, ComparisonReport), ...]; a run is good when every report
-    passed.  Raises ValueError when that drift identity fails or a moment
-    of any path is not finite.  The Monte Carlo comparison is statistical:
-    at the default 10^6 samples its 1e-2 bound on the worst entry fails by
-    chance on about 2 of 9000 seeds.
+    rk4 run on the X drift alone, as one (N, 3, 3) stack each.  Every
+    deterministic path has cy = S cx S, S = diag(1, -1, -1), as the Y drift
+    is S ax S (checked exactly first), so its cy errs exactly as its cx and
+    only cx is compared; Monte Carlo draws cy independently and compares
+    both.  Returns [(name, ComparisonReport), ...]; a run is good when
+    every report passed.  Raises ValueError when that drift identity fails
+    or a moment of any path is not finite.  The Monte Carlo comparison is
+    statistical: at the default 10^6 samples its 1e-2 bound on the worst
+    entry fails by chance on about 2 of 9000 seeds.
     """
     c = cfg.couplings
     ax = _x_drift(c)
@@ -238,22 +240,23 @@ def run_oracle_check(cfg):
     with np.errstate(all="ignore"):
         ts = taus / time_scale(c, cfg.tau_convention)
         analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)))
-        via_expm = _finite(_x_moments(_expm_propagators(ax, ts)), "expm")
+        via_expm = _finite(_outer(_expm_propagators(ax, ts))[:, None], "expm")
         steps = np.maximum(1.0, np.ceil(RK4_STEPS_PER_UNIT_TAU * taus))
         if not np.isfinite(steps).all():
             raise ValueError("rk4 step count overflows; choose a smaller tau")
         rk4 = _rk4_propagators(ax, ts, [int(n) for n in steps.tolist()])
-        via_rk4 = _finite(_x_moments(rk4), "rk4")
+        via_rk4 = _finite(_outer(rk4)[:, None], "rk4")
         closed = None
         if classify_regime(c).kind is not RegimeKind.DEGENERATE:
-            closed = _finite(_moment_blocks(_closed_form_entries(c, ts)), "closed-form")
+            closed = _finite(_moment_blocks(_closed_form_entries(c, ts))[:, :1], "closed-form")
 
+    analytic_x = analytic[:, :1]
     reports = [
-        ("analytic vs expm", _compare(analytic, via_expm, 1e-9, taus)),
-        ("rk4 vs analytic", _compare(analytic, via_rk4, 1e-8, taus)),
+        ("analytic vs expm", _compare(analytic_x, via_expm, 1e-9, taus)),
+        ("rk4 vs analytic", _compare(analytic_x, via_rk4, 1e-8, taus)),
     ]
     if closed is not None:
-        reports.append(("closed-form vs analytic", _compare(closed, analytic, 1e-9, taus)))
+        reports.append(("closed-form vs analytic", _compare(closed, analytic_x, 1e-9, taus)))
         reports.append(("closed-form vs expm", _compare(closed, via_expm, 1e-9, taus)))
 
     n = len(taus)

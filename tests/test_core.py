@@ -33,7 +33,9 @@ class TestCouplings:
         assert c.kappa_max == 1.2
 
     @pytest.mark.parametrize("k1,k2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                       (math.inf, 1.0), (math.nan, 1.0)])
+                                       (math.inf, 1.0), (math.nan, 1.0),
+                                       pytest.param(10**400, 1.0, id="int-past-double"),
+                                       pytest.param(1.0, -10**400, id="negative-int-past-double")])
     def test_invalid(self, k1, k2):
         with pytest.raises(InvalidCouplingError):
             Couplings(k1, k2)

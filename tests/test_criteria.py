@@ -311,6 +311,15 @@ class TestEvaluateAll:
         assert rep.sign is Sign.MINUS
         assert rep.obr_single.obr1 >= 0.0
 
+    @pytest.mark.parametrize("sign", ["plus", "minus", None])
+    def test_sign_must_be_a_sign(self, m1, sign):
+        # A string must not silently select a branch, on either path.
+        for m in (m1, MomentState(m1.cx, m1.cy)):
+            with pytest.raises(ValueError, match="sign must be"):
+                evaluate_all(m, T1, sign)
+            with pytest.raises(ValueError, match="sign must be"):
+                obr_single(m, 1, sign)
+
     def test_rescaling_invariance(self):
         for scale in (0.5, 2.0, 3.7):
             for c, t in ((HYP, T1), (PER, T2)):

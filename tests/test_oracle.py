@@ -132,6 +132,12 @@ class TestMcMoments:
         with pytest.raises(ValueError):
             mc_moments(HYP, 1.0, n, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, math.nan])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            mc_moments(HYP, 1.0, 10, seed)
+        mc_moments(HYP, 1.0, 10, 2**128 - 1)
+
     def test_criteria_from_sampled_moments_match_analytic(self):
         analytic = moments_at(HYP, T1)
         rep = evaluate_all(analytic, T1)
@@ -404,6 +410,22 @@ class TestOracleWork:
             assert stacks == {"_expm": [(points, 3, 3)], "_matrix_powers": [(points, 3, 3)]}
             for shapes in stacks.values():
                 shapes.clear()
+
+    @pytest.mark.parametrize("kappas,closed", [((1.2, 1.0), 2), ((1.0, 1.8), 2),
+                                               ((1.0, 1.0), 0)])
+    def test_deterministic_paths_compare_cx_alone(self, kappas, closed, monkeypatch):
+        # Their cy is S cx S on both sides, so only Monte Carlo, whose cy is
+        # an independent draw, compares both blocks.
+        shapes = []
+        original = trimode.sweep._compare
+
+        def recording(a, b, *args):
+            shapes.append((a.shape, b.shape))
+            return original(a, b, *args)
+
+        monkeypatch.setattr(trimode.sweep, "_compare", recording)
+        run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=11))
+        assert shapes == [((11, 1, 3, 3),) * 2] * (2 + closed) + [((3, 2, 3, 3),) * 2]
 
 
 @pytest.fixture

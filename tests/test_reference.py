@@ -163,6 +163,21 @@ def expm_moments(c, t):
     return outer_moments(propagator_expm(c, t))
 
 
+@pytest.mark.parametrize("moments", [moments_at, expm_moments])
+@pytest.mark.parametrize(
+    "kappas,tau",
+    EVERY_CRITERION,
+    ids=[f"kappas{i // len(SHORT_TAUS)}-{tau}" for i, (_, tau) in enumerate(EVERY_CRITERION)],
+)
+def test_unit_gain_sums_are_the_raw_criteria(kappas, tau, moments):
+    # vlf_value reads the row combinations evaluate_all reads, in the same
+    # order, so at unit gains the two agree bit for bit.
+    t = raw_time(*kappas, tau)
+    m = moments(Couplings(*kappas), t)
+    sums = [vlf_value(m, p) for p in ((1, 2), (1, 3), (2, 3))]
+    assert sums == list(evaluate_all(m, t).values()[:3])
+
+
 def assert_close_at(kappa1, kappa2, t, tau, moments=moments_at):
     """Products within 1e-12 of the reference, every other criterion within
     1e-9, and so are the pairwise sums vlf_value gives at unit gains and at

@@ -73,6 +73,7 @@ class TestRunConfig:
             dict(tau_min=2.0, tau_max=1.0),
             dict(points=1),
             dict(kappa1=-1.0),
+            dict(kappa1=10**400),
             dict(mc_samples=0),
         ],
     )
@@ -92,6 +93,14 @@ class TestTimeScale:
 
     def test_degenerate_rate_falls_back(self):
         assert time_scale(DEG, TauConvention.RATE) == 1.0
+
+    @pytest.mark.parametrize("convention", ["rate", "maxkappa", None])
+    def test_convention_must_be_a_tau_convention(self, convention):
+        # A string must not silently select a time scale.
+        with pytest.raises(ValueError, match="convention must be"):
+            time_scale(HYP, convention)
+        with pytest.raises(ValueError, match="convention must be"):
+            run_sweep(RunConfig(points=3, tau_convention=convention))
 
 
 class TestRunSweep:
@@ -135,6 +144,10 @@ class TestRunSweep:
             monkeypatch.setattr(module, "classify_regime", counting)
         run_sweep(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=101))
         assert len(calls) == 1
+
+    def test_sign_must_be_a_sign(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            run_sweep(RunConfig(points=3, sign="plus"))
 
     def test_degenerate_couplings_sweep(self):
         result = run_sweep(RunConfig(kappa1=1.0, kappa2=1.0, points=5))
@@ -418,6 +431,13 @@ class TestCli:
         assert rc == 3
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+    def test_eval_names_an_invalid_tau(self, tau, capsys):
+        assert main(["eval", "--tau", tau]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tau must be finite and >= 0, got {float(tau)!r}\n"
+
     def test_invalid_values_exit_code(self, capsys):
         rc = main(["sweep", "--kappa1", "-2"])
         assert rc == 4
@@ -664,19 +684,23 @@ cli_numbers = st.one_of(
 @st.composite
 def cli_runs(draw):
     """eval, sweep --points 3 or oracle --points 3 at drawn couplings and
-    tau, and for oracle a sample count up to 2**80."""
+    tau, and for oracle a sample count up to 2**80 and a seed in [-1,
+    2**130]."""
     command = draw(st.sampled_from(["eval", "sweep", "oracle"]))
     argv = [command] if command == "eval" else [command, "--points", "3"]
     argv += [f"--kappa1={draw(cli_numbers)}", f"--kappa2={draw(cli_numbers)}",
              f"--{'tau' if command == 'eval' else 'tau-max'}={draw(cli_numbers)}"]
     if command == "oracle":
         argv.append(f"--mc-samples={draw(st.integers(-1, 2**80))}")
+        argv.append(f"--seed={draw(st.integers(-1, 2**130))}")
     return argv
 
 
 @settings(max_examples=250, deadline=None)
 @given(cli_runs())
 @example(["oracle", "--points", "3", "--mc-samples", "9223372036854775808"])
+@example(["oracle", "--points", "3", "--seed", "-1"])
+@example(["oracle", "--points", "3", "--seed", str(2**128)])
 @example(["eval", "--tau", "1e-150", "--kappa1", "1e-170", "--kappa2", "2e-170"])
 @example(["eval", "--tau", "1", "--kappa1", "2e160", "--kappa2", "1e160"])
 @example(["oracle", "--kappa1", "1e100", "--kappa2", "5e99"])
