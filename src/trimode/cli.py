@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .core import Sign, TauConvention, _check_time
@@ -90,6 +91,13 @@ def build_parser():
     p_eval.add_argument("--tau", type=float, required=True, help="dimensionless time")
 
     return parser
+
+
+@functools.cache
+def _parser():
+    """The one parser main uses: building it costs more than a short sweep,
+    and parse_args keeps no state between calls."""
+    return build_parser()
 
 
 def _merge_config(args):
@@ -180,8 +188,7 @@ def _cmd_eval(cfg, tau):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
         if args.command == "sweep":

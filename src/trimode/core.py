@@ -109,7 +109,11 @@ def _check_finite(values, message):
 
 def _check_time(value, name="t"):
     """ValueError unless value, the time called name, is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the double range
+        finite = False
+    if not (finite and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 

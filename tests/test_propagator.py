@@ -181,6 +181,12 @@ class TestMoments:
         assert m.cx[0, 1] == pytest.approx(8.227241511954793, rel=1e-12)
         assert m.cy[0, 1] == pytest.approx(-8.227241511954793, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 10**400],
+                             ids=["negative", "nan", "inf", "int-past-double"])
+    def test_rejects_a_bad_time(self, t):
+        with pytest.raises(ValueError, match="^t must be finite and >= 0, got"):
+            moments_at(HYP, t)
+
     def test_methods_agree(self):
         for c, t, _ in grid_points(n_tau=7):
             a = moments_at(c, t)

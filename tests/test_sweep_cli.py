@@ -81,6 +81,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(tau_max=10**400), "tau_max"),
+        (dict(tau_min=10**400, tau_max=10**401), "tau_min"),
+    ])
+    def test_int_time_past_the_double_range(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got"):
+            RunConfig(**kwargs)
+
 
 class TestTimeScale:
     def test_rate_convention(self):
@@ -355,6 +363,27 @@ class TestCli:
         assert out.exists()
         meta, columns, rows = parse_csv(out.read_text())
         assert len(rows) == 3
+
+    def test_no_flag_carries_over_to_a_later_call(self, tmp_path, capsys):
+        # main reuses one parser: each call must see only its own flags.
+        report = tmp_path / "oracle.txt"
+        assert main(["sweep", "--points", "3", "--kappa2", "1.8",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert main(["figures", "--which", "2", "--points", "5",
+                     "--out", str(tmp_path / "one")]) == 0
+        assert main(["oracle", "--points", "3", "--out", str(report)]) == 0
+        report.unlink()
+        capsys.readouterr()
+
+        assert main(["sweep"]) == 0
+        meta, _, rows = parse_csv(capsys.readouterr().out)
+        assert (meta["kappa2"], len(rows)) == ("1", RunConfig().points)
+        assert main(["figures", "--points", "5", "--out", str(tmp_path / "all")]) == 0
+        assert len(list((tmp_path / "all").glob("fig*.csv"))) == len(trimode.sweep.FIGURE_PRESETS)
+        assert main(["oracle", "--points", "3"]) == 0
+        assert not report.exists()
+        assert main(["eval", "--tau", "1"]) == 0
+        assert "kappa2 = 1\n" in capsys.readouterr().out
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
