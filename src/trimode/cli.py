@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import functools
 import sys
 
-from .core import Sign, TauConvention, _check_time
+from .core import _check_time
 from .criteria import evaluate_all
 from .propagator import moments_at
 from .sweep import (
     FIGURE_PRESETS,
     RunConfig,
+    _run_metadata,
     _write,
     load_config_file,
     reproduce_figure,
@@ -47,39 +49,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    d = RunConfig()  # the defaults each help text states
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kappa1", type=float, help=f"first coupling (default {d.kappa1})")
-    common.add_argument("--kappa2", type=float, help=f"second coupling (default {d.kappa2})")
-    common.add_argument("--tau-min", type=float, help=f"grid start (default {d.tau_min})")
-    common.add_argument("--tau-max", type=float, help=f"grid end (default {d.tau_max})")
-    common.add_argument("--points", type=int, help=f"grid size (default {d.points})")
-    common.add_argument(
-        "--tau-convention",
-        choices=[c.value for c in TauConvention],
-        help=f"tau = rate*t or tau = max(kappa)*t (default {d.tau_convention.value})",
-    )
-    common.add_argument(
-        "--sign",
-        choices=[s.value for s in Sign],
-        help="two-mode combination sign used by the inference criteria",
-    )
-    common.add_argument("--seed", type=int, help=f"Monte Carlo seed (default {d.seed})")
-    common.add_argument(
-        "--mc-samples", type=int, help=f"Monte Carlo sample count (default {d.mc_samples})"
-    )
+    for f in dataclasses.fields(RunConfig):
+        if "help" not in f.metadata:
+            continue  # out: each subcommand declares its own --out
+        kind = type(f.default)
+        choices = [m.value for m in kind] if issubclass(kind, enum.Enum) else None
+        default = getattr(f.default, "value", f.default)
+        common.add_argument("--" + f.name.replace("_", "-"), type=str if choices else kind,
+                            choices=choices, help=f"{f.metadata['help']} (default {default})")
     common.add_argument("--config", help="key=value config file; flags override it")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="criteria over a tau grid")
     p_sweep.add_argument("--out", help="output CSV path (default: stdout)")
 
     p_fig = sub.add_parser("figures", parents=[common], help="figure data as CSV")
-    p_fig.add_argument(
-        "--which",
-        default="all",
-        choices=["1", "2", "3", "4", "5", "all"],
-        help="figure number 1..5 or 'all' (default all)",
-    )
+    presets = [str(n) for n in sorted(FIGURE_PRESETS)]
+    p_fig.add_argument("--which", default="all", choices=[*presets, "all"],
+                       help=f"figure number {presets[0]}..{presets[-1]} or 'all' (default all)")
     p_fig.add_argument("--out", help="output directory (default: current)")
 
     p_oracle = sub.add_parser(
@@ -168,10 +155,8 @@ def _cmd_eval(cfg, tau):
     report = evaluate_all(moments_at(c, t), t, cfg.sign)
     print(f"tau = {tau:.17g}")
     print(f"t = {report.t:.17g}")
-    print(f"kappa1 = {cfg.kappa1:.17g}")
-    print(f"kappa2 = {cfg.kappa2:.17g}")
-    print(f"tau_convention = {cfg.tau_convention.value}")
-    print(f"sign = {report.sign.value}")
+    for key, value in _run_metadata(cfg):
+        print(f"{key} = {value}")
     for name, values in (
         ("vlf_raw", report.vlf_raw),
         ("vlf_opt", report.vlf_opt),

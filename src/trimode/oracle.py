@@ -150,6 +150,8 @@ def mc_moments(c, t, n, seed):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     pair = propagator_analytic(c, t)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     blocks = []

@@ -67,23 +67,30 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _option(default, help):
+    """A RunConfig field that the CLI exposes as a common flag with help."""
+    return dataclasses.field(default=default, metadata={"help": help})
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Everything a sweep, figure or oracle run needs.
 
-    Each field is also a CLI flag and a config-file key of the same name
-    (underscores or dashes); out is the output path or directory.
+    Each field is a config-file key of the same name (underscores or
+    dashes); a field made by _option is also a CLI flag with its help.  out
+    is the output path or directory.
     """
 
-    kappa1: float = 1.2
-    kappa2: float = 1.0
-    tau_min: float = 0.0
-    tau_max: float = 3.0
-    points: int = 301
-    tau_convention: TauConvention = TauConvention.RATE
-    sign: Sign = Sign.PLUS
-    seed: int = 1
-    mc_samples: int = 10**6
+    kappa1: float = _option(1.2, "first coupling")
+    kappa2: float = _option(1.0, "second coupling")
+    tau_min: float = _option(0.0, "grid start")
+    tau_max: float = _option(3.0, "grid end")
+    points: int = _option(301, "grid size")
+    tau_convention: TauConvention = _option(
+        TauConvention.RATE, "tau = rate*t or tau = max(kappa)*t")
+    sign: Sign = _option(Sign.PLUS, "two-mode combination sign used by the inference criteria")
+    seed: int = _option(1, "Monte Carlo seed")
+    mc_samples: int = _option(10**6, "Monte Carlo sample count")
     out: str | None = None
 
     def __post_init__(self):
@@ -92,6 +99,8 @@ class RunConfig:
         _check_time(self.tau_max, "tau_max")
         if not self.tau_max > self.tau_min:
             raise ValueError("tau_max must exceed tau_min")
+        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points!r}")
         if self.mc_samples < 1:
@@ -287,16 +296,15 @@ def _csv_lines(metadata, columns, table):
     return "\n".join(lines) + "\n" + _csv_body(table)
 
 
+def _run_metadata(cfg):
+    """(key, text) pairs recording a run: a sweep's '#' lines, eval's header."""
+    return [("kappa1", _fmt(cfg.kappa1)), ("kappa2", _fmt(cfg.kappa2)),
+            ("tau_convention", cfg.tau_convention.value), ("sign", cfg.sign.value)]
+
+
 def sweep_csv_text(result):
     """Render a SweepResult as CSV text with '#' metadata lines."""
-    meta = result.meta
-    metadata = [
-        ("kappa1", _fmt(meta.kappa1)),
-        ("kappa2", _fmt(meta.kappa2)),
-        ("tau_convention", meta.tau_convention.value),
-        ("sign", meta.sign.value),
-    ]
-    return _csv_lines(metadata, ("tau",) + CRITERIA,
+    return _csv_lines(_run_metadata(result.meta), ("tau",) + CRITERIA,
                       np.column_stack([result.taus, result.values]))
 
 

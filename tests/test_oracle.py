@@ -3,6 +3,7 @@ structured comparisons.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,14 @@ class TestMcMoments:
     def test_invalid_sample_count(self, n):
         with pytest.raises(ValueError):
             mc_moments(HYP, 1.0, n, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0)])
+    def test_seed_must_be_an_integer(self, seed):
+        # A float seed must not be truncated to another seed.
+        message = f"seed must be an integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_moments(HYP, 1.0, 1000, seed)
+        mc_moments(HYP, 1.0, 1000, np.int64(1))
 
     @pytest.mark.parametrize("seed", [-1, 2**128, math.nan])
     def test_seed_outside_the_philox_key_range(self, seed):

@@ -1,8 +1,12 @@
 """Sweep engine, CSV emission, figure reproduction and the CLI."""
 
+import argparse
 import contextlib
+import dataclasses
+import enum
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trimode.cli
 import trimode.core
 import trimode.propagator
 import trimode.sweep
@@ -80,6 +85,14 @@ class TestRunConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("points", [3.0, 2.5, True, np.float64(5.0)])
+    def test_points_must_be_an_integer(self, points):
+        # A float grid size must be named here, not fail inside np.linspace.
+        message = f"points must be an integer, got {points!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(points=points)
+        assert RunConfig(points=np.int64(3)).taus().tolist() == [0.0, 1.5, 3.0]
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(tau_max=10**400), "tau_max"),
@@ -298,6 +311,11 @@ class TestOracleCheck:
         reports = dict(run_oracle_check(cfg))
         assert not reports["mc vs analytic"].passed
 
+    def test_seed_must_be_an_integer(self):
+        # Seed 2.9 must not run the Monte Carlo comparison at seed 2.
+        with pytest.raises(ValueError, match="^seed must be an integer, got 2.9$"):
+            run_oracle_check(RunConfig(points=3, seed=2.9))
+
     def test_degenerate_grid_skips_closed_form(self):
         cfg = RunConfig(kappa1=1.0, kappa2=1.0, points=5, mc_samples=1000)
         names = {name for name, _ in run_oracle_check(cfg)}
@@ -481,6 +499,59 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "obr_single.obr1 = 1" in proc.stdout
+
+
+def subcommand_parsers():
+    """{name: parser} of every trimode subcommand."""
+    parser = trimode.cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlagsFromRunConfig:
+    @pytest.mark.parametrize("command", ["sweep", "figures", "oracle", "eval"])
+    def test_every_field_but_out_is_a_flag_stating_its_default(self, command):
+        own = {"sweep": {"out"}, "figures": {"which", "out"}, "oracle": {"out"},
+               "eval": {"tau"}}[command]
+        actions = {a.dest: a for a in subcommand_parsers()[command]._actions}
+        fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "out"]
+        assert set(actions) == {"help", "config", *own, *fields}
+        for name in fields:
+            default = getattr(RunConfig(), name)
+            assert actions[name].option_strings == ["--" + name.replace("_", "-")]
+            assert actions[name].help.endswith(
+                f" (default {getattr(default, 'value', default)})")
+
+    def test_a_new_field_is_a_flag_and_a_config_key(self, monkeypatch, tmp_path, capsys):
+        extended = dataclasses.make_dataclass(
+            "ExtendedConfig",
+            [("efficiency", float, trimode.sweep._option(1.0, "detector efficiency"))],
+            bases=(RunConfig,), frozen=True)
+        trimode.cli._parser.cache_clear()
+        monkeypatch.setattr(trimode.cli, "RunConfig", extended)
+        try:
+            with pytest.raises(SystemExit):
+                main(["sweep", "--help"])
+            assert "--efficiency EFFICIENCY" in capsys.readouterr().out
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("efficiency = 0.25\npoints = 3\n")
+            for argv, efficiency in ((["--efficiency", "0.5"], 0.5),
+                                     (["--config", str(cfg)], 0.25), ([], 1.0)):
+                args = trimode.cli._parser().parse_args(["eval", "--tau", "1", *argv])
+                assert trimode.cli._merge_config(args).efficiency == efficiency
+            assert main(["eval", "--tau", "1", "--config", str(cfg)]) == 0
+        finally:
+            trimode.cli._parser.cache_clear()
+
+    @pytest.mark.parametrize("flags", [[], ["--kappa1", "1", "--kappa2", "1.8", "--sign",
+                                            "minus", "--tau-convention", "maxkappa"]])
+    def test_eval_header_is_the_sweep_metadata(self, flags, capsys):
+        assert main(["eval", "--tau", "1", *flags]) == 0
+        header = capsys.readouterr().out.splitlines()[2:6]
+        assert main(["sweep", "--points", "3", *flags]) == 0
+        metadata = [line[2:] for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("# ")]
+        assert header == metadata
 
 
 #: trimode oracle stdout and exit code at its defaults in the three regimes
@@ -710,18 +781,30 @@ cli_numbers = st.one_of(
 )
 
 
+#: Values drawn for the int RunConfig flags: --points stays in [-1, 4], so
+#: no draw allocates a large grid, the sample count reaches 2**80 and the
+#: seed reaches past both ends of [0, 2**128).
+INT_FLAGS = {"points": st.integers(-1, 4), "seed": st.integers(-1, 2**130),
+             "mc_samples": st.integers(-1, 2**80)}
+
+
+def flag_values(field):
+    """Strategy for the CLI text of one RunConfig field's flag."""
+    kind = type(field.default)
+    if issubclass(kind, enum.Enum):
+        return st.sampled_from([member.value for member in kind])
+    return INT_FLAGS[field.name] if kind is int else cli_numbers
+
+
 @st.composite
 def cli_runs(draw):
-    """eval, sweep --points 3 or oracle --points 3 at drawn couplings and
-    tau, and for oracle a sample count up to 2**80 and a seed in [-1,
-    2**130]."""
+    """eval at a drawn tau, sweep or oracle, with --points always drawn and
+    each other flag of a RunConfig field (but out) drawn or left out."""
     command = draw(st.sampled_from(["eval", "sweep", "oracle"]))
-    argv = [command] if command == "eval" else [command, "--points", "3"]
-    argv += [f"--kappa1={draw(cli_numbers)}", f"--kappa2={draw(cli_numbers)}",
-             f"--{'tau' if command == 'eval' else 'tau-max'}={draw(cli_numbers)}"]
-    if command == "oracle":
-        argv.append(f"--mc-samples={draw(st.integers(-1, 2**80))}")
-        argv.append(f"--seed={draw(st.integers(-1, 2**130))}")
+    argv = [command] + ([f"--tau={draw(cli_numbers)}"] if command == "eval" else [])
+    for field in dataclasses.fields(RunConfig):
+        if field.name != "out" and (field.name == "points" or draw(st.booleans())):
+            argv.append(f"--{field.name.replace('_', '-')}={draw(flag_values(field))}")
     return argv
 
 
