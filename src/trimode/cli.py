@@ -7,9 +7,10 @@ Subcommands:
   eval     criteria at a single tau, printed as key=value lines
 
 Exit codes: 0 success, 1 failed oracle comparison, 2 usage error,
-3 file I/O error, 4 invalid parameter values.  A config file (--config,
-flat key=value lines with '#' comments) supplies defaults; explicit flags
-always win.
+3 file I/O error, 4 invalid parameter values.  A subcommand takes flags
+only for the RunConfig fields it reads.  A config file (--config, flat
+key=value lines with '#' comments) may set any field and supplies
+defaults; explicit flags always win.
 """
 
 from __future__ import annotations
@@ -48,34 +49,29 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("sweep", "criteria over a tau grid"), ("figures", "figure data as CSV"),
+        ("oracle", "cross-check the moment paths"), ("eval", "criteria at one tau"))}
     for f in dataclasses.fields(RunConfig):
-        if "help" not in f.metadata:
-            continue  # out: each subcommand declares its own --out
         kind = type(f.default)
         choices = [m.value for m in kind] if issubclass(kind, enum.Enum) else None
         default = getattr(f.default, "value", f.default)
-        common.add_argument("--" + f.name.replace("_", "-"), type=str if choices else kind,
-                            choices=choices, help=f"{f.metadata['help']} (default {default})")
-    common.add_argument("--config", help="key=value config file; flags override it")
+        for name in f.metadata.get("commands", ()):  # out: each command's own --out
+            commands[name].add_argument(
+                "--" + f.name.replace("_", "-"), type=str if choices else kind,
+                choices=choices, help=f"{f.metadata['help']} (default {default})")
+    for p in commands.values():
+        p.add_argument("--config", help="key=value config file; it may set every RunConfig "
+                       "field, read by this command or not; flags override it")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="criteria over a tau grid")
-    p_sweep.add_argument("--out", help="output CSV path (default: stdout)")
-
-    p_fig = sub.add_parser("figures", parents=[common], help="figure data as CSV")
+    commands["sweep"].add_argument("--out", help="output CSV path (default: stdout)")
     presets = [str(n) for n in sorted(FIGURE_PRESETS)]
-    p_fig.add_argument("--which", default="all", choices=[*presets, "all"],
-                       help=f"figure number {presets[0]}..{presets[-1]} or 'all' (default all)")
-    p_fig.add_argument("--out", help="output directory (default: current)")
-
-    p_oracle = sub.add_parser(
-        "oracle", parents=[common], help="cross-check the moment paths"
-    )
-    p_oracle.add_argument("--out", help="optional report file")
-
-    p_eval = sub.add_parser("eval", parents=[common], help="criteria at one tau")
-    p_eval.add_argument("--tau", type=float, required=True, help="dimensionless time")
+    commands["figures"].add_argument(
+        "--which", default="all", choices=[*presets, "all"],
+        help=f"figure number {presets[0]}..{presets[-1]} or 'all' (default all)")
+    commands["figures"].add_argument("--out", help="output directory (default: current)")
+    commands["oracle"].add_argument("--out", help="optional report file")
+    commands["eval"].add_argument("--tau", type=float, required=True, help="dimensionless time")
 
     return parser
 
@@ -90,12 +86,11 @@ def _parser():
 def _merge_config(args):
     """Resolve flags > config file > RunConfig defaults.
 
-    Every RunConfig field is a flag and a config key of the same name; a
-    value is cast with the type of the field's default (str for out).
+    Every RunConfig field is a config key, and a flag of the same name
+    where the command reads it; a value is cast with the type of the
+    field's default (str for out).
     """
-    file_values = {}
-    if args.config is not None:
-        file_values = load_config_file(args.config)
+    file_values = {} if args.config is None else load_config_file(args.config)
     fields = dataclasses.fields(RunConfig)
     unknown = set(file_values) - {f.name for f in fields}
     if unknown:
@@ -157,18 +152,12 @@ def _cmd_eval(cfg, tau):
     print(f"t = {report.t:.17g}")
     for key, value in _run_metadata(cfg):
         print(f"{key} = {value}")
-    for name, values in (
-        ("vlf_raw", report.vlf_raw),
-        ("vlf_opt", report.vlf_opt),
-        ("gains", report.gains),
-        ("obr_single", report.obr_single),
-        ("obr_pair", report.obr_pair),
-    ):
+    for name in ("vlf_raw", "vlf_opt", "gains", "obr_single", "obr_pair"):
+        values = getattr(report, name)
         for field, value in zip(values._fields, values):
             print(f"{name}.{field} = {value:.17g}")
-    print(f"vlf_flag = {str(report.vlf_flag).lower()}")
-    print(f"obr_single_flag = {str(report.obr_single_flag).lower()}")
-    print(f"obr_pair_flag = {str(report.obr_pair_flag).lower()}")
+    for name in ("vlf_flag", "obr_single_flag", "obr_pair_flag"):
+        print(f"{name} = {str(getattr(report, name)).lower()}")
     return 0
 
 

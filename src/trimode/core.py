@@ -88,7 +88,10 @@ def _libm(fn, v):
 
 def _each(fn, x):
     """fn of a float, or of every entry of an array through the same libm
-    call (numpy's own transcendental kernels may round differently)."""
+    call.  numpy's own float64 kernels round differently and are chosen
+    per CPU: np.sinh with AVX-512 differs from math.sinh on about one
+    argument in eight, and not at all with it disabled, so output bytes
+    would depend on the machine."""
     if isinstance(x, np.ndarray):
         return np.array([_libm(fn, v) for v in x.tolist()], dtype=float)
     return _libm(fn, x)

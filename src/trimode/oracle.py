@@ -146,7 +146,7 @@ def mc_moments(c, t, n, seed):
     averaging n outer products, at a cost independent of n.  A result
     depends only on (seed, n).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")

@@ -164,12 +164,6 @@ def _expm(a):
     return result
 
 
-def _expm_propagators(ax, ts):
-    """(N, 3, 3) stack of the X blocks exp(ax * t) at every time t of ts,
-    for the X drift ax that _x_drift returns; each Y block is S mx S."""
-    return _expm(ax * ts[:, None, None])
-
-
 def propagator_expm(c, t):
     """Regime-independent propagator via the matrix exponential of the drift.
 
@@ -178,7 +172,7 @@ def propagator_expm(c, t):
     """
     _check_time(t)
     with np.errstate(all="ignore"):
-        mx = _expm_propagators(_x_drift(c), np.array([float(t)]))[0]
+        mx = _expm(_x_drift(c) * float(t))
     return PropagatorPair(mx, mx * _FLIP, t)
 
 

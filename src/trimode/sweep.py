@@ -26,7 +26,7 @@ from .criteria import row_criteria
 from .oracle import _compare, _pair, _rk4_propagators, mc_moments
 from .propagator import (
     _closed_form_entries,
-    _expm_propagators,
+    _expm,
     _moment_blocks,
     _outer,
     _row_moments,
@@ -67,9 +67,14 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _option(default, help):
-    """A RunConfig field that the CLI exposes as a common flag with help."""
-    return dataclasses.field(default=default, metadata={"help": help})
+def _option(default, help, commands):
+    """A RunConfig field that the CLI exposes, with help, as a flag of each
+    subcommand named in commands: the ones that read it."""
+    return dataclasses.field(default=default, metadata={"help": help, "commands": commands})
+
+
+_COUPLED = ("sweep", "oracle", "eval")  # figures fix couplings and convention
+_GRID = ("sweep", "figures", "oracle")  # eval evaluates one tau
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,20 +82,22 @@ class RunConfig:
     """Everything a sweep, figure or oracle run needs.
 
     Each field is a config-file key of the same name (underscores or
-    dashes); a field made by _option is also a CLI flag with its help.  out
-    is the output path or directory.
+    dashes), accepted by every subcommand; a field made by _option is also
+    a CLI flag, with its help, of the subcommands that read it.  out is the
+    output path or directory.
     """
 
-    kappa1: float = _option(1.2, "first coupling")
-    kappa2: float = _option(1.0, "second coupling")
-    tau_min: float = _option(0.0, "grid start")
-    tau_max: float = _option(3.0, "grid end")
-    points: int = _option(301, "grid size")
+    kappa1: float = _option(1.2, "first coupling", _COUPLED)
+    kappa2: float = _option(1.0, "second coupling", _COUPLED)
+    tau_min: float = _option(0.0, "grid start", _GRID)
+    tau_max: float = _option(3.0, "grid end", _GRID)
+    points: int = _option(301, "grid size", _GRID)
     tau_convention: TauConvention = _option(
-        TauConvention.RATE, "tau = rate*t or tau = max(kappa)*t")
-    sign: Sign = _option(Sign.PLUS, "two-mode combination sign used by the inference criteria")
-    seed: int = _option(1, "Monte Carlo seed")
-    mc_samples: int = _option(10**6, "Monte Carlo sample count")
+        TauConvention.RATE, "tau = rate*t or tau = max(kappa)*t", _COUPLED)
+    sign: Sign = _option(Sign.PLUS, "two-mode combination sign used by the inference criteria",
+                         ("sweep", "figures", "eval"))
+    seed: int = _option(1, "Monte Carlo seed", ("oracle",))
+    mc_samples: int = _option(10**6, "Monte Carlo sample count", ("oracle",))
     out: str | None = None
 
     def __post_init__(self):
@@ -99,8 +106,11 @@ class RunConfig:
         _check_time(self.tau_max, "tau_max")
         if not self.tau_max > self.tau_min:
             raise ValueError("tau_max must exceed tau_min")
-        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
-            raise ValueError(f"points must be an integer, got {self.points!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and (isinstance(value, bool)
+                                           or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points!r}")
         if self.mc_samples < 1:
@@ -390,7 +400,8 @@ def run_oracle_check(cfg):
     with np.errstate(all="ignore"):
         ts = taus / time_scale(c, cfg.tau_convention)
         analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)))
-        via_expm = _finite(_outer(_expm_propagators(ax, ts))[:, None], "expm")
+        # The X blocks exp(ax t) at every t; each Y block is S mx S.
+        via_expm = _finite(_outer(_expm(ax * ts[:, None, None]))[:, None], "expm")
         steps = np.maximum(1.0, np.ceil(RK4_STEPS_PER_UNIT_TAU * taus))
         if not np.isfinite(steps).all():
             raise ValueError("rk4 step count overflows; choose a smaller tau")

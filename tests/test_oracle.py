@@ -128,9 +128,11 @@ class TestMcMoments:
             assert np.all(np.abs(mean - n * c) < 5.0 * ns.std(axis=0) / root_k)
             assert np.all(np.abs(dev2.mean(axis=0) - var) < 5.0 * dev2.std(axis=0) / root_k)
 
-    @pytest.mark.parametrize("n", [0, -5, 1.5])
+    @pytest.mark.parametrize("n", [0, -5, 1.5, True, False])
     def test_invalid_sample_count(self, n):
-        with pytest.raises(ValueError):
+        # A bool must not reach numpy, which raises a bare TypeError.
+        message = f"n must be a positive integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             mc_moments(HYP, 1.0, n, seed=1)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0)])
@@ -407,7 +409,7 @@ class TestOracleWork:
         # The Y blocks come from the X ones, so the matrix exponential and
         # the RK4 power each see one (N, 3, 3) stack of an N-point grid.
         stacks = {"_expm": [], "_matrix_powers": []}
-        for module, name in ((trimode.propagator, "_expm"), (trimode.oracle, "_matrix_powers")):
+        for module, name in ((trimode.sweep, "_expm"), (trimode.oracle, "_matrix_powers")):
 
             def recording(a, *args, _name=name, _original=getattr(module, name)):
                 stacks[_name].append(a.shape)

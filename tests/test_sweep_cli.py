@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import enum
 import io
+import json
 import os
 import re
 import subprocess
@@ -93,6 +94,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             RunConfig(points=points)
         assert RunConfig(points=np.int64(3)).taus().tolist() == [0.0, 1.5, 3.0]
+
+    @pytest.mark.parametrize("name", ["seed", "mc_samples"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(5.0)])
+    def test_the_other_int_fields_must_be_integers(self, name, value):
+        # Checked as points is, not first inside an oracle run.
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**{name: value})
+        assert getattr(RunConfig(**{name: np.int64(3)}), name) == 3
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(tau_max=10**400), "tau_max"),
@@ -423,7 +433,9 @@ class TestCli:
         from_file, from_flags = tmp_path / "file.out", tmp_path / "flags.out"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
                        + f"out = {from_file}\n")
-        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        # The file sets every field; the flags only those the command reads.
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()
+                 if k.replace("-", "_") in READS[command]]
         rc = main([command, "--config", str(cfg)])
         assert main([command, *flags, "--out", str(from_flags)]) == rc
         capsys.readouterr()
@@ -508,31 +520,58 @@ def subcommand_parsers():
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
+#: The RunConfig fields each subcommand reads, and so takes as flags.
+READS = {
+    "sweep": {"kappa1", "kappa2", "tau_min", "tau_max", "points", "tau_convention", "sign"},
+    "figures": {"tau_min", "tau_max", "points", "sign"},
+    "oracle": {"kappa1", "kappa2", "tau_min", "tau_max", "points", "tau_convention",
+               "seed", "mc_samples"},
+    "eval": {"kappa1", "kappa2", "tau_convention", "sign"},
+}
+
+
 class TestFlagsFromRunConfig:
     @pytest.mark.parametrize("command", ["sweep", "figures", "oracle", "eval"])
     def test_every_field_but_out_is_a_flag_stating_its_default(self, command):
+        # A flag of exactly the commands its field declares, which READS pins.
         own = {"sweep": {"out"}, "figures": {"which", "out"}, "oracle": {"out"},
                "eval": {"tau"}}[command]
         actions = {a.dest: a for a in subcommand_parsers()[command]._actions}
-        fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "out"]
-        assert set(actions) == {"help", "config", *own, *fields}
-        for name in fields:
+        declared = {f.name for f in dataclasses.fields(RunConfig)
+                    if command in f.metadata.get("commands", ())}
+        assert declared == READS[command]
+        assert set(actions) == {"help", "config", *own, *declared}
+        for name in declared:
             default = getattr(RunConfig(), name)
             assert actions[name].option_strings == ["--" + name.replace("_", "-")]
             assert actions[name].help.endswith(
                 f" (default {getattr(default, 'value', default)})")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--tau", "1", "--points", "1"],
+        ["figures", "--which", "1", "--kappa1", "5"],
+        ["oracle", "--sign", "minus"],
+        ["sweep", "--seed", "3"],
+    ], ids=" ".join)
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
     def test_a_new_field_is_a_flag_and_a_config_key(self, monkeypatch, tmp_path, capsys):
         extended = dataclasses.make_dataclass(
             "ExtendedConfig",
-            [("efficiency", float, trimode.sweep._option(1.0, "detector efficiency"))],
+            [("efficiency", float,
+              trimode.sweep._option(1.0, "detector efficiency", ("sweep", "eval")))],
             bases=(RunConfig,), frozen=True)
         trimode.cli._parser.cache_clear()
         monkeypatch.setattr(trimode.cli, "RunConfig", extended)
         try:
-            with pytest.raises(SystemExit):
-                main(["sweep", "--help"])
-            assert "--efficiency EFFICIENCY" in capsys.readouterr().out
+            for command, listed in (("sweep", True), ("oracle", False)):
+                with pytest.raises(SystemExit):
+                    main([command, "--help"])
+                assert ("--efficiency EFFICIENCY" in capsys.readouterr().out) == listed
             cfg = tmp_path / "run.cfg"
             cfg.write_text("efficiency = 0.25\npoints = 3\n")
             for argv, efficiency in ((["--efficiency", "0.5"], 0.5),
@@ -540,6 +579,8 @@ class TestFlagsFromRunConfig:
                 args = trimode.cli._parser().parse_args(["eval", "--tau", "1", *argv])
                 assert trimode.cli._merge_config(args).efficiency == efficiency
             assert main(["eval", "--tau", "1", "--config", str(cfg)]) == 0
+            assert main(["figures", "--which", "1", "--out", str(tmp_path),
+                         "--config", str(cfg)]) == 0
         finally:
             trimode.cli._parser.cache_clear()
 
@@ -593,6 +634,44 @@ def test_oracle_report_bytes(argv, capsys):
     rc = main(["oracle", *argv])
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (*ORACLE_REPORTS[argv], "")
+
+
+#: Writes the golden sweeps and figures of tests/test_golden.py into
+#: argv[1] with the same argv, and prints {key: sha256} as JSON.
+GOLDEN_DIGESTS = """
+import contextlib, hashlib, io, json, pathlib, sys
+from trimode.cli import main
+out, digests = pathlib.Path(sys.argv[1]), {}
+for kappa1, kappa2, tau_max, sign in json.loads(sys.argv[2]):
+    path = out / "sweep.csv"
+    main(["sweep", "--kappa1", repr(kappa1), "--kappa2", repr(kappa2),
+          "--tau-max", repr(tau_max), "--sign", sign, "--out", str(path)])
+    key = repr((kappa1, kappa2, tau_max, sign))
+    digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+for sign in ("plus", "minus"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["figures", "--sign", sign, "--out", str(out / sign)])
+    for path in (out / sign).iterdir():
+        digests[repr((sign, path.name))] = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_golden_bytes_do_not_depend_on_the_cpu(tmp_path):
+    # numpy picks its float64 kernels per CPU and OpenBLAS its matmul
+    # kernels: with the AVX2 and AVX-512 kernels off (names this numpy does
+    # not know are ignored) every sweep and figure digest stays the same.
+    # Goldens pinned with np.sinh in place of libm's on an AVX-512 machine
+    # would fail here.
+    from test_golden import FIGURES, SWEEPS
+
+    env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+           "OPENBLAS_CORETYPE": "Nehalem"}
+    proc = subprocess.run([sys.executable, "-c", GOLDEN_DIGESTS, str(tmp_path),
+                           json.dumps(list(SWEEPS))],
+                          capture_output=True, text=True, env=env, check=True)
+    expected = {repr(key): digest for key, digest in {**SWEEPS, **FIGURES}.items()}
+    assert json.loads(proc.stdout) == expected
 
 
 def eval_values(capsys, *argv):
@@ -798,12 +877,13 @@ def flag_values(field):
 
 @st.composite
 def cli_runs(draw):
-    """eval at a drawn tau, sweep or oracle, with --points always drawn and
-    each other flag of a RunConfig field (but out) drawn or left out."""
+    """eval at a drawn tau, sweep or oracle, with --points always drawn
+    where the command reads it and each other flag of a RunConfig field it
+    reads drawn or left out."""
     command = draw(st.sampled_from(["eval", "sweep", "oracle"]))
     argv = [command] + ([f"--tau={draw(cli_numbers)}"] if command == "eval" else [])
     for field in dataclasses.fields(RunConfig):
-        if field.name != "out" and (field.name == "points" or draw(st.booleans())):
+        if field.name in READS[command] and (field.name == "points" or draw(st.booleans())):
             argv.append(f"--{field.name.replace('_', '-')}={draw(flag_values(field))}")
     return argv
 
