@@ -9,8 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 failed oracle comparison, 2 usage error,
 3 file I/O error, 4 invalid parameter values.  A subcommand takes flags
 only for the RunConfig fields it reads.  A config file (--config, flat
-key=value lines with '#' comments) may set any field and supplies
-defaults; explicit flags always win.
+key=value lines with '#' comments) may hold every field, so one file
+serves every command; a command takes from it out and the fields it
+reads, as defaults, and explicit flags always win.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def build_parser():
                 "--" + f.name.replace("_", "-"), type=str if choices else kind,
                 choices=choices, help=f"{f.metadata['help']} (default {default})")
     for p in commands.values():
-        p.add_argument("--config", help="key=value config file; it may set every RunConfig "
-                       "field, read by this command or not; flags override it")
+        p.add_argument("--config", help="key=value config file; it may hold every RunConfig "
+                       "field, this command uses those it reads; flags override it")
 
     commands["sweep"].add_argument("--out", help="output CSV path (default: stdout)")
     presets = [str(n) for n in sorted(FIGURE_PRESETS)]
@@ -87,8 +88,9 @@ def _merge_config(args):
     """Resolve flags > config file > RunConfig defaults.
 
     Every RunConfig field is a config key, and a flag of the same name
-    where the command reads it; a value is cast with the type of the
-    field's default (str for out).
+    where the command reads it; a file value applies only to out and the
+    fields the command reads, so a command never fails on one it ignores.
+    A value is cast with the type of the field's default (str for out).
     """
     file_values = {} if args.config is None else load_config_file(args.config)
     fields = dataclasses.fields(RunConfig)
@@ -99,7 +101,7 @@ def _merge_config(args):
     kwargs = {}
     for f in fields:
         value = getattr(args, f.name, None)
-        if value is None:
+        if value is None and args.command in f.metadata.get("commands", (args.command,)):
             value = file_values.get(f.name)
         if value is not None:
             cast = str if f.default is None else type(f.default)

@@ -87,13 +87,18 @@ def _libm(fn, v):
 
 
 def _each(fn, x):
-    """fn of a float, or of every entry of an array through the same libm
+    """fn of a float, or of every entry of a 1-D array through the same libm
     call.  numpy's own float64 kernels round differently and are chosen
     per CPU: np.sinh with AVX-512 differs from math.sinh on about one
     argument in eight, and not at all with it disabled, so output bytes
-    would depend on the machine."""
+    would depend on the machine.  An array is mapped at C level, and
+    entry by entry through _libm only when some entry overflows."""
     if isinstance(x, np.ndarray):
-        return np.array([_libm(fn, v) for v in x.tolist()], dtype=float)
+        values = x.tolist()
+        try:
+            return np.fromiter(map(fn, values), float, len(values))
+        except OverflowError:
+            return np.array([_libm(fn, v) for v in values], dtype=float)
     return _libm(fn, x)
 
 

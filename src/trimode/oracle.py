@@ -7,9 +7,11 @@ Wishart draw per block, so a result depends only on (seed, n)), and
 compare_moments reduces two states to a structured error report.  RK4
 integrates the X block alone, as one (N, 3, 3) stack over a whole grid,
 and every Y block is S mx S with S = diag(1, -1, -1), once _x_drift has
-checked that the Y drift is S ax S exactly.  The comparison runs on
-whole grids of (cx, cy) pairs or of cx alone; the public functions are
-grids of one.
+checked that the Y drift is S ax S exactly; its step matrix depends on
+the step length alone, so it is built and squared once per distinct
+length.  The sampler draws its Wishart pair once for all of its times.
+The comparison runs on whole grids of (cx, cy) pairs or of cx alone; the
+public functions are grids of one, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MomentState, PropagatorPair, Quadrature, _check_time
-from .propagator import _FLIP, _x_drift, propagator_analytic
+from .propagator import _FLIP, _x_drift, propagator_rows
 
 __all__ = [
     "ComparisonReport",
@@ -58,34 +60,41 @@ def _rk4_step_matrices(a, h):
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _matrix_powers(a, n):
-    """a[i] ** n[i] for an (N, 3, 3) stack and integer exponents n >= 1.
+def _matrix_powers(a, n, which):
+    """a[which[i]] ** n[i] for a (K, 3, 3) stack of distinct matrices,
+    integer exponents n >= 1 and indices which into a.
 
     Each power is the product np.linalg.matrix_power forms: a @ a for 2,
     (a @ a) @ a for 3, and otherwise binary decomposition from the lowest
-    bit, result @ z with z = a^(2^k).  The stack is squared as a whole and
-    masks pick each matrix's own bits.  n is an int64 array or, for
-    exponents past int64, an object array of Python ints, so it never
-    wraps.
+    bit, result @ z with z = a^(2^k).  Only the distinct stack is squared.
+    The factors are folded in one step for every point at once, the points
+    ordered by bit count so that those with a j-th factor are a prefix.  n
+    is an int64 array or, for exponents past int64, an object array of
+    Python ints, so it never wraps.
     """
-    result = np.empty_like(a)
-    started = np.zeros(len(a), dtype=bool)
-    z, rest = a, n
-    while True:
-        bit = (rest & 1).astype(bool)
-        first, more = bit & ~started, bit & started
-        result[first] = z[first]
-        if more.any():
-            result[more] = result[more] @ z[more]
-        started |= bit
-        rest = rest >> 1
-        if not rest.any():
-            break
-        z = z @ z
+    squares = [a]
+    for _ in range(int(n.max()).bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1])
+    bits = ((n[:, None] >> np.arange(len(squares)).astype(n.dtype)) & 1).astype(bool)
+    count = np.count_nonzero(bits, axis=1)
+    order = np.argsort(-count, kind="stable")
+    ranked = bits[order]
+    point, k = np.nonzero(ranked)
+    # factor[j, p]: the j-th factor of point order[p], an index into squares
+    factor = np.zeros((count.max(), len(n)), dtype=np.intp)
+    factor[ranked.cumsum(axis=1)[point, k] - 1, point] = k * len(a) + which[order][point]
+    squares = np.concatenate(squares)
+    result = squares[factor[0]]
+    for j in range(1, len(factor)):
+        live = np.count_nonzero(count > j)
+        result[:live] = result[:live] @ squares[factor[j, :live]]
+    powers = np.empty_like(result)
+    powers[order] = result
     three = n == 3
     if three.any():
-        result[three] = (a[three] @ a[three]) @ a[three]
-    return result
+        a3 = a[which[three]]
+        powers[three] = (a3 @ a3) @ a3
+    return powers
 
 
 def _rk4_propagators(ax, ts, steps):
@@ -94,12 +103,13 @@ def _rk4_propagators(ax, ts, steps):
     drift ax that _x_drift returns; each Y block is S mx S.
 
     The step operator is constant for this linear system, so composing the
-    steps reduces to a matrix power.
+    steps reduces to a matrix power.  It depends on the step length alone,
+    so it is built, and squared, once per distinct step length.
     """
-    h = ts / np.array(steps, dtype=float)
-    z = _rk4_step_matrices(ax, h[:, None, None])
+    distinct, which = np.unique(ts / np.array(steps, dtype=float), return_inverse=True)
+    z = _rk4_step_matrices(ax, distinct[:, None, None])
     n = np.array(steps, dtype=np.int64 if max(steps) < 2**63 else object)
-    return _matrix_powers(z, n)
+    return _matrix_powers(z, n, which)
 
 
 def rk4_propagator(c, t, steps):
@@ -109,7 +119,7 @@ def rk4_propagator(c, t, steps):
     O((t/steps)^4).  Only the X block is integrated; the Y block is
     S mx S, which _x_drift checks the drift matrices to imply exactly.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     _check_time(t)
     with np.errstate(all="ignore"):
@@ -136,15 +146,16 @@ def _scatter(rng, n):
     return a @ a.T
 
 
-def mc_moments(c, t, n, seed):
-    """Sample second moments of the evolved quadratures.
+def _mc_blocks(c, ts, n, seed):
+    """(k, 2, 3, 3) stack of the sampled (cx, cy) at every time of ts.
 
     The sample moments of n independent vacuum 6-vectors (X1..X3, Y1..Y3,
     unit-variance normals) pushed through the analytic propagator blocks.
     X and Y are independent, so each block is S = M W M' / n for one
     Wishart draw W of the n samples' scatter matrix: exactly the law of
-    averaging n outer products, at a cost independent of n.  A result
-    depends only on (seed, n).
+    averaging n outer products, at a cost independent of n.  The pair
+    (Wx, Wy) is drawn once, in that order, from one Philox stream keyed by
+    seed and serves every time, so a result depends only on (seed, n).
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -152,13 +163,19 @@ def mc_moments(c, t, n, seed):
         raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    pair = propagator_analytic(c, t)
+    for t in ts:
+        _check_time(t)
+    mx = np.array(propagator_rows(c, np.array(ts, dtype=float))[:3]).transpose(2, 0, 1)
+    m = np.stack([mx, mx * _FLIP], axis=1)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    blocks = []
-    for m in (pair.mx, pair.my):
-        s = m @ _scatter(rng, n) @ m.T
-        blocks.append(0.5 * (s + s.T) / n)
-    return MomentState(*blocks)
+    s = m @ np.array([_scatter(rng, n), _scatter(rng, n)]) @ m.swapaxes(-1, -2)
+    return 0.5 * (s + s.swapaxes(-1, -2)) / n
+
+
+def mc_moments(c, t, n, seed):
+    """Sample second moments of the evolved quadratures at time t from n
+    vacuum samples: a grid of one of the sampler run_oracle_check uses."""
+    return MomentState(*_mc_blocks(c, [t], n, seed)[0])
 
 
 def _pair(m):

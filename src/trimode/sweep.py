@@ -23,7 +23,7 @@ from .core import (
     classify_regime,
 )
 from .criteria import row_criteria
-from .oracle import _compare, _pair, _rk4_propagators, mc_moments
+from .oracle import _compare, _mc_blocks, _rk4_propagators
 from .propagator import (
     _closed_form_entries,
     _expm,
@@ -422,7 +422,7 @@ def run_oracle_check(cfg):
 
     n = len(taus)
     mc = [i for i in sorted({n // 4, n // 2, n - 1}) if taus[i] > 0]
-    sampled = np.array([_pair(mc_moments(c, ts[i], cfg.mc_samples, cfg.seed)) for i in mc])
+    sampled = _mc_blocks(c, ts[mc], cfg.mc_samples, cfg.seed)
     reports.append(("mc vs analytic", _compare(analytic[mc], sampled, 1e-2, taus[mc])))
     return reports
 

@@ -4,12 +4,15 @@ structured comparisons.
 
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import trimode
 from trimode import (
+    Couplings,
     MomentState,
     Quadrature,
     RegimeKind,
@@ -67,9 +70,11 @@ class TestRk4:
             steps = max(1, int(np.ceil(10_000 * tau)))
             assert rk4_propagator(c, t, steps).symplectic_defect() < 1e-8
 
-    @pytest.mark.parametrize("steps", [0, -3, 2.5])
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, True, False])
     def test_invalid_steps(self, steps):
-        with pytest.raises(ValueError):
+        # True is an int, and must not run one step.
+        message = f"steps must be a positive integer, got {steps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             rk4_propagator(HYP, 1.0, steps)
 
 
@@ -365,6 +370,89 @@ class TestStackedOracle:
                 assert np.array_equal(m, expm_per_point(a * t))
 
 
+def oracle_times(cfg):
+    """The times and RK4 step counts (an int array) of an oracle run's grid."""
+    taus = cfg.taus()
+    steps = np.array([max(1, int(math.ceil(10_000 * tau))) for tau in taus])
+    return taus / time_scale(cfg.couplings, cfg.tau_convention), steps
+
+
+def mc_per_point(c, t, n, seed):
+    """(cx, cy) sampled as mc_moments first drew them: a Philox stream of
+    its own per point, one Wishart draw per block."""
+    pair = propagator_analytic(c, t)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    blocks = []
+    for m in (pair.mx, pair.my):
+        s = m @ trimode.oracle._scatter(rng, n) @ m.T
+        blocks.append(0.5 * (s + s.T) / n)
+    return np.array(blocks)
+
+
+#: The default grid and an irregular one.
+PIN_GRIDS = [dict(), dict(points=997, tau_max=7.3)]
+REGIMES = [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)]
+
+
+class TestBitIdentity:
+    """Work the oracle shares between grid points gives each point exactly
+    what a call of its own gives.  Also run on older CPU kernels below."""
+
+    @pytest.mark.parametrize("grid", PIN_GRIDS)
+    @pytest.mark.parametrize("kappas", REGIMES)
+    def test_rk4_stack_rows_are_the_single_point_propagators(self, kappas, grid):
+        cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], **grid)
+        c, (ts, steps) = cfg.couplings, oracle_times(cfg)
+        ax = drift_matrices(c)[0]
+        stack = trimode.oracle._rk4_propagators(ax, ts, steps.tolist())
+        for row, t, n in zip(stack, ts.tolist(), steps.tolist()):
+            assert np.array_equal(row, rk4_propagator(c, t, n).mx)
+            assert np.array_equal(row, np.linalg.matrix_power(rk4_step_matrix(ax, t / n), n))
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 7), (5, 1), (10**6, 1), (2**70, 2**100)])
+    @pytest.mark.parametrize("kappas", REGIMES)
+    def test_mc_stack_rows_are_mc_moments(self, kappas, n, seed):
+        c = Couplings(*kappas)
+        ts = oracle_times(RunConfig(kappa1=kappas[0], kappa2=kappas[1]))[0][[75, 150, 300]]
+        stack = trimode.oracle._mc_blocks(c, ts, n, seed)
+        assert stack.shape == (3, 2, 3, 3)
+        for row, t in zip(stack, ts.tolist()):
+            m = mc_moments(c, t, n, seed)
+            assert np.array_equal(row, [m.cx, m.cy])
+            assert np.array_equal(row, mc_per_point(c, t, n, seed))
+
+    def test_outer_rows_are_each_matrix_times_its_transpose(self):
+        rng = np.random.default_rng(17)
+        m = rng.standard_normal((2000, 3, 3)) * 10.0 ** rng.uniform(-3, 3, (2000, 1, 1))
+        got = trimode.propagator._outer(m)
+        for row, mi in zip(got, m):
+            assert np.array_equal(row, mi @ mi.T)
+
+    @pytest.mark.parametrize("fn,sign", [(math.sinh, 1.0), (math.sinh, -1.0), (math.cosh, 1.0),
+                                         (math.sin, 1.0), (math.cos, 1.0), (math.log2, 1.0)])
+    def test_each_maps_like_the_comprehension(self, fn, sign):
+        x = sign * np.random.default_rng(5).uniform(0.0, 700.0, 1000)
+        for values in (x, np.append(x, sign * 800.0)):  # the second overflows sinh, cosh
+            want = np.array([trimode.core._libm(fn, v) for v in values.tolist()])
+            got = trimode.core._each(fn, values)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+
+def test_bit_identity_pins_hold_on_older_cpu_kernels():
+    # Run TestBitIdentity with numpy's AVX2 and AVX-512 kernels and
+    # OpenBLAS's newer matmul kernels off (names this numpy does not know
+    # are ignored): the shared work must not lean on a kernel's rounding.
+    from test_sweep_cli import CLI_ENV
+
+    env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+           "OPENBLAS_CORETYPE": "Nehalem"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{__file__}::TestBitIdentity"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
 def count_oracle_work(monkeypatch):
     """Counters of MomentState constructions and of the per-point public
     paths, installed in every trimode module that holds them."""
@@ -406,8 +494,9 @@ class TestOracleWork:
 
     @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
     def test_each_kernel_runs_one_x_stack(self, kappas, monkeypatch):
-        # The Y blocks come from the X ones, so the matrix exponential and
-        # the RK4 power each see one (N, 3, 3) stack of an N-point grid.
+        # The Y blocks come from the X ones, so the matrix exponential sees
+        # one (N, 3, 3) stack of an N-point grid, and the RK4 power one
+        # stack of the distinct step matrices, at most N: 47 of 301 at (1, 1).
         stacks = {"_expm": [], "_matrix_powers": []}
         for module, name in ((trimode.sweep, "_expm"), (trimode.oracle, "_matrix_powers")):
 
@@ -417,10 +506,15 @@ class TestOracleWork:
 
             monkeypatch.setattr(module, name, recording)
         for points in (11, 301):
-            run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=points))
-            assert stacks == {"_expm": [(points, 3, 3)], "_matrix_powers": [(points, 3, 3)]}
+            cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=points)
+            run_oracle_check(cfg)
+            ts, steps = oracle_times(cfg)
+            distinct = len(set((ts / steps).tolist()))
+            assert distinct <= points
+            assert stacks == {"_expm": [(points, 3, 3)], "_matrix_powers": [(distinct, 3, 3)]}
             for shapes in stacks.values():
                 shapes.clear()
+        assert distinct < points
 
     @pytest.mark.parametrize("kappas,closed", [((1.2, 1.0), 2), ((1.0, 1.8), 2),
                                                ((1.0, 1.0), 0)])

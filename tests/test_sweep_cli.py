@@ -454,6 +454,41 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err.startswith("error: ")
 
+    #: A bad value of every field some other command reads.
+    UNREAD = {"kappa1": "0", "kappa2": "-1", "tau_min": "0.6", "tau_max": "0.5",
+              "points": "1", "tau_convention": "sideways", "sign": "sideways",
+              "seed": "nope", "mc_samples": "0"}
+
+    @pytest.mark.parametrize("command,argv", [
+        ("eval", ["--tau", "1"]), ("figures", ["--which", "1", "--out", "{tmp}"]),
+        ("oracle", ["--points", "3"]), ("sweep", ["--points", "3"])])
+    def test_config_values_of_fields_the_command_does_not_read_are_ignored(
+            self, command, argv, tmp_path, capsys):
+        # One file serves every command: eval with points = 1 in it runs.
+        argv = [command, *(a.format(tmp=tmp_path) for a in argv)]
+        assert main(argv) == 0
+        want = capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in self.UNREAD.items()
+                               if k not in READS[command]))
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("line", ["colour = red", "sign = sideways", "kappa1 = 0",
+                                      "tau_convention = sideways"])
+    def test_eval_config_still_rejects_unknown_keys_and_bad_values_it_reads(
+            self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["eval", "--tau", "1", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_out_applies_to_every_command_that_writes(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'report.txt'}\npoints = 1\n")
+        assert main(["oracle", "--points", "3", "--config", str(cfg)]) == 0
+        assert (tmp_path / "report.txt").read_text() == capsys.readouterr().out
+
     def test_figures_single(self, tmp_path, capsys):
         rc = main(["figures", "--which", "2", "--points", "5",
                    "--out", str(tmp_path)])
