@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -113,6 +113,31 @@ def _check_finite(values, message):
         finite = np.isfinite(total).all()
     if not finite:
         raise ValueError(message)
+
+
+def _row_moments(rows):
+    """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
+    cx_ij = r_i . r_j, from propagator_rows; ValueError when they overflow."""
+    r1, r2, r3, _ = rows
+    x = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3),
+         _dot(r1, r2), _dot(r1, r3), _dot(r2, r3))
+    _check_finite(x, "second moments overflow double precision; choose a smaller tau")
+    return x
+
+
+#: Where each entry of (cx, cy) sits in (c11, c22, c33, c12, c13, c23,
+#: -c12, -c13): cy = S cx S flips the sign of <Y1 Y2> and <Y1 Y3>.
+_PAIR_INDEX = np.array([
+    [[0, 3, 4], [3, 1, 5], [4, 5, 2]],
+    [[0, 6, 7], [6, 1, 5], [7, 5, 2]],
+])
+
+
+def _moment_blocks(x):
+    """(cx, cy) from the six independent entries of cx: a (2, 3, 3) array
+    for floats, an (N, 2, 3, 3) stack for columns."""
+    c11, c22, c33, c12, c13, c23 = x
+    return np.array([c11, c22, c33, c12, c13, c23, -c12, -c13]).T[..., _PAIR_INDEX]
 
 
 def _check_time(value, name="t"):
@@ -219,7 +244,7 @@ def _frozen_matrix(value, name):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagatorPair:
     """Linear maps taking initial X and Y quadrature vectors to time t.
 
@@ -243,12 +268,21 @@ class PropagatorPair:
         return float(np.max(np.abs(self.mx @ self.my.T - np.eye(3))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentState:
     """Symmetric second-moment blocks cx[i][j] = <X_i X_j>, cy[i][j] = <Y_i Y_j>."""
 
     cx: np.ndarray
     cy: np.ndarray
+    #: X propagator rows (r1, r2, r3, r1 - r2) of a propagated state, else None.
+    rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """The pure state cx_ij = r_i . r_j, cy = S cx S, that keeps its rows."""
+        m = cls(*_moment_blocks(_row_moments(rows)))
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __post_init__(self):
         # Finite, exactly symmetric float blocks pass in one pass over one
@@ -360,7 +394,7 @@ class CriteriaReport:
         return all(v < 4.0 - FLAG_MARGIN for v in self.obr_pair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Every criterion on a strictly increasing dimensionless time grid.
 

@@ -11,20 +11,20 @@ Two families are implemented:
 
 Every criterion is a function of quadratic forms, on the vectors e_i and
 e_i +/- e_j, of the two blocks and of their adjugates: each inference
-residual is a ratio of such forms (see _residual).  A state propagated
-from vacuum carries the rows r1, r2, r3 of its X propagator block, and
-row_criteria reads every form as a squared norm: cx = M M' gives
+residual is a ratio of such forms (see _residual).  A propagated state
+keeps the rows r1, r2, r3 of its X propagator block in MomentState.rows,
+and row_criteria reads every form as a squared norm: cx = M M' gives
 q'cx q = |M'q|^2, cy = S cx S with S = diag(1, -1, -1), and the state is
 pure, so adj(cx) = cy and adj(cy) = cx.  The norms are |r_i|^2 and
 |r_i +/- r_j|^2, with r1 - r2 taken in a factored form that stays exact
 where the two rows nearly cancel, and |r1 - r2 - r3|^2; the gains add
 three dot products.  Nothing large is subtracted, so the values keep
-double precision wherever the moments grow.  Other states (Monte Carlo
-estimates, hand-built blocks) read the forms off their entries and
-cofactors.  Both paths end in _values, one flat assembly of the 15 values
-with no per-mode loop, which runs unchanged on floats (one state, where a
-call's fixed cost dominates) and on arrays (a sweep), bit for bit alike;
-obr_single, obr_pair and vlf_gains are views of evaluate_all's 15 values.
+double precision wherever the moments grow.  A state with no rows (Monte
+Carlo, or blocks built by hand) reads its entries and cofactors.  Both
+paths end in _values, one flat assembly of the 15 values with no per-mode
+loop, which runs unchanged on floats (one state, where a call's fixed
+cost dominates) and on arrays (a sweep), bit for bit alike; obr_single,
+obr_pair and vlf_gains are views of evaluate_all's 15 values.
 All mode indices in the public functions are 1-based.
 """
 
@@ -62,8 +62,13 @@ UNIT_GAINS = VlfGains(1.0, 1.0, 1.0)
 _VALID_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
+def _is_mode(i):
+    """Whether i is 1, 2 or 3 as an integer that is not a bool."""
+    return not isinstance(i, bool) and isinstance(i, (int, np.integer)) and i in (1, 2, 3)
+
+
 def _check_mode(i):
-    if i not in (1, 2, 3):
+    if not _is_mode(i):
         raise ValueError(f"mode index must be 1, 2 or 3, got {i!r}")
 
 
@@ -214,11 +219,9 @@ def row_criteria(rows, sign=Sign.PLUS):
 
 
 def _state_values(m, sign):
-    """The 15 criteria of a state: from its propagator rows when it was
-    propagated from vacuum, from its cofactors otherwise."""
-    rows = getattr(m, "_rows", None)
-    if rows is not None:
-        return row_criteria(rows, sign)
+    """The 15 criteria of a state: from its rows if any, else its cofactors."""
+    if m.rows is not None:
+        return row_criteria(m.rows, sign)
     return _entry_criteria(_entries(m.cx), _entries(m.cy), sign)
 
 
@@ -266,20 +269,19 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
 
     The gain applied is the one indexed by the mode absent from the pair.
     With the optimal gains this equals V(X_i - X_j) plus the inferred
-    variance of Y_i + Y_j estimated from Y_k.  A state propagated from
-    vacuum reads both as squared norms of row_criteria's row combinations:
+    variance of Y_i + Y_j estimated from Y_k.  A state with rows reads
+    both as squared norms of row_criteria's row combinations:
     X_i - X_j gives r_i - r_j, and Y_i + Y_j + g Y_k gives d - r3 plus
     (g - 1) r1 for k = 1 and (1 - g) r_k otherwise, so unit gains give
     evaluate_all's raw sums bit for bit.
     """
-    if tuple(pair) not in _VALID_PAIRS:
+    if tuple(pair) not in _VALID_PAIRS or not all(map(_is_mode, pair)):
         raise ValueError(f"pair must be one of {_VALID_PAIRS}, got {pair!r}")
     k = 6 - pair[0] - pair[1] - 1
     g = float(gains[k])
-    rows = getattr(m, "_rows", None)
-    if rows is None:
+    if m.rows is None:
         return _entry_forms(_entries(m.cx))[2][k] + _y_sum(_entries(m.cy), k, g)
-    r1, r2, r3, d = rows
+    r1, r2, r3, d = rows = m.rows
     x = (_minus(r2, r3), _minus(r1, r3), d)[k]
     w = g - 1.0 if k == 0 else 1.0 - g
     y = [s + w * r for s, r in zip(_minus(d, r3), rows[k])]

@@ -27,10 +27,9 @@ from .core import (
     PropagatorPair,
     RegimeError,
     RegimeKind,
-    _check_finite,
     _check_time,
-    _dot,
     _each,
+    _moment_blocks,
     classify_regime,
 )
 
@@ -186,57 +185,25 @@ def outer_moments(pair):
     """Moments a propagator pair produces from vacuum: cx = mx @ mx.T etc.
 
     When my = S mx S, as for every propagator of these equations of motion,
-    the state keeps the rows of mx (with d = r1 - r2 by subtraction), from
-    which the criteria read their values as for moments_at.
+    the state comes from the rows of mx, with d = r1 - r2, as in moments_at.
     """
-
-    m = MomentState(*_outer(np.array([pair.mx, pair.my])))
     if (pair.my == pair.mx * _FLIP).all():
-        r1, r2, r3 = pair.mx.tolist()
-        object.__setattr__(m, "_rows", (r1, r2, r3, [p - q for p, q in zip(r1, r2)]))
-    return m
-
-
-def _row_moments(rows):
-    """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
-    cx_ij = r_i . r_j, from propagator_rows; ValueError when they overflow."""
-    r1, r2, r3, _ = rows
-    x = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3),
-         _dot(r1, r2), _dot(r1, r3), _dot(r2, r3))
-    _check_finite(x, "second moments overflow double precision; choose a smaller tau")
-    return x
-
-
-#: Where each entry of (cx, cy) sits in (c11, c22, c33, c12, c13, c23,
-#: -c12, -c13): cy = S cx S flips the sign of <Y1 Y2> and <Y1 Y3>.
-_PAIR_INDEX = np.array([
-    [[0, 3, 4], [3, 1, 5], [4, 5, 2]],
-    [[0, 6, 7], [6, 1, 5], [7, 5, 2]],
-])
-
-
-def _moment_blocks(x):
-    """(cx, cy) from the six independent entries of cx: a (2, 3, 3) array
-    for floats, an (N, 2, 3, 3) stack for columns."""
-    c11, c22, c33, c12, c13, c23 = x
-    return np.array([c11, c22, c33, c12, c13, c23, -c12, -c13]).T[..., _PAIR_INDEX]
+        r1, r2, r3 = map(tuple, pair.mx.tolist())
+        return MomentState._from_rows((r1, r2, r3, tuple(p - q for p, q in zip(r1, r2))))
+    return MomentState(*_outer(np.array([pair.mx, pair.my])))
 
 
 def moments_at(c, t):
     """Second-moment blocks at time t from vacuum initial conditions.
 
     The initial covariance is the identity, so cx = mx @ mx.T and
-    cy = my @ my.T.  cx_ij = r_i . r_j comes from propagator_rows on a
-    batch of one, and cy = S cx S flips the sign of <Y1 Y2> and <Y1 Y3>;
-    the state keeps the rows, from which the criteria read their values.
-    outer_moments(propagator_expm(c, t)) is the matrix-exponential check
-    of the same state.  Raises ValueError when the moments overflow.
+    cy = my @ my.T = S cx S.  MomentState._from_rows builds the state from
+    the rows of mx (propagator_rows on a batch of one) and keeps them for
+    the criteria.  outer_moments(propagator_expm(c, t)) is the
+    matrix-exponential check of the same state; ValueError on overflow.
     """
     _check_time(t)
-    rows = propagator_rows(c, float(t))
-    m = MomentState(*_moment_blocks(_row_moments(rows)))
-    object.__setattr__(m, "_rows", rows)
-    return m
+    return MomentState._from_rows(propagator_rows(c, float(t)))
 
 
 def _closed_form_entries(c, t):

@@ -20,6 +20,8 @@ from .core import (
     SweepResult,
     TauConvention,
     _check_time,
+    _moment_blocks,
+    _row_moments,
     classify_regime,
 )
 from .criteria import row_criteria
@@ -27,9 +29,7 @@ from .oracle import _compare, _mc_blocks, _rk4_propagators
 from .propagator import (
     _closed_form_entries,
     _expm,
-    _moment_blocks,
     _outer,
-    _row_moments,
     _x_drift,
     propagator_rows,
 )

@@ -3,9 +3,12 @@
 bench/tracer.py rebinds public functions by (layer, name) and wraps the
 __init__ of two value types; bench/workloads.py calls a handful of names
 through the package.  Removing or renaming any of them breaks the
-benchmark without failing any other test.
+benchmark without failing any other test.  The last test guards the
+boundary between the package's modules: no module writes a frozen
+object's attributes from outside core.py or probes a private attribute.
 """
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -17,6 +20,7 @@ import trimode
 import trimode.cli
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+SOURCE_DIR = Path(trimode.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +86,32 @@ def test_workload_names_exist(name):
 
 def test_cli_entry_point_exists():
     assert callable(trimode.cli.main)
+
+
+def _boundary_crossings(path):
+    """Calls in a source file that write a frozen object's attribute from
+    outside core.py, or that probe an attribute named with a leading
+    underscore through getattr/hasattr."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if (isinstance(fn, ast.Attribute) and fn.attr == "__setattr__"
+                and isinstance(fn.value, ast.Name) and fn.value.id == "object"
+                and path.name != "core.py"):
+            found.append(f"{path.name}:{node.lineno} object.__setattr__")
+        if (isinstance(fn, ast.Name) and fn.id in ("getattr", "hasattr")
+                and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+                and node.args[1].value.startswith("_")):
+            found.append(f"{path.name}:{node.lineno} {fn.id}({node.args[1].value!r})")
+    return found
+
+
+def test_no_module_sets_or_probes_hidden_attributes():
+    # Only core.py builds its frozen value types, and a state's rows are a
+    # declared field, so no module needs a hidden attribute of another.
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in _boundary_crossings(path)] == []

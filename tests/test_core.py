@@ -1,5 +1,6 @@
 """Data model, regime classification and vacuum state."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from trimode import (
     VlfGains,
     VlfTriple,
     classify_regime,
+    mc_moments,
     moments_at,
     vacuum_moments,
 )
@@ -178,6 +180,21 @@ class TestMomentState:
         _, nonfinite = _bad_blocks("nan", "second")
         with pytest.raises(ValueError, match="^cy contains non-finite entries$"):
             MomentState(asym, nonfinite)
+
+    def test_rows_is_a_declared_field_outside_the_repr(self):
+        m = moments_at(HYP, T1)
+        assert "rows" in [f.name for f in dataclasses.fields(MomentState)]
+        assert "rows" not in repr(m)
+        assert repr(m) == repr(MomentState(m.cx, m.cy))
+
+    def test_states_from_blocks_carry_no_rows(self):
+        m = moments_at(HYP, T1)
+        assert m.rows is not None
+        for other in (MomentState(m.cx, m.cy), dataclasses.replace(m),
+                      dataclasses.replace(m, cy=m.cx), mc_moments(HYP, T1, 1000, 3)):
+            assert other.rows is None
+        with pytest.raises(ValueError):
+            dataclasses.replace(m, rows=m.rows)
 
 
 def _bad_blocks(kind, where):
@@ -338,3 +355,21 @@ class TestSweepResult:
         taus = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="matching lengths"):
             SweepResult(taus, taus, values, RunConfig())
+
+
+def _array_values():
+    m = moments_at(HYP, T1)
+    pair = PropagatorPair(np.eye(3), np.eye(3), 0.0)
+    values = np.array([_report().values()] * 2)
+    sweep = SweepResult(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values, RunConfig())
+    return [(m, MomentState(m.cx, m.cy)), (pair, dataclasses.replace(pair)),
+            (sweep, dataclasses.replace(sweep))]
+
+
+@pytest.mark.parametrize("value, twin", _array_values(), ids=["state", "pair", "sweep"])
+def test_array_value_types_compare_and_hash_by_identity(value, twin):
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+    assert hash(value) == hash(value)
+    assert value in {value} and twin not in {value}
+

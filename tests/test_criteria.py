@@ -332,3 +332,25 @@ class TestEvaluateAll:
                      *rep_s.obr_pair),
                 ):
                     assert a == pytest.approx(b, abs=1e-10, rel=1e-10)
+
+
+class TestModeIndices:
+    @pytest.mark.parametrize("call", [
+        lambda m: obr_single(m, 1.0),
+        lambda m: obr_single(m, True),
+        lambda m: obr_pair(m, 2.0, 3),
+    ], ids=["single-float", "single-bool", "pair-float"])
+    def test_rejects_non_integer_modes(self, m1, call):
+        with pytest.raises(ValueError, match="mode index must be 1, 2 or 3"):
+            call(m1)
+
+    @pytest.mark.parametrize("pair", [(1.0, 2), (True, 2)], ids=["float", "bool"])
+    def test_vlf_value_rejects_non_integer_pairs(self, m1, pair):
+        with pytest.raises(ValueError, match="pair must be one of"):
+            vlf_value(m1, pair)
+
+    def test_numpy_integers_are_modes(self, m1):
+        two = np.int64(2)
+        assert obr_single(m1, two) == obr_single(m1, 2)
+        assert obr_pair(m1, 1, two) == obr_pair(m1, 1, 2)
+        assert vlf_value(m1, (1, two)) == vlf_value(m1, (1, 2))

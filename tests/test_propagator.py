@@ -22,7 +22,9 @@ from trimode import (
     propagator_analytic,
     propagator_degenerate,
     propagator_expm,
+    rk4_propagator,
 )
+from trimode.core import _moment_blocks, _row_moments
 from support import (
     CX1,
     CX2,
@@ -310,3 +312,18 @@ class TestOuterMoments:
         pair = propagator_analytic(HYP, T1)
         m = outer_moments(pair)
         np.testing.assert_allclose(m.cx, CX1, rtol=1e-12)
+
+    def test_other_pairs_carry_no_rows(self):
+        pair = propagator_analytic(HYP, T1)
+        m = outer_moments(PropagatorPair(pair.mx, pair.mx, T1))
+        assert m.rows is None
+        np.testing.assert_allclose(m.cx, CX1, rtol=1e-12)
+
+    @pytest.mark.parametrize("c, t", [(HYP, T1), (PER, T2), (DEG, 2.0), (HYP, 12.0)])
+    def test_propagated_states_take_their_blocks_from_their_rows(self, c, t):
+        for m in (moments_at(c, t), outer_moments(propagator_analytic(c, t)),
+                  outer_moments(propagator_expm(c, t)),
+                  outer_moments(rk4_propagator(c, t, 400))):
+            assert m.rows is not None
+            cx, cy = _moment_blocks(_row_moments(m.rows))
+            assert cx.tobytes() == m.cx.tobytes() and cy.tobytes() == m.cy.tobytes()
