@@ -31,6 +31,7 @@ All mode indices in the public functions are 1-based.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -273,19 +274,35 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
     both as squared norms of row_criteria's row combinations:
     X_i - X_j gives r_i - r_j, and Y_i + Y_j + g Y_k gives d - r3 plus
     (g - 1) r1 for k = 1 and (1 - g) r_k otherwise, so unit gains give
-    evaluate_all's raw sums bit for bit.
+    evaluate_all's raw sums bit for bit.  ValueError unless pair is one of
+    (1, 2), (1, 3), (2, 3) and gains three finite reals, or when the sum
+    is not finite.
     """
-    if tuple(pair) not in _VALID_PAIRS or not all(map(_is_mode, pair)):
+    try:
+        valid = tuple(pair) in _VALID_PAIRS and all(map(_is_mode, pair))
+    except TypeError:  # not iterable
+        valid = False
+    if not valid:
         raise ValueError(f"pair must be one of {_VALID_PAIRS}, got {pair!r}")
+    try:
+        g3 = tuple(gains)
+        valid = len(g3) == 3 and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in g3)
+    except (TypeError, OverflowError):  # not iterable, or an int past the double range
+        valid = False
+    if not valid:
+        raise ValueError(f"gains must be three finite reals, got {gains!r}")
     k = 6 - pair[0] - pair[1] - 1
-    g = float(gains[k])
+    g = float(g3[k])
     if m.rows is None:
-        return _entry_forms(_entries(m.cx))[2][k] + _y_sum(_entries(m.cy), k, g)
-    r1, r2, r3, d = rows = m.rows
-    x = (_minus(r2, r3), _minus(r1, r3), d)[k]
-    w = g - 1.0 if k == 0 else 1.0 - g
-    y = [s + w * r for s, r in zip(_minus(d, r3), rows[k])]
-    return _dot(x, x) + _dot(y, y)
+        value = _entry_forms(_entries(m.cx))[2][k] + _y_sum(_entries(m.cy), k, g)
+    else:
+        r1, r2, r3, d = rows = m.rows
+        x = (_minus(r2, r3), _minus(r1, r3), d)[k]
+        w = g - 1.0 if k == 0 else 1.0 - g
+        y = [s + w * r for s, r in zip(_minus(d, r3), rows[k])]
+        value = _dot(x, x) + _dot(y, y)
+    _check_finite((value,), "vlf value is not finite: a variance overflows")
+    return value
 
 
 def evaluate_all(m, t, sign=Sign.PLUS):

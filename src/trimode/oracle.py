@@ -159,10 +159,10 @@ def _mc_blocks(c, ts, n, seed):
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
     for t in ts:
         _check_time(t)
     mx = np.array(propagator_rows(c, np.array(ts, dtype=float))[:3]).transpose(2, 0, 1)

@@ -136,42 +136,78 @@ def propagator_analytic(c, t):
     return PropagatorPair(mx, mx * _FLIP, t)
 
 
-def _expm(a):
-    """exp of every matrix of a (..., 3, 3) stack, by scaling and squaring
-    with a 20-term Taylor series.
+def _product(x, y):
+    """x @ y of every matrix of two (3, 3, N) stacks, the matrix index
+    first, written out so that no BLAS kernel's rounding enters: entry
+    (i, k) is (x_i0 y_0k + x_i1 y_1k) + x_i2 y_2k."""
+    return x[:, 0, None] * y[0] + x[:, 1, None] * y[1] + x[:, 2, None] * y[2]
 
-    Each matrix is scaled by its own power of two so that its 1-norm is at
-    most 0.5, where the truncation error of the series is far below double
-    precision, and its result is squared that many times: the stack is
-    squared as a whole and a mask keeps each matrix at its own count
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  Raises
-    ValueError when a norm overflows.
-    """
-    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
-    squarings = np.ceil(_each(math.log2, np.maximum(norm / 0.5, 1.0).ravel()))
-    if not np.isfinite(squarings).all():
-        raise ValueError("matrix exponential overflows double precision; choose a smaller tau")
-    squarings = squarings.astype(int).reshape(norm.shape)
-    b = a / np.ldexp(1.0, squarings)[..., None, None]
-    result = np.eye(3)
-    term = np.eye(3)
+
+def _taylor_terms(a1):
+    """a1^k / k! for k = 0..20, a (21, 3, 3) array formed in Python floats
+    by the recursion (a1^(k-1) / (k-1)!) @ a1 / k, each product summed in
+    _product's order."""
+    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = a1.tolist()
+    term = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    terms = [term]
     for k in range(1, 21):
-        term = term @ b / k
-        result = result + term
+        term = [((x0 * y00 + x1 * y10 + x2 * y20) / k, (x0 * y01 + x1 * y11 + x2 * y21) / k,
+                 (x0 * y02 + x1 * y12 + x2 * y22) / k) for x0, x1, x2 in term]
+        terms.append(term)
+    return np.array(terms)
+
+
+def _expm(ax, ts):
+    """exp(ax t) for every t of a time column ts: a (3, 3, N) array whose
+    column [:, :, i] is the matrix at ts[i].
+
+    Scaling and squaring with a 20-term Taylor series (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)): each t gets the least squaring
+    count s >= 0 with ||ax t 2^-s||_1 <= 0.5, where the series' truncation
+    error is far below double precision.  Every matrix is the one drift
+    times a scalar, so the series is a polynomial in that scalar.  With
+    a1 = ax 2^-e, ||a1||_1 in [0.5, 1), the coefficients a1^k / k! are
+    formed once, and sigma = t 2^(e - s) is run through them by Horner on
+    the whole stack.  The points are then ordered by s, descending, and
+    only the prefix that still needs a squaring is squared.  Every product
+    is written out in _product's order, with no BLAS kernel, so the result
+    is the same on every CPU.  Raises ValueError when a norm overflows.
+    """
+    norm = np.abs(ax).sum(axis=0).max()
+    e = int(np.frexp(norm)[1])
+    a1 = np.ldexp(ax, -e)
+    scaled = np.maximum(ts * norm / 0.5, 1.0)
+    if not np.isfinite(scaled).all():
+        raise ValueError("matrix exponential overflows double precision; choose a smaller tau")
+    mantissa, squarings = np.frexp(scaled)
+    squarings -= mantissa == 0.5  # ceil(log2), exactly
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    sigma = np.ldexp(ts[order], e - squarings)
+    terms = _taylor_terms(a1)[..., None]
+    r = terms[20] * sigma
+    for k in range(19, 0, -1):
+        r += terms[k]
+        r *= sigma
+    r += terms[0]
     for k in range(int(squarings.max(initial=0))):
-        result = np.where((squarings > k)[..., None, None], result @ result, result)
+        live = np.count_nonzero(squarings > k)
+        r[..., :live] = _product(r[..., :live], r[..., :live])
+    result = np.empty_like(r)
+    result[..., order] = r
     return result
 
 
 def propagator_expm(c, t):
-    """Regime-independent propagator via the matrix exponential of the drift.
+    """Regime-independent propagator via the matrix exponential of the drift:
+    the one-point column of _expm.
 
     Only the X block is exponentiated; the Y block is S mx S, which
     _x_drift checks the drift matrices to imply exactly.
     """
     _check_time(t)
     with np.errstate(all="ignore"):
-        mx = _expm(_x_drift(c) * float(t))
+        mx = _expm(_x_drift(c), np.array([float(t)]))[..., 0]
     return PropagatorPair(mx, mx * _FLIP, t)
 
 

@@ -384,13 +384,15 @@ def run_oracle_check(cfg):
     RK4_STEPS_PER_UNIT_TAU density and Monte Carlo sampling at a few grid
     points.  Each path but Monte Carlo runs as one pass over the grid, and
     each comparison reduces the whole grid to its worst point.  expm and
-    rk4 run on the X drift alone, as one (N, 3, 3) stack each.  Every
-    deterministic path has cy = S cx S, S = diag(1, -1, -1), as the Y drift
-    is S ax S (checked exactly first), so its cy errs exactly as its cx and
-    only cx is compared; Monte Carlo draws cy independently and compares
-    both.  Returns [(name, ComparisonReport), ...]; a run is good when
-    every report passed.  Raises ValueError when that drift identity fails
-    or a moment of any path is not finite.  The Monte Carlo comparison is
+    rk4 run on the X drift alone: rk4 as one (N, 3, 3) stack, expm as one
+    (3, 3, N) array whose rows give the moments through _row_moments, as
+    the analytic rows do, with no BLAS product.  Every deterministic path
+    has cy = S cx S, S = diag(1, -1, -1), as the Y drift is S ax S
+    (checked exactly first), so its cy errs exactly as its cx and only cx
+    is compared; Monte Carlo draws cy independently and compares both.
+    Returns [(name, ComparisonReport), ...]; a run is good when every
+    report passed.  Raises ValueError when that drift identity fails or a
+    moment of any path is not finite.  The Monte Carlo comparison is
     statistical: at the default 10^6 samples its 1e-2 bound on the worst
     entry fails by chance on about 2 of 9000 seeds.
     """
@@ -400,8 +402,11 @@ def run_oracle_check(cfg):
     with np.errstate(all="ignore"):
         ts = taus / time_scale(c, cfg.tau_convention)
         analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)))
-        # The X blocks exp(ax t) at every t; each Y block is S mx S.
-        via_expm = _finite(_outer(_expm(ax * ts[:, None, None]))[:, None], "expm")
+        # The X blocks exp(ax t) at every t, their rows read as the analytic
+        # rows are (_row_moments does not read the fourth, d); each Y block
+        # is S mx S.
+        r1, r2, r3 = _finite(_expm(ax, ts), "expm")
+        via_expm = _moment_blocks(_row_moments((r1, r2, r3, None)))[:, :1]
         steps = np.maximum(1.0, np.ceil(RK4_STEPS_PER_UNIT_TAU * taus))
         if not np.isfinite(steps).all():
             raise ValueError("rk4 step count overflows; choose a smaller tau")

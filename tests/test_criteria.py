@@ -1,5 +1,7 @@
 """Entanglement criteria: variances, inference products and gain-weighted sums."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,28 @@ class TestModeIndices:
     def test_vlf_value_rejects_non_integer_pairs(self, m1, pair):
         with pytest.raises(ValueError, match="pair must be one of"):
             vlf_value(m1, pair)
+
+    @pytest.mark.parametrize("rows", [True, False], ids=["rows", "cofactors"])
+    @pytest.mark.parametrize("pair,gains,message", [
+        (12, UNIT_GAINS, "pair must be one of"),
+        ((2, 3), (math.nan,) * 3, "gains must be three finite reals"),
+        ((1, 2), (1.0, 1.0, math.inf), "gains must be three finite reals"),
+        ((1, 2), (1.0,), "gains must be three finite reals"),
+        ((1, 2), 1.0, "gains must be three finite reals"),
+        ((1, 2), (1.0, 1.0, "1"), "gains must be three finite reals"),
+        ((1, 2), (1.0, 1.0, 10**400), "gains must be three finite reals"),
+        ((1, 3), (1.0, 1e300, 1.0), "vlf value is not finite"),
+    ], ids=["int-pair", "nan-gains", "inf-gain", "one-gain", "float-gains", "str-gain",
+            "int-gain-past-double", "sum-overflows"])
+    def test_vlf_value_checks_its_inputs(self, rows, pair, gains, message):
+        # Named like evaluate_all's errors, where a nan was returned or a
+        # bare IndexError or TypeError raised.
+        m = moments_at(HYP, 1.0)
+        if not rows:
+            m = MomentState(m.cx, m.cy)
+        with pytest.raises(ValueError, match=message):
+            vlf_value(m, pair, gains)
+        assert math.isfinite(vlf_value(m, (1, 3), np.array([1.0, 2.0, 3.0])))
 
     def test_numpy_integers_are_modes(self, m1):
         two = np.int64(2)

@@ -140,15 +140,18 @@ class TestMcMoments:
         with pytest.raises(ValueError, match=re.escape(message)):
             mc_moments(HYP, 1.0, n, seed=1)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0)])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0), "1", None, math.nan])
     def test_seed_must_be_an_integer(self, seed):
-        # A float seed must not be truncated to another seed.
+        # A float seed must not be truncated to another seed, and the type
+        # is checked before the range, which a str or None cannot be
+        # compared with.
         message = f"seed must be an integer, got {seed!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             mc_moments(HYP, 1.0, 1000, seed)
         mc_moments(HYP, 1.0, 1000, np.int64(1))
+        mc_moments(HYP, 1.0, 1000, np.uint64(5))
 
-    @pytest.mark.parametrize("seed", [-1, 2**128, math.nan])
+    @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_the_philox_key_range(self, seed):
         with pytest.raises(ValueError, match="seed must lie in"):
             mc_moments(HYP, 1.0, 10, seed)
@@ -218,22 +221,47 @@ class TestCompareMoments:
         assert not compare_moments(a, b, 1e-9).passed
 
 
-# The oracle one grid point at a time, as it was first written: the
-# matrix exponential and the comparison per point, the RK4 step matrix
-# raised by np.linalg.matrix_power, and the first worst point kept.
+# The oracle one grid point at a time: the matrix exponential in Python
+# floats, its moments as row dot products, the comparison per point, the
+# RK4 step matrix raised by np.linalg.matrix_power, and the first worst
+# point kept.
 
-def expm_per_point(a):
-    norm = np.max(np.sum(np.abs(a), axis=0))
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    b = a / (2.0**squarings)
-    result = np.eye(3)
-    term = np.eye(3)
+def product(x, y):
+    """x @ y of two 3x3 nested lists, entry (i, k) summed left to right."""
+    return [[x[i][0] * y[0][k] + x[i][1] * y[1][k] + x[i][2] * y[2][k] for k in range(3)]
+            for i in range(3)]
+
+
+def expm_per_point(a, t):
+    """exp(a t) for one drift a and one time t, as _expm forms it: the
+    20-term Taylor series of a1 = a 2^-e, ||a1||_1 in [0.5, 1), evaluated
+    by Horner at sigma = t 2^(e - s), then squared s times, where s is the
+    least count with ||a t||_1 2^-s <= 0.5."""
+    rows = a.tolist()
+    norm = max(abs(rows[0][j]) + abs(rows[1][j]) + abs(rows[2][j]) for j in range(3))
+    e = math.frexp(norm)[1]
+    a1 = [[math.ldexp(v, -e) for v in row] for row in rows]
+    mantissa, s = math.frexp(max(t * norm / 0.5, 1.0))
+    if mantissa == 0.5:
+        s -= 1
+    sigma = math.ldexp(t, e - s)
+    terms = [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]
     for k in range(1, 21):
-        term = term @ b / k
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
+        terms.append([[v / k for v in row] for row in product(terms[-1], a1)])
+    result = [[v * sigma for v in row] for row in terms[20]]
+    for k in range(19, 0, -1):
+        result = [[(v + w) * sigma for v, w in zip(row, term)]
+                  for row, term in zip(result, terms[k])]
+    result = [[v + w for v, w in zip(row, term)] for row, term in zip(result, terms[0])]
+    for _ in range(s):
+        result = product(result, result)
+    return np.array(result)
+
+
+def row_outer(m):
+    """m @ m.T, entry (i, j) the dot product of rows i and j summed left to
+    right."""
+    return np.array([[ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2] for rj in m] for ri in m])
 
 
 def rk4_step_matrix(a, h):
@@ -288,7 +316,7 @@ def oracle_per_point(cfg):
         t = tau / scale
         m = moments_at(c, t)
         analytic = (m.cx, m.cy)
-        via_expm = outer_per_point(expm_per_point(ax * t), expm_per_point(ay * t))
+        via_expm = row_outer(expm_per_point(ax, t)), row_outer(expm_per_point(ay, t))
         steps = max(1, int(math.ceil(10_000 * tau)))
         via_rk4 = outer_per_point(
             *(np.linalg.matrix_power(rk4_step_matrix(a, t / steps), steps) for a in (ax, ay))
@@ -367,7 +395,7 @@ class TestStackedOracle:
         for c, t, _ in grid_points(n_tau=6, tau_max=20.0):
             pair = propagator_expm(c, t)
             for a, m in zip(drift_matrices(c), (pair.mx, pair.my)):
-                assert np.array_equal(m, expm_per_point(a * t))
+                assert np.array_equal(m, expm_per_point(a, t))
 
 
 def oracle_times(cfg):
@@ -420,6 +448,18 @@ class TestBitIdentity:
             m = mc_moments(c, t, n, seed)
             assert np.array_equal(row, [m.cx, m.cy])
             assert np.array_equal(row, mc_per_point(c, t, n, seed))
+
+    @pytest.mark.parametrize("grid", PIN_GRIDS)
+    @pytest.mark.parametrize("kappas", REGIMES)
+    def test_expm_stack_columns_are_the_single_point_propagators(self, kappas, grid):
+        cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], **grid)
+        c, ts = cfg.couplings, oracle_times(cfg)[0]
+        ax = drift_matrices(c)[0]
+        stack = trimode.propagator._expm(ax, ts)
+        assert stack.shape == (3, 3, len(ts))
+        for i, t in enumerate(ts.tolist()):
+            assert np.array_equal(stack[..., i], propagator_expm(c, t).mx)
+            assert np.array_equal(stack[..., i], expm_per_point(ax, t))
 
     def test_outer_rows_are_each_matrix_times_its_transpose(self):
         rng = np.random.default_rng(17)
@@ -495,14 +535,15 @@ class TestOracleWork:
     @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
     def test_each_kernel_runs_one_x_stack(self, kappas, monkeypatch):
         # The Y blocks come from the X ones, so the matrix exponential sees
-        # one (N, 3, 3) stack of an N-point grid, and the RK4 power one
-        # stack of the distinct step matrices, at most N: 47 of 301 at (1, 1).
+        # one drift and the (N,) time column of an N-point grid, and the
+        # RK4 power one stack of the distinct step matrices, at most N (47
+        # of 301 at (1, 1)), and the N step counts.
         stacks = {"_expm": [], "_matrix_powers": []}
         for module, name in ((trimode.sweep, "_expm"), (trimode.oracle, "_matrix_powers")):
 
-            def recording(a, *args, _name=name, _original=getattr(module, name)):
-                stacks[_name].append(a.shape)
-                return _original(a, *args)
+            def recording(a, b, *args, _name=name, _original=getattr(module, name)):
+                stacks[_name].append((a.shape, b.shape))
+                return _original(a, b, *args)
 
             monkeypatch.setattr(module, name, recording)
         for points in (11, 301):
@@ -511,7 +552,8 @@ class TestOracleWork:
             ts, steps = oracle_times(cfg)
             distinct = len(set((ts / steps).tolist()))
             assert distinct <= points
-            assert stacks == {"_expm": [(points, 3, 3)], "_matrix_powers": [(distinct, 3, 3)]}
+            assert stacks == {"_expm": [((3, 3), (points,))],
+                              "_matrix_powers": [((distinct, 3, 3), (points,))]}
             for shapes in stacks.values():
                 shapes.clear()
         assert distinct < points

@@ -19,12 +19,16 @@ import math
 import mpmath as mp
 import pytest
 
+import trimode.propagator
 from trimode import (
     Couplings,
+    RunConfig,
+    drift_matrices,
     evaluate_all,
     moments_at,
     outer_moments,
     propagator_expm,
+    time_scale,
     vlf_gains,
     vlf_value,
 )
@@ -220,3 +224,25 @@ def test_matrix_exponential_states(kappas, tau):
     # A state from any propagator of the equations of motion reads its
     # criteria from the propagator rows, not from cofactors of its moments.
     assert_close_at(*kappas, raw_time(*kappas, tau), tau, expm_moments)
+
+
+@pytest.mark.parametrize("kappas", [HYPERBOLIC, PERIODIC, DEGENERATE])
+def test_matrix_exponential_to_double_precision(kappas):
+    # Every 10th time of the default oracle grid, tau = 3 included, against
+    # the 40-digit mpmath exponential of the same drift at the same time.
+    cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1])
+    taus = cfg.taus()[::10]
+    assert taus[-1] == 3.0
+    ts = taus / time_scale(cfg.couplings, cfg.tau_convention)
+    ax = drift_matrices(cfg.couplings)[0]
+    stack = trimode.propagator._expm(ax, ts)
+    worst = 0.0
+    with mp.workdps(40):
+        drift = mp.matrix(ax.tolist())
+        for i, t in enumerate(ts.tolist()):
+            exact = mp.expm(drift * mp.mpf(t))
+            for j in range(3):
+                for k in range(3):
+                    b = exact[j, k]
+                    worst = max(worst, float(abs(stack[j, k, i] - b) / max(1, abs(b))))
+    assert worst <= 1e-14, worst
