@@ -115,10 +115,15 @@ def _check_finite(values, message):
         raise ValueError(message)
 
 
+def _is_int(x):
+    """Whether x is a Python or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _row_moments(rows):
-    """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
-    cx_ij = r_i . r_j, from propagator_rows; ValueError when they overflow."""
-    r1, r2, r3, _ = rows
+    """The six independent entries (c11, c22, c33, c12, c13, c23) of the Gram
+    matrix cx_ij = r_i . r_j of three rows; ValueError when they overflow."""
+    r1, r2, r3 = rows
     x = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3),
          _dot(r1, r2), _dot(r1, r3), _dot(r2, r3))
     _check_finite(x, "second moments overflow double precision; choose a smaller tau")
@@ -135,7 +140,7 @@ _PAIR_INDEX = np.array([
 
 def _moment_blocks(x):
     """(cx, cy) from the six independent entries of cx: a (2, 3, 3) array
-    for floats, an (N, 2, 3, 3) stack for columns."""
+    for floats, an (..., 2, 3, 3) stack over the reversed axes of arrays."""
     c11, c22, c33, c12, c13, c23 = x
     return np.array([c11, c22, c33, c12, c13, c23, -c12, -c13]).T[..., _PAIR_INDEX]
 
@@ -280,7 +285,7 @@ class MomentState:
     @classmethod
     def _from_rows(cls, rows):
         """The pure state cx_ij = r_i . r_j, cy = S cx S, that keeps its rows."""
-        m = cls(*_moment_blocks(_row_moments(rows)))
+        m = cls(*_moment_blocks(_row_moments(rows[:3])))
         object.__setattr__(m, "rows", rows)
         return m
 

@@ -41,6 +41,7 @@ from .core import (
     VlfGains,
     _check_finite,
     _dot,
+    _is_int,
 )
 
 __all__ = [
@@ -65,7 +66,7 @@ _VALID_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 def _is_mode(i):
     """Whether i is 1, 2 or 3 as an integer that is not a bool."""
-    return not isinstance(i, bool) and isinstance(i, (int, np.integer)) and i in (1, 2, 3)
+    return _is_int(i) and i in (1, 2, 3)
 
 
 def _check_mode(i):

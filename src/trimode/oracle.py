@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentState, PropagatorPair, Quadrature, _check_time
+from .core import (MomentState, PropagatorPair, Quadrature, _check_time, _is_int,
+                   _moment_blocks, _row_moments)
 from .propagator import _FLIP, _x_drift, propagator_rows
 
 __all__ = [
@@ -119,7 +120,7 @@ def rk4_propagator(c, t, steps):
     O((t/steps)^4).  Only the X block is integrated; the Y block is
     S mx S, which _x_drift checks the drift matrices to imply exactly.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     _check_time(t)
     with np.errstate(all="ignore"):
@@ -128,22 +129,20 @@ def rk4_propagator(c, t, steps):
 
 
 def _scatter(rng, n):
-    """Scatter matrix sum_s z_s z_s' of n independent standard normal
-    3-vectors z_s, i.e. one draw of the Wishart law W_3(n, I).
+    """Factor A, with A A' the scatter matrix sum_s z_s z_s' of n independent
+    standard normal 3-vectors z_s, i.e. one draw of the Wishart law W_3(n, I).
 
     For n >= 3 this is the Bartlett decomposition (Odell & Feiveson, JASA
-    61, 199 (1966)): W = A A' with A lower triangular, A_ii^2 ~ chi^2(n - i)
-    for i = 0, 1, 2 and standard normal entries below the diagonal, so the
-    cost does not depend on n.  Below 3 the law is singular and the n
-    samples are summed directly.
+    61, 199 (1966)): A is lower triangular, A_ii^2 ~ chi^2(n - i) for
+    i = 0, 1, 2 and standard normal entries below the diagonal, so the
+    cost does not depend on n.  Below 3 the law is singular and A holds the
+    n samples as columns, padded with zeros.
     """
     if n < 3:
-        z = rng.standard_normal((n, 3))
-        return z.T @ z
+        return np.pad(rng.standard_normal((n, 3)).T, ((0, 0), (0, 3 - n)))
     d = np.sqrt(rng.chisquare(n - np.arange(3.0))).tolist()
     z = rng.standard_normal(3).tolist()
-    a = np.array([[d[0], 0.0, 0.0], [z[0], d[1], 0.0], [z[1], z[2], d[2]]])
-    return a @ a.T
+    return np.array([[d[0], 0.0, 0.0], [z[0], d[1], 0.0], [z[1], z[2], d[2]]])
 
 
 def _mc_blocks(c, ts, n, seed):
@@ -151,15 +150,16 @@ def _mc_blocks(c, ts, n, seed):
 
     The sample moments of n independent vacuum 6-vectors (X1..X3, Y1..Y3,
     unit-variance normals) pushed through the analytic propagator blocks.
-    X and Y are independent, so each block is S = M W M' / n for one
-    Wishart draw W of the n samples' scatter matrix: exactly the law of
-    averaging n outer products, at a cost independent of n.  The pair
-    (Wx, Wy) is drawn once, in that order, from one Philox stream keyed by
-    seed and serves every time, so a result depends only on (seed, n).
+    X and Y are independent, so each block is (M A)(M A)' / n, the Gram
+    matrix of the rows of M A, for the factor A of one Wishart draw of the
+    n samples' scatter matrix: the law of averaging n outer products, at a
+    cost independent of n.  The pair (Ax, Ay) is drawn once, in that order,
+    from one Philox stream keyed by seed, so a result depends only on
+    (seed, n).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    if not _is_int(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
@@ -168,8 +168,8 @@ def _mc_blocks(c, ts, n, seed):
     mx = np.array(propagator_rows(c, np.array(ts, dtype=float))[:3]).transpose(2, 0, 1)
     m = np.stack([mx, mx * _FLIP], axis=1)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    s = m @ np.array([_scatter(rng, n), _scatter(rng, n)]) @ m.swapaxes(-1, -2)
-    return 0.5 * (s + s.swapaxes(-1, -2)) / n
+    f = m @ np.array([_scatter(rng, n), _scatter(rng, n)])
+    return _moment_blocks(_row_moments(f.transpose(2, 3, 1, 0)))[:, :, 0] / n
 
 
 def mc_moments(c, t, n, seed):

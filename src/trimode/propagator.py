@@ -30,6 +30,7 @@ from .core import (
     _check_time,
     _each,
     _moment_blocks,
+    _row_moments,
     classify_regime,
 )
 
@@ -211,22 +212,17 @@ def propagator_expm(c, t):
     return PropagatorPair(mx, mx * _FLIP, t)
 
 
-def _outer(m):
-    """m @ m.T of every matrix of a stack, made exactly symmetric."""
-    s = m @ np.ascontiguousarray(m.swapaxes(-1, -2))  # gemm: numpy's syrk path is slower
-    return 0.5 * (s + s.swapaxes(-1, -2))
-
-
 def outer_moments(pair):
     """Moments a propagator pair produces from vacuum: cx = mx @ mx.T etc.
 
     When my = S mx S, as for every propagator of these equations of motion,
     the state comes from the rows of mx, with d = r1 - r2, as in moments_at.
+    Any other pair takes each block from the rows of its own matrix.
     """
     if (pair.my == pair.mx * _FLIP).all():
         r1, r2, r3 = map(tuple, pair.mx.tolist())
         return MomentState._from_rows((r1, r2, r3, tuple(p - q for p, q in zip(r1, r2))))
-    return MomentState(*_outer(np.array([pair.mx, pair.my])))
+    return MomentState(*_moment_blocks(_row_moments(np.stack([pair.mx, pair.my], -1)))[:, 0])
 
 
 def moments_at(c, t):

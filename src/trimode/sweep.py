@@ -20,6 +20,7 @@ from .core import (
     SweepResult,
     TauConvention,
     _check_time,
+    _is_int,
     _moment_blocks,
     _row_moments,
     classify_regime,
@@ -29,7 +30,6 @@ from .oracle import _compare, _mc_blocks, _rk4_propagators
 from .propagator import (
     _closed_form_entries,
     _expm,
-    _outer,
     _x_drift,
     propagator_rows,
 )
@@ -108,8 +108,7 @@ class RunConfig:
             raise ValueError("tau_max must exceed tau_min")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if type(f.default) is int and (isinstance(value, bool)
-                                           or not isinstance(value, (int, np.integer))):
+            if type(f.default) is int and not _is_int(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points!r}")
@@ -385,8 +384,8 @@ def run_oracle_check(cfg):
     points.  Each path but Monte Carlo runs as one pass over the grid, and
     each comparison reduces the whole grid to its worst point.  expm and
     rk4 run on the X drift alone: rk4 as one (N, 3, 3) stack, expm as one
-    (3, 3, N) array whose rows give the moments through _row_moments, as
-    the analytic rows do, with no BLAS product.  Every deterministic path
+    (3, 3, N) array, and the rows of each give the moments through
+    _row_moments, as the analytic rows do.  Every deterministic path
     has cy = S cx S, S = diag(1, -1, -1), as the Y drift is S ax S
     (checked exactly first), so its cy errs exactly as its cx and only cx
     is compared; Monte Carlo draws cy independently and compares both.
@@ -401,20 +400,21 @@ def run_oracle_check(cfg):
     taus = cfg.taus()
     with np.errstate(all="ignore"):
         ts = taus / time_scale(c, cfg.tau_convention)
-        analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)))
-        # The X blocks exp(ax t) at every t, their rows read as the analytic
-        # rows are (_row_moments does not read the fourth, d); each Y block
-        # is S mx S.
-        r1, r2, r3 = _finite(_expm(ax, ts), "expm")
-        via_expm = _moment_blocks(_row_moments((r1, r2, r3, None)))[:, :1]
+        analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)[:3]))
+        # The X blocks exp(ax t) and their RK4 powers at every t, their rows
+        # read as the analytic rows are; each Y block is S mx S.
+        via_expm = _moment_blocks(_row_moments(_finite(_expm(ax, ts), "expm")))[:, :1]
         steps = np.maximum(1.0, np.ceil(RK4_STEPS_PER_UNIT_TAU * taus))
         if not np.isfinite(steps).all():
             raise ValueError("rk4 step count overflows; choose a smaller tau")
         rk4 = _rk4_propagators(ax, ts, [int(n) for n in steps.tolist()])
-        via_rk4 = _finite(_outer(rk4)[:, None], "rk4")
+        via_rk4 = _moment_blocks(_row_moments(_finite(rk4, "rk4").transpose(1, 2, 0)))[:, :1]
         closed = None
         if classify_regime(c).kind is not RegimeKind.DEGENERATE:
             closed = _finite(_moment_blocks(_closed_form_entries(c, ts))[:, :1], "closed-form")
+        n = len(taus)
+        mc = [i for i in sorted({n // 4, n // 2, n - 1}) if taus[i] > 0]
+        sampled = _mc_blocks(c, ts[mc], cfg.mc_samples, cfg.seed)
 
     analytic_x = analytic[:, :1]
     reports = [
@@ -425,9 +425,6 @@ def run_oracle_check(cfg):
         reports.append(("closed-form vs analytic", _compare(closed, analytic_x, 1e-9, taus)))
         reports.append(("closed-form vs expm", _compare(closed, via_expm, 1e-9, taus)))
 
-    n = len(taus)
-    mc = [i for i in sorted({n // 4, n // 2, n - 1}) if taus[i] > 0]
-    sampled = _mc_blocks(c, ts[mc], cfg.mc_samples, cfg.seed)
     reports.append(("mc vs analytic", _compare(analytic[mc], sampled, 1e-2, taus[mc])))
     return reports
 

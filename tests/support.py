@@ -96,6 +96,12 @@ def relclose(actual, expected, rtol=1e-12):
     return abs(actual - expected) <= rtol * abs(expected)
 
 
+def row_outer(m):
+    """m @ m.T, entry (i, j) the dot product of rows i and j summed left to
+    right."""
+    return np.array([[ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2] for rj in m] for ri in m])
+
+
 def mp_residual(block, w, v):
     """w'Cw - (w'Cv)^2 / v'Cv of the float entries, at 50 digits: the
     residual variance of w.Q after the best linear estimate from v.Q."""

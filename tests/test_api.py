@@ -3,9 +3,10 @@
 bench/tracer.py rebinds public functions by (layer, name) and wraps the
 __init__ of two value types; bench/workloads.py calls a handful of names
 through the package.  Removing or renaming any of them breaks the
-benchmark without failing any other test.  The last test guards the
+benchmark without failing any other test.  The last tests guard the
 boundary between the package's modules: no module writes a frozen
-object's attributes from outside core.py or probes a private attribute.
+object's attributes from outside core.py or probes a private attribute,
+and none forms a moment block with a BLAS Gram product.
 """
 
 import ast
@@ -107,6 +108,66 @@ def _boundary_crossings(path):
                 and node.args[1].value.startswith("_")):
             found.append(f"{path.name}:{node.lineno} {fn.id}({node.args[1].value!r})")
     return found
+
+
+def _transposed(node):
+    """The expression node is the transpose of: x for x.T, x.swapaxes(...),
+    x.transpose(...) or np.ascontiguousarray of one of these; else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return node.value
+    if isinstance(node, ast.Call):
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name in ("swapaxes", "transpose") and isinstance(fn, ast.Attribute):
+            return fn.value
+        if name == "ascontiguousarray" and len(node.args) == 1:
+            return _transposed(node.args[0])
+    return None
+
+
+def _gram_products(source, name):
+    """@ products in source that form a Gram matrix: the outer factors of
+    the product chain are a matrix and its transpose, as in m @ m.T,
+    m.T @ m or the sandwich m @ w @ m.swapaxes(-1, -2)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+            continue
+        first, last = node.left, node.right
+        while isinstance(first, ast.BinOp) and isinstance(first.op, ast.MatMult):
+            first = first.left
+        while isinstance(last, ast.BinOp) and isinstance(last.op, ast.MatMult):
+            last = last.right
+        for a, b in ((first, last), (last, first)):
+            base = _transposed(a)
+            if base is not None and ast.dump(base) == ast.dump(b):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+                break
+    return found
+
+
+def test_gram_check_finds_each_form():
+    source = "\n".join([
+        "s = m @ np.ascontiguousarray(m.swapaxes(-1, -2))",
+        "w = z.T @ z",
+        "w = a @ a.T",
+        "s = m @ np.array([w, w]) @ m.swapaxes(-1, -2)",
+        "s = m.transpose(0, 2, 1) @ m",
+        "d = self.mx @ self.my.T",
+        "f = m @ a",
+    ])
+    assert [hit.split()[0] for hit in _gram_products(source, "x")] == [
+        "x:1", "x:2", "x:3", "x:4", "x:5"]
+
+
+def test_no_module_forms_a_gram_matrix_with_matmul():
+    # Every covariance block comes from the row dot products of
+    # core._row_moments, exactly symmetric by construction; @ is left to
+    # products of propagators.
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert paths
+    assert [hit for path in paths
+            for hit in _gram_products(path.read_text(encoding="utf-8"), path.name)] == []
 
 
 def test_no_module_sets_or_probes_hidden_attributes():

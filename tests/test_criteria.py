@@ -1,5 +1,6 @@
 """Entanglement criteria: variances, inference products and gain-weighted sums."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from trimode import (
     Couplings,
     MomentState,
     Sign,
+    TauConvention,
     VlfGains,
     evaluate_all,
     moments_at,
     obr_pair,
     obr_single,
+    time_scale,
     vacuum_moments,
     vlf_gains,
     vlf_value,
@@ -142,6 +145,20 @@ class TestObrSingle:
         v = obr_single(m1, 1, Sign.MINUS)
         assert v >= 0.0
         assert v != pytest.approx(obr_single(m1, 1), rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the cofactor path of a pure state rebuilt "
+                       "from its blocks certifies falsely from rounding")
+    @pytest.mark.parametrize("tau", [10.0, 18.0, 20.0])
+    def test_a_rebuilt_pure_state_does_not_certify(self, tau):
+        # Rebuilt from its blocks, the state drops its rows and takes the
+        # cofactor path, whose residual variances lose their digits to
+        # cancellation at large tau: the products read below 1.
+        t = tau / time_scale(HYP, TauConvention.RATE)
+        m = moments_at(HYP, t)
+        assert not evaluate_all(m, t).obr_single_flag
+        for rebuilt in (MomentState(m.cx, m.cy), dataclasses.replace(m)):
+            assert not evaluate_all(rebuilt, t).obr_single_flag
 
 
 class TestInferredPair:

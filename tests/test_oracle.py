@@ -34,7 +34,7 @@ from trimode import (
     vacuum_moments,
 )
 from trimode.cli import main
-from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of
+from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of, row_outer
 
 
 class TestRk4:
@@ -258,12 +258,6 @@ def expm_per_point(a, t):
     return np.array(result)
 
 
-def row_outer(m):
-    """m @ m.T, entry (i, j) the dot product of rows i and j summed left to
-    right."""
-    return np.array([[ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2] for rj in m] for ri in m])
-
-
 def rk4_step_matrix(a, h):
     eye = np.eye(3)
     k1 = a @ eye
@@ -271,14 +265,6 @@ def rk4_step_matrix(a, h):
     k3 = a @ (eye + 0.5 * h * k2)
     k4 = a @ (eye + h * k3)
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def outer_per_point(mx, my):
-    def sym(m):
-        s = m @ m.T
-        return 0.5 * (s + s.T)
-
-    return sym(mx), sym(my)
 
 
 def compare_per_point(a, b, tol, t):
@@ -318,9 +304,8 @@ def oracle_per_point(cfg):
         analytic = (m.cx, m.cy)
         via_expm = row_outer(expm_per_point(ax, t)), row_outer(expm_per_point(ay, t))
         steps = max(1, int(math.ceil(10_000 * tau)))
-        via_rk4 = outer_per_point(
-            *(np.linalg.matrix_power(rk4_step_matrix(a, t / steps), steps) for a in (ax, ay))
-        )
+        via_rk4 = tuple(row_outer(np.linalg.matrix_power(rk4_step_matrix(a, t / steps), steps))
+                        for a in (ax, ay))
         keep("analytic vs expm", compare_per_point(analytic, via_expm, 1e-9, tau))
         keep("rk4 vs analytic", compare_per_point(analytic, via_rk4, 1e-8, tau))
         if not degenerate:
@@ -407,14 +392,12 @@ def oracle_times(cfg):
 
 def mc_per_point(c, t, n, seed):
     """(cx, cy) sampled as mc_moments first drew them: a Philox stream of
-    its own per point, one Wishart draw per block."""
+    its own per point, one Wishart factor A per block, and each block the
+    Gram matrix of the rows of m @ A, divided by n."""
     pair = propagator_analytic(c, t)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    blocks = []
-    for m in (pair.mx, pair.my):
-        s = m @ trimode.oracle._scatter(rng, n) @ m.T
-        blocks.append(0.5 * (s + s.T) / n)
-    return np.array(blocks)
+    return np.array([row_outer(m @ trimode.oracle._scatter(rng, n)) / n
+                     for m in (pair.mx, pair.my)])
 
 
 #: The default grid and an irregular one.
@@ -460,13 +443,6 @@ class TestBitIdentity:
         for i, t in enumerate(ts.tolist()):
             assert np.array_equal(stack[..., i], propagator_expm(c, t).mx)
             assert np.array_equal(stack[..., i], expm_per_point(ax, t))
-
-    def test_outer_rows_are_each_matrix_times_its_transpose(self):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((2000, 3, 3)) * 10.0 ** rng.uniform(-3, 3, (2000, 1, 1))
-        got = trimode.propagator._outer(m)
-        for row, mi in zip(got, m):
-            assert np.array_equal(row, mi @ mi.T)
 
     @pytest.mark.parametrize("fn,sign", [(math.sinh, 1.0), (math.sinh, -1.0), (math.cosh, 1.0),
                                          (math.sin, 1.0), (math.cos, 1.0), (math.log2, 1.0)])

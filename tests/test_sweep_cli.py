@@ -726,10 +726,12 @@ print(json.dumps(runs))
 """
 
 
-def test_oracle_expm_lines_do_not_depend_on_the_cpu():
-    # The matrix exponential and its moments are written-out products and
-    # sums, with no BLAS kernel, so with numpy's AVX2/AVX-512 kernels and
-    # OpenBLAS's newer ones off every expm line stays as pinned.  The rk4
+def test_oracle_lines_but_rk4_do_not_depend_on_the_cpu():
+    # The matrix exponential, the closed forms and every moment block are
+    # written-out products and sums with no BLAS kernel's rounding, and the
+    # Monte Carlo errors are statistical, far above the rounding of its one
+    # BLAS product M A.  So with numpy's AVX2/AVX-512 kernels and OpenBLAS's
+    # newer ones off every line but rk4 vs analytic stays as pinned.  That
     # line is the one kernel-dependent line left: its power is a BLAS
     # matmul chain.
     env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
@@ -739,9 +741,9 @@ def test_oracle_expm_lines_do_not_depend_on_the_cpu():
     for argv, (rc, out) in zip(ORACLE_REPORTS, json.loads(proc.stdout)):
         pinned_rc, pinned = ORACLE_REPORTS[argv]
         assert rc == pinned_rc
-        expm_lines = [line for line in pinned.splitlines() if "vs expm" in line]
-        assert len(expm_lines) in (1, 2)
-        assert [line for line in out.splitlines() if "vs expm" in line] == expm_lines
+        lines = [line for line in pinned.splitlines() if "rk4 vs analytic" not in line]
+        assert len(lines) in (2, 4)
+        assert [line for line in out.splitlines() if "rk4 vs analytic" not in line] == lines
 
 
 def eval_values(capsys, *argv):
@@ -790,7 +792,8 @@ class TestOverflow:
 class TestOracleNonFinite:
     """An oracle path whose moments are not finite exits 4 with one error
     line: the expm and RK4 paths break down from about tau = 1e15 in the
-    periodic regime, and the analytic moments overflow at tau = 800."""
+    periodic regime, the Monte Carlo scatter of 10^6 samples overflows from
+    about tau = 350 at (1.2, 1.0), and the analytic moments at tau = 800."""
 
     PERIODIC = ["oracle", "--kappa1", "1.0", "--kappa2", "1.8", "--points", "3"]
 
@@ -806,6 +809,7 @@ class TestOracleNonFinite:
             PERIODIC + ["--tau-max", "1e15"],
             PERIODIC + ["--tau-max", "1e16"],
             PERIODIC + ["--tau-max", "1e308"],
+            ["oracle", "--tau-max", "350", "--points", "3"],
             ["oracle", "--tau-max", "800"],
         ],
     )
