@@ -5,13 +5,12 @@ integrates the equations of motion numerically, mc_moments samples the
 second moments of n vacuum draws through the analytic propagator (one
 Wishart draw per block, so a result depends only on (seed, n)), and
 compare_moments reduces two states to a structured error report.  RK4
-integrates the X block alone, as one (N, 3, 3) stack over a whole grid,
-and every Y block is S mx S with S = diag(1, -1, -1), once _x_drift has
-checked that the Y drift is S ax S exactly; its step matrix depends on
-the step length alone, so it is built and squared once per distinct
-length.  The sampler draws its Wishart pair once for all of its times.
-The comparison runs on whole grids of (cx, cy) pairs or of cx alone; the
-public functions are grids of one, bit for bit.
+integrates the X block alone, and every Y block is S mx S with
+S = diag(1, -1, -1), once _x_drift has checked that the Y drift is S ax S
+exactly; on a uniform grid it steps from point to point, by one interval
+operator composed by doubling.  The sampler draws its Wishart pair once
+for all of its times.  The comparison runs on whole grids of (cx, cy)
+pairs or of cx alone; the public functions are grids of one, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .core import (MomentState, PropagatorPair, Quadrature, _check_time, _is_int,
                    _moment_blocks, _row_moments)
-from .propagator import _FLIP, _x_drift, propagator_rows
+from .propagator import _EYE, _FLIP, _mul, _product, _x_drift, propagator_rows
 
 __all__ = [
     "ComparisonReport",
@@ -50,81 +49,67 @@ class ComparisonReport:
     tolerance: float
 
 
-def _rk4_step_matrices(a, h):
-    """One classical RK4 step for dM/dt = a @ M, applied to the identity,
-    for drift stacks a and step lengths h that broadcast together."""
-    eye = np.eye(3)
-    k1 = a @ eye
-    k2 = a @ (eye + 0.5 * h * k1)
-    k3 = a @ (eye + 0.5 * h * k2)
-    k4 = a @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(a, h):
+    """One classical RK4 step of length h for dM/dt = a M, applied to the
+    identity, in Python floats: I + (h/6) (k1 + 2 k2 + 2 k3 + k4) with
+    k1 = a and each later stage a (I + c k), c = h/2, h/2, h, k the stage
+    before."""
+    stages = [a]
+    for c in (0.5 * h, 0.5 * h, h):
+        stages.append(_mul(a, [[e + c * v for e, v in zip(*rows)]
+                               for rows in zip(_EYE, stages[-1])]))
+    w = h / 6.0
+    return [[e + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4) for e, v1, v2, v3, v4 in zip(*rows)]
+            for rows in zip(_EYE, *stages)]
 
 
-def _matrix_powers(a, n, which):
-    """a[which[i]] ** n[i] for a (K, 3, 3) stack of distinct matrices,
-    integer exponents n >= 1 and indices which into a.
+def _power(z, n):
+    """z^n for an integer n >= 1 by binary powering: the product of the
+    squares z^(2^k) over the set bits k of n, lowest bit first."""
+    result = None
+    while n:
+        if n & 1:
+            result = z if result is None else _mul(result, z)
+        z, n = _mul(z, z), n >> 1
+    return result
 
-    Each power is the product np.linalg.matrix_power forms: a @ a for 2,
-    (a @ a) @ a for 3, and otherwise binary decomposition from the lowest
-    bit, result @ z with z = a^(2^k).  Only the distinct stack is squared.
-    The factors are folded in one step for every point at once, the points
-    ordered by bit count so that those with a j-th factor are a prefix.  n
-    is an int64 array or, for exponents past int64, an object array of
-    Python ints, so it never wraps.
+
+def _rk4_grid(ax, t0, n0, dt, m, n):
+    """(3, 3, n) array whose column [:, :, i] is the RK4 X block at
+    t0 + i dt for the X drift ax (each Y block is S mx S): z(t0/n0)^n0
+    times Z^i, Z = z(dt/m)^m and z(h) the RK4 step matrix, so point i
+    takes n0 + i m steps.  Z^i is the product of Z^(2^k) over the set bits
+    k of i, lowest first: each doubling extends the columns [0, w) to
+    [w, 2w) by Z^w in one stacked _product, which also squares Z^w.  No
+    BLAS kernel enters, so the result is the same on every CPU.
     """
-    squares = [a]
-    for _ in range(int(n.max()).bit_length() - 1):
-        squares.append(squares[-1] @ squares[-1])
-    bits = ((n[:, None] >> np.arange(len(squares)).astype(n.dtype)) & 1).astype(bool)
-    count = np.count_nonzero(bits, axis=1)
-    order = np.argsort(-count, kind="stable")
-    ranked = bits[order]
-    point, k = np.nonzero(ranked)
-    # factor[j, p]: the j-th factor of point order[p], an index into squares
-    factor = np.zeros((count.max(), len(n)), dtype=np.intp)
-    factor[ranked.cumsum(axis=1)[point, k] - 1, point] = k * len(a) + which[order][point]
-    squares = np.concatenate(squares)
-    result = squares[factor[0]]
-    for j in range(1, len(factor)):
-        live = np.count_nonzero(count > j)
-        result[:live] = result[:live] @ squares[factor[j, :live]]
-    powers = np.empty_like(result)
-    powers[order] = result
-    three = n == 3
-    if three.any():
-        a3 = a[which[three]]
-        powers[three] = (a3 @ a3) @ a3
-    return powers
-
-
-def _rk4_propagators(ax, ts, steps):
-    """(N, 3, 3) stack of the RK4 X blocks from the identity to every time
-    ts[i], in steps[i] equal steps (a list of Python ints >= 1), for the X
-    drift ax that _x_drift returns; each Y block is S mx S.
-
-    The step operator is constant for this linear system, so composing the
-    steps reduces to a matrix power.  It depends on the step length alone,
-    so it is built, and squared, once per distinct step length.
-    """
-    distinct, which = np.unique(ts / np.array(steps, dtype=float), return_inverse=True)
-    z = _rk4_step_matrices(ax, distinct[:, None, None])
-    n = np.array(steps, dtype=np.int64 if max(steps) < 2**63 else object)
-    return _matrix_powers(z, n, which)
+    a = ax.tolist()
+    r = np.empty((3, 3, n))
+    r[..., 0] = _power(_rk4_step(a, t0 / n0), n0)
+    z = np.array(_power(_rk4_step(a, dt / m), m))[..., None] if n > 1 else None
+    width = 1
+    while width < n:
+        w = min(width, n - width)
+        p = _product(np.concatenate((r[..., :w], z), axis=2), z)
+        r[..., width:width + w] = p[..., :w]
+        z = p[..., w:]
+        width *= 2
+    return r
 
 
 def rk4_propagator(c, t, steps):
     """Integrate both quadrature blocks from the identity with classical RK4.
 
     The result is the standard fixed-step RK4 solution with global error
-    O((t/steps)^4).  Only the X block is integrated; the Y block is
-    S mx S, which _x_drift checks the drift matrices to imply exactly.
+    O((t/steps)^4): _rk4_grid on a grid of one, with n0 = steps.  Only the
+    X block is integrated; the Y block is S mx S, which _x_drift checks
+    the drift matrices to imply exactly.
     """
     if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     _check_time(t)
     with np.errstate(all="ignore"):
-        mx = _rk4_propagators(_x_drift(c), np.array([float(t)]), [int(steps)])[0]
+        mx = _rk4_grid(_x_drift(c), float(t), int(steps), 0.0, 1, 1)[..., 0]
     return PropagatorPair(mx, mx * _FLIP, t)
 
 
@@ -151,7 +136,8 @@ def _mc_blocks(c, ts, n, seed):
     The sample moments of n independent vacuum 6-vectors (X1..X3, Y1..Y3,
     unit-variance normals) pushed through the analytic propagator blocks.
     X and Y are independent, so each block is (M A)(M A)' / n, the Gram
-    matrix of the rows of M A, for the factor A of one Wishart draw of the
+    matrix of the rows of M A (Python floats through _row_moments), for
+    the factor A of one Wishart draw of the
     n samples' scatter matrix: the law of averaging n outer products, at a
     cost independent of n.  The pair (Ax, Ay) is drawn once, in that order,
     from one Philox stream keyed by seed, so a result depends only on
@@ -168,19 +154,15 @@ def _mc_blocks(c, ts, n, seed):
     mx = np.array(propagator_rows(c, np.array(ts, dtype=float))[:3]).transpose(2, 0, 1)
     m = np.stack([mx, mx * _FLIP], axis=1)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    f = m @ np.array([_scatter(rng, n), _scatter(rng, n)])
-    return _moment_blocks(_row_moments(f.transpose(2, 3, 1, 0)))[:, :, 0] / n
+    f = (m @ np.array([_scatter(rng, n), _scatter(rng, n)])).reshape(-1, 3, 3).tolist()
+    x = np.array([_row_moments(rows) for rows in f]).reshape(-1, 2, 6)
+    return _moment_blocks(x.T)[:, :, 0] / n
 
 
 def mc_moments(c, t, n, seed):
     """Sample second moments of the evolved quadratures at time t from n
     vacuum samples: a grid of one of the sampler run_oracle_check uses."""
     return MomentState(*_mc_blocks(c, [t], n, seed)[0])
-
-
-def _pair(m):
-    """The (2, 3, 3) stack (cx, cy) of a moment state."""
-    return np.array([m.cx, m.cy])
 
 
 def _compare(a, b, tol, labels):
@@ -215,4 +197,4 @@ def compare_moments(a, b, tol, t=math.nan):
     t only labels the worst entry (useful when scanning a grid).  A grid
     of one: run_oracle_check reduces whole grids the same way.
     """
-    return _compare(_pair(a)[None], _pair(b)[None], tol, [t])
+    return _compare(np.array([[a.cx, a.cy]]), np.array([[b.cx, b.cy]]), tol, [t])

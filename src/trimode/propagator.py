@@ -144,17 +144,24 @@ def _product(x, y):
     return x[:, 0, None] * y[0] + x[:, 1, None] * y[1] + x[:, 2, None] * y[2]
 
 
+def _mul(x, y):
+    """x @ y of two 3x3 matrices given as rows of Python floats, each entry
+    summed in _product's order."""
+    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = y
+    return [(x0 * y00 + x1 * y10 + x2 * y20, x0 * y01 + x1 * y11 + x2 * y21,
+             x0 * y02 + x1 * y12 + x2 * y22) for x0, x1, x2 in x]
+
+
+#: The 3x3 identity as rows of Python floats.
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 def _taylor_terms(a1):
     """a1^k / k! for k = 0..20, a (21, 3, 3) array formed in Python floats
-    by the recursion (a1^(k-1) / (k-1)!) @ a1 / k, each product summed in
-    _product's order."""
-    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = a1.tolist()
-    term = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    terms = [term]
+    by the recursion (a1^(k-1) / (k-1)!) @ a1 / k."""
+    a1, terms = a1.tolist(), [_EYE]
     for k in range(1, 21):
-        term = [((x0 * y00 + x1 * y10 + x2 * y20) / k, (x0 * y01 + x1 * y11 + x2 * y21) / k,
-                 (x0 * y02 + x1 * y12 + x2 * y22) / k) for x0, x1, x2 in term]
-        terms.append(term)
+        terms.append([(p0 / k, p1 / k, p2 / k) for p0, p1, p2 in _mul(terms[-1], a1)])
     return np.array(terms)
 
 
@@ -222,7 +229,8 @@ def outer_moments(pair):
     if (pair.my == pair.mx * _FLIP).all():
         r1, r2, r3 = map(tuple, pair.mx.tolist())
         return MomentState._from_rows((r1, r2, r3, tuple(p - q for p, q in zip(r1, r2))))
-    return MomentState(*_moment_blocks(_row_moments(np.stack([pair.mx, pair.my], -1)))[:, 0])
+    with np.errstate(all="ignore"):
+        return MomentState(*_moment_blocks(_row_moments(np.stack([pair.mx, pair.my], -1)))[:, 0])
 
 
 def moments_at(c, t):

@@ -8,6 +8,7 @@ significant digits so parsing a file recovers every value bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     classify_regime,
 )
 from .criteria import row_criteria
-from .oracle import _compare, _mc_blocks, _rk4_propagators
+from .oracle import _compare, _mc_blocks, _rk4_grid
 from .propagator import (
     _closed_form_entries,
     _expm,
@@ -47,7 +48,8 @@ __all__ = [
     "load_config_file",
 ]
 
-#: Step density used by the rk4 comparison in oracle runs.
+#: Step density of the rk4 comparison in oracle runs: grid point i gets at
+#: least RK4_STEPS_PER_UNIT_TAU * tau_i steps (run_oracle_check).
 RK4_STEPS_PER_UNIT_TAU = 10_000
 
 #: Figure presets: (kind, the CRITERIA columns plotted, the couplings of
@@ -383,12 +385,14 @@ def run_oracle_check(cfg):
     RK4_STEPS_PER_UNIT_TAU density and Monte Carlo sampling at a few grid
     points.  Each path but Monte Carlo runs as one pass over the grid, and
     each comparison reduces the whole grid to its worst point.  expm and
-    rk4 run on the X drift alone: rk4 as one (N, 3, 3) stack, expm as one
-    (3, 3, N) array, and the rows of each give the moments through
-    _row_moments, as the analytic rows do.  Every deterministic path
-    has cy = S cx S, S = diag(1, -1, -1), as the Y drift is S ax S
-    (checked exactly first), so its cy errs exactly as its cx and only cx
-    is compared; Monte Carlo draws cy independently and compares both.
+    rk4 run on the X drift alone, as (3, 3, N) arrays whose rows give the
+    moments through _row_moments.  rk4 steps along the grid, n0 steps to
+    t0 and m more each spacing dt, so its row i sits at t0 + i dt (t_i up
+    to the grid's rounding) after n0 + i m >= RK4_STEPS_PER_UNIT_TAU tau_i
+    steps.  Every deterministic path has cy = S cx S, S = diag(1, -1, -1),
+    as the Y drift is S ax S (checked exactly first), so its cy errs
+    exactly as its cx and only cx is compared; Monte Carlo draws cy
+    independently and compares both.
     Returns [(name, ComparisonReport), ...]; a run is good when every
     report passed.  Raises ValueError when that drift identity fails or a
     moment of any path is not finite.  The Monte Carlo comparison is
@@ -398,21 +402,26 @@ def run_oracle_check(cfg):
     c = cfg.couplings
     ax = _x_drift(c)
     taus = cfg.taus()
+    n = len(taus)
     with np.errstate(all="ignore"):
         ts = taus / time_scale(c, cfg.tau_convention)
         analytic = _moment_blocks(_row_moments(propagator_rows(c, ts)[:3]))
-        # The X blocks exp(ax t) and their RK4 powers at every t, their rows
-        # read as the analytic rows are; each Y block is S mx S.
+        # The X blocks exp(ax t) and the RK4 blocks stepped along the grid,
+        # their rows read as the analytic rows are; each Y block is S mx S.
         via_expm = _moment_blocks(_row_moments(_finite(_expm(ax, ts), "expm")))[:, :1]
-        steps = np.maximum(1.0, np.ceil(RK4_STEPS_PER_UNIT_TAU * taus))
-        if not np.isfinite(steps).all():
+        # m covers RK4_STEPS_PER_UNIT_TAU per unit of the spacing, raised
+        # where the grid's rounding would leave a point short of need.
+        need = np.ceil(RK4_STEPS_PER_UNIT_TAU * taus)
+        if not np.isfinite(need).all():
             raise ValueError("rk4 step count overflows; choose a smaller tau")
-        rk4 = _rk4_propagators(ax, ts, [int(n) for n in steps.tolist()])
-        via_rk4 = _moment_blocks(_row_moments(_finite(rk4, "rk4").transpose(1, 2, 0)))[:, :1]
+        n0 = max(1, int(need[0]))
+        m = max(1, math.ceil(RK4_STEPS_PER_UNIT_TAU * ((taus[-1] - taus[0]) / (n - 1))),
+                math.ceil(((need[1:] - n0) / np.arange(1, n)).max()))
+        rk4 = _rk4_grid(ax, float(ts[0]), n0, float(ts[-1] - ts[0]) / (n - 1), m, n)
+        via_rk4 = _moment_blocks(_row_moments(_finite(rk4, "rk4")))[:, :1]
         closed = None
         if classify_regime(c).kind is not RegimeKind.DEGENERATE:
             closed = _finite(_moment_blocks(_closed_form_entries(c, ts))[:, :1], "closed-form")
-        n = len(taus)
         mc = [i for i in sorted({n // 4, n // 2, n - 1}) if taus[i] > 0]
         sampled = _mc_blocks(c, ts[mc], cfg.mc_samples, cfg.seed)
 

@@ -222,9 +222,8 @@ class TestCompareMoments:
 
 
 # The oracle one grid point at a time: the matrix exponential in Python
-# floats, its moments as row dot products, the comparison per point, the
-# RK4 step matrix raised by np.linalg.matrix_power, and the first worst
-# point kept.
+# floats, its moments as row dot products, the comparison per point, RK4
+# stepped along the grid in Python floats, and the first worst point kept.
 
 def product(x, y):
     """x @ y of two 3x3 nested lists, entry (i, k) summed left to right."""
@@ -259,12 +258,62 @@ def expm_per_point(a, t):
 
 
 def rk4_step_matrix(a, h):
-    eye = np.eye(3)
-    k1 = a @ eye
-    k2 = a @ (eye + 0.5 * h * k1)
-    k3 = a @ (eye + 0.5 * h * k2)
-    k4 = a @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of length h from the identity, in Python
+    floats: k1 = a, k2 = a (I + h/2 k1), k3 = a (I + h/2 k2), k4 = a (I + h k3)
+    and I + (h/6) (k1 + 2 k2 + 2 k3 + k4)."""
+    a = a.tolist()
+    eye = np.eye(3).tolist()
+
+    def stage(k, c):
+        return product(a, [[e + c * v for e, v in zip(er, kr)] for er, kr in zip(eye, k)])
+
+    k1 = a
+    k2 = stage(k1, 0.5 * h)
+    k3 = stage(k2, 0.5 * h)
+    k4 = stage(k3, h)
+    return [[eye[i][j] + (h / 6.0) * (k1[i][j] + 2.0 * k2[i][j] + 2.0 * k3[i][j] + k4[i][j])
+             for j in range(3)] for i in range(3)]
+
+
+def binary_power(z, n):
+    """z^n: the product of z^(2^k) over the set bits k of n, lowest first."""
+    result, square = None, z
+    for bit in reversed(bin(n)[2:]):
+        if bit == "1":
+            result = square if result is None else product(result, square)
+        square = product(square, square)
+    return result
+
+
+def rk4_counts(taus):
+    """(n0, m): the steps to the first point and across each interval, in
+    Python ints: n0 = max(1, ceil(10^4 tau_0)), and m the least count of at
+    least max(1, ceil(10^4 dtau)) that gives every point i at least
+    ceil(10^4 tau_i) steps in all."""
+    need = [max(1, math.ceil(10_000 * tau)) for tau in taus.tolist()]
+    n0 = need[0]
+    m = max(1, math.ceil(10_000 * ((taus[-1] - taus[0]) / (len(taus) - 1))))
+    while any(n0 + i * m < k for i, k in enumerate(need)):
+        m += 1
+    return n0, m
+
+
+def rk4_per_point(a, ts, n0, m):
+    """The RK4 blocks of a grid one point at a time, as numpy arrays: the
+    first z(t0/n0)^n0, Z = z(dt/m)^m, dt = (t_last - t0) / (N - 1), and
+    point i the first times Z^(2^k) for each set bit k of i, lowest first,
+    Z^(2^(k+1)) = Z^(2^k) Z^(2^k)."""
+    t0 = float(ts[0])
+    first = binary_power(rk4_step_matrix(a, t0 / n0), n0)
+    squares = [binary_power(rk4_step_matrix(a, float(ts[-1] - ts[0]) / (len(ts) - 1) / m), m)]
+    while len(squares) < len(ts).bit_length():
+        squares.append(product(squares[-1], squares[-1]))
+    for i in range(len(ts)):
+        row = first
+        for k, square in enumerate(squares):
+            if i >> k & 1:
+                row = product(row, square)
+        yield np.array(row)
 
 
 def compare_per_point(a, b, tol, t):
@@ -298,14 +347,15 @@ def oracle_per_point(cfg):
             worst[name] = report
 
     taus = cfg.taus()
-    for tau in taus:
+    ts = taus / scale
+    n0, steps = rk4_counts(taus)
+    rk4 = zip(*(rk4_per_point(a, ts, n0, steps) for a in (ax, ay)))
+    for tau, (rk4_x, rk4_y) in zip(taus, rk4):
         t = tau / scale
         m = moments_at(c, t)
         analytic = (m.cx, m.cy)
         via_expm = row_outer(expm_per_point(ax, t)), row_outer(expm_per_point(ay, t))
-        steps = max(1, int(math.ceil(10_000 * tau)))
-        via_rk4 = tuple(row_outer(np.linalg.matrix_power(rk4_step_matrix(a, t / steps), steps))
-                        for a in (ax, ay))
+        via_rk4 = row_outer(rk4_x), row_outer(rk4_y)
         keep("analytic vs expm", compare_per_point(analytic, via_expm, 1e-9, tau))
         keep("rk4 vs analytic", compare_per_point(analytic, via_rk4, 1e-8, tau))
         if not degenerate:
@@ -326,10 +376,11 @@ def oracle_per_point(cfg):
     return list(worst.items())
 
 
-#: Grids that mix tau = 0 (no squarings, one RK4 step) with large tau, odd
-#: and even RK4 step counts (1 to 5 on the smallest grid, up to 10^9 on the
-#: longest), a Monte Carlo failure, the degenerate point and the
-#: near-degenerate corridor.
+#: Grids that mix tau = 0 (no squarings, one RK4 step of length 0) with
+#: large tau, odd and even RK4 interval step counts (1 on the smallest
+#: grid, 5 10^8 on the longest), grid sizes that are and are not powers of
+#: two, a first point past 0, a Monte Carlo failure, the degenerate point
+#: and the near-degenerate corridor.
 STACKED_GRIDS = [
     dict(points=31),
     dict(tau_max=4.5e-4, points=10),
@@ -357,24 +408,51 @@ class TestStackedOracle:
             assert report.passed == passed, name
 
     def test_grids_cover_small_odd_and_even_step_counts(self):
-        steps = {max(1, int(math.ceil(10_000 * tau)))
-                 for grid in STACKED_GRIDS for tau in RunConfig(**grid).taus()}
-        assert {1, 2, 3} <= steps
-        assert any(n > 3 and n % 2 for n in steps)
-        assert any(n > 3 and not n % 2 for n in steps)
-        assert max(steps) >= 10**9
+        grids = [RunConfig(**grid).taus() for grid in STACKED_GRIDS]
+        n0, m = zip(*map(rk4_counts, grids))
+        assert 1 in m and max(m) >= 10**8
+        assert any(n > 3 and n % 2 for n in m)
+        assert any(n > 3 and not n % 2 for n in m)
+        assert max(n0) > 1
+        sizes = {len(taus) for taus in grids}
+        assert 3 in sizes and any(n & (n - 1) == 0 for n in sizes)
+
+    @pytest.mark.parametrize("grid", STACKED_GRIDS + [dict(tau_min=0.5, tau_max=3.5),
+                                                      dict(tau_min=2.0, tau_max=5.0, points=31)])
+    def test_every_point_gets_the_rk4_step_density(self, grid, monkeypatch):
+        # n0 + i m steps reach point i.  The last two grids are ones where
+        # m = ceil(10^4 dtau) would leave points short by the rounding of
+        # tau_i; m may exceed it by one step, no more.
+        seen = []
+        original = trimode.sweep._rk4_grid
+
+        def recording(ax, t0, n0, dt, m, n):
+            seen.append((n0, m, n))
+            return original(ax, t0, n0, dt, m, n)
+
+        monkeypatch.setattr(trimode.sweep, "_rk4_grid", recording)
+        cfg = RunConfig(**grid)
+        run_oracle_check(cfg)
+        taus, density = cfg.taus(), trimode.sweep.RK4_STEPS_PER_UNIT_TAU
+        [(n0, m, n)] = seen
+        assert n == len(taus)
+        for i, tau in enumerate(taus.tolist()):
+            assert n0 + i * m >= density * tau
+        assert m <= math.ceil(density * ((taus[-1] - taus[0]) / (n - 1))) + 1
 
     def test_a_failing_run_is_covered(self):
         reports = dict(run_oracle_check(RunConfig(points=5, mc_samples=200)))
         assert not reports["mc vs analytic"].passed
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 1024, 30000, 2**64 + 3])
-    def test_rk4_power_is_matrix_power_bit_for_bit(self, steps):
+    def test_rk4_power_is_the_binary_power_bit_for_bit(self, steps):
         t = 1.3
         pair = rk4_propagator(HYP, t, steps)
         for a, m in zip(drift_matrices(HYP), (pair.mx, pair.my)):
-            want = np.linalg.matrix_power(rk4_step_matrix(a, t / steps), steps)
-            assert np.array_equal(m, want)
+            z = rk4_step_matrix(a, t / steps)
+            assert np.array_equal(m, binary_power(z, steps))
+            np.testing.assert_allclose(m, np.linalg.matrix_power(np.array(z), steps),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_expm_is_the_per_point_expm_bit_for_bit(self):
         for c, t, _ in grid_points(n_tau=6, tau_max=20.0):
@@ -384,10 +462,8 @@ class TestStackedOracle:
 
 
 def oracle_times(cfg):
-    """The times and RK4 step counts (an int array) of an oracle run's grid."""
-    taus = cfg.taus()
-    steps = np.array([max(1, int(math.ceil(10_000 * tau))) for tau in taus])
-    return taus / time_scale(cfg.couplings, cfg.tau_convention), steps
+    """The times of an oracle run's grid."""
+    return cfg.taus() / time_scale(cfg.couplings, cfg.tau_convention)
 
 
 def mc_per_point(c, t, n, seed):
@@ -413,18 +489,27 @@ class TestBitIdentity:
     @pytest.mark.parametrize("kappas", REGIMES)
     def test_rk4_stack_rows_are_the_single_point_propagators(self, kappas, grid):
         cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], **grid)
-        c, (ts, steps) = cfg.couplings, oracle_times(cfg)
+        c, ts = cfg.couplings, oracle_times(cfg)
+        (n0, m), n = rk4_counts(cfg.taus()), len(ts)
         ax = drift_matrices(c)[0]
-        stack = trimode.oracle._rk4_propagators(ax, ts, steps.tolist())
-        for row, t, n in zip(stack, ts.tolist(), steps.tolist()):
-            assert np.array_equal(row, rk4_propagator(c, t, n).mx)
-            assert np.array_equal(row, np.linalg.matrix_power(rk4_step_matrix(ax, t / n), n))
+        dt = float(ts[-1] - ts[0]) / (n - 1)
+        stack = trimode.oracle._rk4_grid(ax, float(ts[0]), n0, dt, m, n)
+        assert stack.shape == (3, 3, n)
+        for i, want in enumerate(rk4_per_point(ax, ts, n0, m)):
+            assert np.array_equal(stack[..., i], want)
+        assert np.array_equal(stack[..., 0], rk4_propagator(c, ts[0], n0).mx)
+        # At tau_min = 0 point i is i m steps from the identity, as one
+        # power of its own step matrix, up to rounding.
+        assert cfg.tau_min == 0
+        for i, t in enumerate(ts.tolist()[1:], 1):
+            want = rk4_propagator(c, t, i * m).mx
+            assert np.abs(stack[..., i] - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n,seed", [(1, 0), (2, 7), (5, 1), (10**6, 1), (2**70, 2**100)])
     @pytest.mark.parametrize("kappas", REGIMES)
     def test_mc_stack_rows_are_mc_moments(self, kappas, n, seed):
         c = Couplings(*kappas)
-        ts = oracle_times(RunConfig(kappa1=kappas[0], kappa2=kappas[1]))[0][[75, 150, 300]]
+        ts = oracle_times(RunConfig(kappa1=kappas[0], kappa2=kappas[1]))[[75, 150, 300]]
         stack = trimode.oracle._mc_blocks(c, ts, n, seed)
         assert stack.shape == (3, 2, 3, 3)
         for row, t in zip(stack, ts.tolist()):
@@ -436,7 +521,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("kappas", REGIMES)
     def test_expm_stack_columns_are_the_single_point_propagators(self, kappas, grid):
         cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], **grid)
-        c, ts = cfg.couplings, oracle_times(cfg)[0]
+        c, ts = cfg.couplings, oracle_times(cfg)
         ax = drift_matrices(c)[0]
         stack = trimode.propagator._expm(ax, ts)
         assert stack.shape == (3, 3, len(ts))
@@ -511,28 +596,27 @@ class TestOracleWork:
     @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
     def test_each_kernel_runs_one_x_stack(self, kappas, monkeypatch):
         # The Y blocks come from the X ones, so the matrix exponential sees
-        # one drift and the (N,) time column of an N-point grid, and the
-        # RK4 power one stack of the distinct step matrices, at most N (47
-        # of 301 at (1, 1)), and the N step counts.
-        stacks = {"_expm": [], "_matrix_powers": []}
-        for module, name in ((trimode.sweep, "_expm"), (trimode.oracle, "_matrix_powers")):
+        # one drift and the (N,) time column of an N-point grid, and RK4
+        # runs one N-point grid in ceil(log2 N) stacked products, the one
+        # at width w appending Z^w to the w points it extends.
+        calls = {"_expm": [], "_rk4_grid": [], "_product": []}
+        for module, name in ((trimode.sweep, "_expm"), (trimode.sweep, "_rk4_grid"),
+                             (trimode.oracle, "_product")):
 
-            def recording(a, b, *args, _name=name, _original=getattr(module, name)):
-                stacks[_name].append((a.shape, b.shape))
-                return _original(a, b, *args)
+            def recording(*args, _name=name, _original=getattr(module, name)):
+                calls[_name].append(tuple(getattr(a, "shape", a) for a in args))
+                return _original(*args)
 
             monkeypatch.setattr(module, name, recording)
         for points in (11, 301):
             cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=points)
             run_oracle_check(cfg)
-            ts, steps = oracle_times(cfg)
-            distinct = len(set((ts / steps).tolist()))
-            assert distinct <= points
-            assert stacks == {"_expm": [((3, 3), (points,))],
-                              "_matrix_powers": [((distinct, 3, 3), (points,))]}
-            for shapes in stacks.values():
+            widths = [min(2**k, points - 2**k) for k in range(math.ceil(math.log2(points)))]
+            assert calls["_expm"] == [((3, 3), (points,))]
+            assert [call[-1] for call in calls["_rk4_grid"]] == [points]
+            assert calls["_product"] == [((3, 3, w + 1), (3, 3, 1)) for w in widths]
+            for shapes in calls.values():
                 shapes.clear()
-        assert distinct < points
 
     @pytest.mark.parametrize("kappas,closed", [((1.2, 1.0), 2), ((1.0, 1.8), 2),
                                                ((1.0, 1.0), 0)])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,14 @@ class TestOuterMoments:
             for block, matrix in ((m.cx, mx), (m.cy, my)):
                 assert np.array_equal(block, block.T)
                 assert np.array_equal(block, row_outer(matrix))
+
+    def test_overflow_is_one_value_error_and_no_warning(self):
+        m = np.full((3, 3), 1e200)
+        for my in (2.0 * m, m * trimode.propagator._FLIP):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflow"):
+                    outer_moments(PropagatorPair(m, my, 0.0))
 
     @pytest.mark.parametrize("c, t", [(HYP, T1), (PER, T2), (DEG, 2.0), (HYP, 12.0)])
     def test_propagated_states_take_their_blocks_from_their_rows(self, c, t):

@@ -634,31 +634,33 @@ class TestFlagsFromRunConfig:
 #: and for a run whose Monte Carlo comparison fails; a change to how the
 #: paths are computed must leave these bytes as they are.  The expm lines
 #: were re-pinned once, when the matrix exponential became a Horner
-#: polynomial in t with no BLAS product (every max_rel went down); the
-#: rk4, closed-form vs analytic and mc lines were held byte for byte.
+#: polynomial in t with no BLAS product (every max_rel went down), and the
+#: rk4 lines once, when RK4 began to step along the grid with no BLAS
+#: product (every max_rel went down); every other line was held byte for
+#: byte each time.
 ORACLE_REPORTS = {
     (): (0, """\
 PASS analytic vs expm: max_rel=1.014e-14 max_abs=1.000e-11 tol=1e-09 worst=x[2,2] tau=2.79
-PASS rk4 vs analytic: max_rel=1.072e-11 max_abs=1.832e-08 tol=1e-08 worst=x[2,2] tau=2.99
+PASS rk4 vs analytic: max_rel=1.727e-12 max_abs=3.248e-09 tol=1e-08 worst=x[0,0] tau=3
 PASS closed-form vs analytic: max_rel=2.663e-15 max_abs=2.665e-15 tol=1e-09 worst=x[0,0] tau=0.01
 PASS closed-form vs expm: max_rel=1.041e-14 max_abs=9.550e-12 tol=1e-09 worst=x[2,2] tau=2.79
 PASS mc vs analytic: max_rel=3.570e-03 max_abs=8.183e-03 tol=1e-02 worst=y[1,1] tau=0.75
 """),
     ("--kappa1", "1.0", "--kappa2", "1.8"): (0, """\
 PASS analytic vs expm: max_rel=6.468e-15 max_abs=3.375e-14 tol=1e-09 worst=x[0,0] tau=2.36
-PASS rk4 vs analytic: max_rel=6.151e-12 max_abs=2.150e-11 tol=1e-08 worst=x[0,2] tau=2.78
+PASS rk4 vs analytic: max_rel=2.686e-12 max_abs=1.047e-11 tol=1e-08 worst=x[0,2] tau=2.73
 PASS closed-form vs analytic: max_rel=1.752e-15 max_abs=3.553e-15 tol=1e-09 worst=x[0,2] tau=2.72
 PASS closed-form vs expm: max_rel=6.638e-15 max_abs=3.464e-14 tol=1e-09 worst=x[0,0] tau=2.36
 PASS mc vs analytic: max_rel=4.773e-03 max_abs=4.773e-03 tol=1e-02 worst=y[1,2] tau=1.5
 """),
     ("--kappa1", "1", "--kappa2", "1"): (0, """\
 PASS analytic vs expm: max_rel=2.794e-15 max_abs=1.279e-13 tol=1e-09 worst=x[0,0] tau=2.77
-PASS rk4 vs analytic: max_rel=3.883e-12 max_abs=1.676e-10 tol=1e-08 worst=x[0,0] tau=2.72
+PASS rk4 vs analytic: max_rel=3.091e-12 max_abs=1.839e-10 tol=1e-08 worst=x[0,0] tau=3
 PASS mc vs analytic: max_rel=4.471e-03 max_abs=4.708e-03 tol=1e-02 worst=y[0,1] tau=0.75
 """),
     ("--points", "5", "--mc-samples", "200"): (1, """\
 PASS analytic vs expm: max_rel=3.694e-15 max_abs=1.251e-12 tol=1e-09 worst=x[1,1] tau=2.25
-PASS rk4 vs analytic: max_rel=5.625e-12 max_abs=9.128e-09 tol=1e-08 worst=x[2,2] tau=3
+PASS rk4 vs analytic: max_rel=1.921e-12 max_abs=3.613e-09 tol=1e-08 worst=x[0,0] tau=3
 PASS closed-form vs analytic: max_rel=6.597e-16 max_abs=1.705e-13 tol=1e-09 worst=x[1,1] tau=2.25
 PASS closed-form vs expm: max_rel=3.283e-15 max_abs=3.183e-12 tol=1e-09 worst=x[2,2] tau=3
 FAIL mc vs analytic: max_rel=2.812e-01 max_abs=6.444e-01 tol=1e-02 worst=y[1,1] tau=0.75
@@ -726,24 +728,18 @@ print(json.dumps(runs))
 """
 
 
-def test_oracle_lines_but_rk4_do_not_depend_on_the_cpu():
-    # The matrix exponential, the closed forms and every moment block are
-    # written-out products and sums with no BLAS kernel's rounding, and the
-    # Monte Carlo errors are statistical, far above the rounding of its one
-    # BLAS product M A.  So with numpy's AVX2/AVX-512 kernels and OpenBLAS's
-    # newer ones off every line but rk4 vs analytic stays as pinned.  That
-    # line is the one kernel-dependent line left: its power is a BLAS
-    # matmul chain.
+def test_oracle_lines_do_not_depend_on_the_cpu():
+    # The matrix exponential, the RK4 steps and powers, the closed forms and
+    # every moment block are written-out products and sums with no BLAS
+    # kernel's rounding, and the Monte Carlo errors are statistical, far
+    # above the rounding of its one BLAS product M A.  So with numpy's
+    # AVX2/AVX-512 kernels and OpenBLAS's newer ones off every line stays
+    # as pinned.
     env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
            "OPENBLAS_CORETYPE": "Nehalem"}
     proc = subprocess.run([sys.executable, "-c", ORACLE_RUNS, json.dumps(list(ORACLE_REPORTS))],
                           capture_output=True, text=True, env=env, check=True)
-    for argv, (rc, out) in zip(ORACLE_REPORTS, json.loads(proc.stdout)):
-        pinned_rc, pinned = ORACLE_REPORTS[argv]
-        assert rc == pinned_rc
-        lines = [line for line in pinned.splitlines() if "rk4 vs analytic" not in line]
-        assert len(lines) in (2, 4)
-        assert [line for line in out.splitlines() if "rk4 vs analytic" not in line] == lines
+    assert [tuple(run) for run in json.loads(proc.stdout)] == list(ORACLE_REPORTS.values())
 
 
 def eval_values(capsys, *argv):
