@@ -130,19 +130,19 @@ def _row_moments(rows):
     return x
 
 
-#: Where each entry of (cx, cy) sits in (c11, c22, c33, c12, c13, c23,
-#: -c12, -c13): cy = S cx S flips the sign of <Y1 Y2> and <Y1 Y3>.
-_PAIR_INDEX = np.array([
-    [[0, 3, 4], [3, 1, 5], [4, 5, 2]],
-    [[0, 6, 7], [6, 1, 5], [7, 5, 2]],
-])
+#: Where each entry of a symmetric 3x3 block sits in its six independent
+#: entries (c11, c22, c33, c12, c13, c23).
+_BLOCK_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+#: S m S entrywise, S = diag(1, -1, -1): the exact sign flips that turn an
+#: X block, a propagator mx or moments cx, into its Y block.
+_FLIP = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
-def _moment_blocks(x):
-    """(cx, cy) from the six independent entries of cx: a (2, 3, 3) array
-    for floats, an (..., 2, 3, 3) stack over the reversed axes of arrays."""
-    c11, c22, c33, c12, c13, c23 = x
-    return np.array([c11, c22, c33, c12, c13, c23, -c12, -c13]).T[..., _PAIR_INDEX]
+def _block(x):
+    """The symmetric block of six independent entries: a (3, 3) array for
+    floats, an (..., 3, 3) stack over the reversed axes of arrays."""
+    return np.array(x).T[..., _BLOCK_INDEX]
 
 
 def _check_time(value, name="t"):
@@ -285,7 +285,8 @@ class MomentState:
     @classmethod
     def _from_rows(cls, rows):
         """The pure state cx_ij = r_i . r_j, cy = S cx S, that keeps its rows."""
-        m = cls(*_moment_blocks(_row_moments(rows[:3])))
+        cx = _block(_row_moments(rows[:3]))
+        m = cls(cx, cx * _FLIP)
         object.__setattr__(m, "rows", rows)
         return m
 

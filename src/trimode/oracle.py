@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MomentState, PropagatorPair, Quadrature, _check_time, _is_int,
-                   _moment_blocks, _row_moments)
-from .propagator import _EYE, _FLIP, _mul, _product, _x_drift, propagator_rows
+from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, _block, _check_time,
+                   _is_int, _row_moments)
+from .propagator import _EYE, _mul, _product, _x_drift, propagator_rows
 
 __all__ = [
     "ComparisonReport",
@@ -156,7 +156,7 @@ def _mc_blocks(c, ts, n, seed):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     f = (m @ np.array([_scatter(rng, n), _scatter(rng, n)])).reshape(-1, 3, 3).tolist()
     x = np.array([_row_moments(rows) for rows in f]).reshape(-1, 2, 6)
-    return _moment_blocks(x.T)[:, :, 0] / n
+    return _block(x.T) / n
 
 
 def mc_moments(c, t, n, seed):

@@ -27,9 +27,10 @@ from .core import (
     PropagatorPair,
     RegimeError,
     RegimeKind,
+    _FLIP,
+    _block,
     _check_time,
     _each,
-    _moment_blocks,
     _row_moments,
     classify_regime,
 )
@@ -96,10 +97,6 @@ def propagator_rows(c, t):
     r3 = (p, -q, 1.0 + delta * (k1 + k2) * a)
     d = (1.0 + k1 * delta * a, -(1.0 + k2 * delta * a), delta * b)
     return r1, r2, r3, d
-
-
-#: S mx S entrywise: the sign flips that turn mx into my.
-_FLIP = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
 def _x_drift(c):
@@ -230,7 +227,7 @@ def outer_moments(pair):
         r1, r2, r3 = map(tuple, pair.mx.tolist())
         return MomentState._from_rows((r1, r2, r3, tuple(p - q for p, q in zip(r1, r2))))
     with np.errstate(all="ignore"):
-        return MomentState(*_moment_blocks(_row_moments(np.stack([pair.mx, pair.my], -1)))[:, 0])
+        return MomentState(*_block(_row_moments(np.stack([pair.mx, pair.my], -1))))
 
 
 def moments_at(c, t):
@@ -296,5 +293,5 @@ def closed_form_moments(c, t):
     """
     _check_time(t)
     with np.errstate(all="ignore"):
-        cx, cy = _moment_blocks(_closed_form_entries(c, np.array([float(t)])))[0]
-    return MomentState(cx, cy)
+        cx = _block(_closed_form_entries(c, np.array([float(t)])))[0]
+    return MomentState(cx, cx * _FLIP)

@@ -6,7 +6,8 @@ through the package.  Removing or renaming any of them breaks the
 benchmark without failing any other test.  The last tests guard the
 boundary between the package's modules: no module writes a frozen
 object's attributes from outside core.py or probes a private attribute,
-and none forms a moment block with a BLAS Gram product.
+none forms a moment block with a BLAS Gram product, and only core.py
+states the sign table that turns an X block into its Y block.
 """
 
 import ast
@@ -176,3 +177,17 @@ def test_no_module_sets_or_probes_hidden_attributes():
     paths = sorted(SOURCE_DIR.glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in _boundary_crossings(path)] == []
+
+
+def test_one_sign_table_turns_x_blocks_into_y_blocks():
+    # core.py alone knows that a Y block is S m S of its X block; the
+    # modules that form Y blocks hold its _FLIP rather than a copy.
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert paths
+    stores = [f"{path.name}:{node.lineno}" for path in paths
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Name) and node.id == "_FLIP"
+              and isinstance(node.ctx, ast.Store)]
+    assert [store.split(":")[0] for store in stores] == ["core.py"]
+    for layer in ("propagator", "oracle", "sweep"):
+        assert importlib.import_module(f"trimode.{layer}")._FLIP is trimode.core._FLIP

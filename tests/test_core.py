@@ -25,7 +25,7 @@ from trimode import (
     moments_at,
     vacuum_moments,
 )
-from trimode.core import _each
+from trimode.core import _FLIP, _block, _each
 from support import DEG, HYP, PER, T1
 
 
@@ -328,6 +328,38 @@ class TestCriteriaReportFromValues:
         values = [1.0] * count
         with pytest.raises(ValueError, match=f"^expected 15 criterion values, got {count}$"):
             CriteriaReport.from_values(0.0, Sign.PLUS, values)
+
+
+class TestBlock:
+    """_block lays out six independent entries as the symmetric block, and
+    _FLIP turns it into S m S: together they give, bit for bit, the (cx, cy)
+    pair the package once gathered from (c11, c22, c33, c12, c13, c23,
+    -c12, -c13) with the table PAIR_LAYOUT."""
+
+    PAIR_LAYOUT = (((0, 3, 4), (3, 1, 5), (4, 5, 2)), ((0, 6, 7), (6, 1, 5), (7, 5, 2)))
+    ENTRIES = [(1.5, -2.0, 3.25, 0.0, -0.0, math.inf),
+               (-0.0, 0.0, -math.inf, -math.inf, math.inf, -1e-300),
+               (math.nan, 2.0, -math.nan, 5e-324, -1e300, math.nan),
+               (4.0, 5.0, 6.0, math.nan, -math.nan, 0.0)]
+
+    @staticmethod
+    def _pair(x):
+        gathered = (*x, -x[3], -x[4])
+        return np.array([[[gathered[k] for k in row] for row in block]
+                         for block in TestBlock.PAIR_LAYOUT])
+
+    def test_floats(self):
+        for x in self.ENTRIES:
+            cx, cy = self._pair(x)
+            assert _block(x).shape == (3, 3)
+            assert _block(x).tobytes() == cx.tobytes()
+            if not any(math.isnan(v) for v in x):  # IEEE leaves -1.0 * nan's sign open
+                assert (_block(x) * _FLIP).tobytes() == cy.tobytes()
+
+    def test_arrays(self):
+        stack = _block(tuple(np.array(column) for column in zip(*self.ENTRIES)))
+        assert stack.shape == (len(self.ENTRIES), 3, 3)
+        assert stack.tobytes() == np.array([self._pair(x)[0] for x in self.ENTRIES]).tobytes()
 
 
 class TestEach:

@@ -632,7 +632,7 @@ class TestOracleWork:
 
         monkeypatch.setattr(trimode.sweep, "_compare", recording)
         run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=11))
-        assert shapes == [((11, 1, 3, 3),) * 2] * (2 + closed) + [((3, 2, 3, 3),) * 2]
+        assert shapes == [((11, 3, 3),) * 2] * (2 + closed) + [((3, 2, 3, 3),) * 2]
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from trimode import (
     propagator_expm,
     rk4_propagator,
 )
-from trimode.core import _moment_blocks, _row_moments
+from trimode.core import _FLIP, _block, _row_moments
 from support import (
     CX1,
     CX2,
@@ -344,5 +344,15 @@ class TestOuterMoments:
                   outer_moments(propagator_expm(c, t)),
                   outer_moments(rk4_propagator(c, t, 400))):
             assert m.rows is not None
-            cx, cy = _moment_blocks(_row_moments(m.rows[:3]))
-            assert cx.tobytes() == m.cx.tobytes() and cy.tobytes() == m.cy.tobytes()
+            cx = _block(_row_moments(m.rows[:3]))
+            assert cx.tobytes() == m.cx.tobytes()
+            assert (cx * _FLIP).tobytes() == m.cy.tobytes()
+
+    @pytest.mark.parametrize("c, t", [(HYP, T1), (PER, T2), (DEG, 2.0), (HYP, 12.0)])
+    def test_pure_states_have_cy_equal_to_s_cx_s(self, c, t):
+        states = [moments_at(c, t), outer_moments(propagator_analytic(c, t)),
+                  outer_moments(propagator_expm(c, t)), outer_moments(rk4_propagator(c, t, 400))]
+        if c is not DEG:
+            states.append(closed_form_moments(c, t))
+        for m in states:
+            assert m.cy.tobytes() == (m.cx * _FLIP).tobytes()
