@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -196,26 +197,29 @@ class TauConvention(Enum):
 @dataclass(frozen=True)
 class Couplings:
     """Effective interaction strengths (inverse time units), each positive
-    with a normal double as its square: about 1.5e-154 to 1.3e154."""
+    with a normal double as its square: about 1.5e-154 to 1.3e154.  Any
+    real number but a bool is accepted and stored as a Python float."""
 
     kappa1: float
     kappa2: float
 
     def __post_init__(self):
         for name, value in (("kappa1", self.kappa1), ("kappa2", self.kappa2)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidCouplingError(f"{name} must be a real number, got {value!r}")
             try:
-                finite = math.isfinite(value)
+                kappa = float(value)
             except OverflowError:  # an int past the double range
                 raise InvalidCouplingError(f"{name} exceeds the double range") from None
-            if not finite:
+            if not math.isfinite(kappa):
                 raise InvalidCouplingError(f"{name} must be finite, got {value!r}")
-            if value <= 0:
+            if kappa <= 0:
                 raise InvalidCouplingError(f"{name} must be positive, got {value!r}")
-            square = float(value) * float(value)
-            if not sys.float_info.min <= square <= sys.float_info.max:
+            if not sys.float_info.min <= kappa * kappa <= sys.float_info.max:
                 raise InvalidCouplingError(
                     f"{name} must lie in about [1.5e-154, 1.3e154], where its square "
                     f"is a normal double, got {value!r}")
+            object.__setattr__(self, name, kappa)
 
     @property
     def kappa_max(self):
@@ -267,6 +271,7 @@ class PropagatorPair:
         object.__setattr__(self, "mx", _frozen_matrix(self.mx, "mx"))
         object.__setattr__(self, "my", _frozen_matrix(self.my, "my"))
         _check_time(self.t)
+        object.__setattr__(self, "t", float(self.t))
 
     def symplectic_defect(self):
         """Max-abs deviation of mx @ my.T from the identity."""

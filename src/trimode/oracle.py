@@ -9,8 +9,9 @@ integrates the X block alone, and every Y block is S mx S with
 S = diag(1, -1, -1), once _x_drift has checked that the Y drift is S ax S
 exactly; on a uniform grid it steps from point to point, by one interval
 operator composed by doubling.  The sampler draws its Wishart pair once
-for all of its times.  The comparison runs on whole grids of (cx, cy)
-pairs or of cx alone; the public functions are grids of one, bit for bit.
+for all of its times.  The comparison runs on whole grids of cx blocks,
+or of (cx, cy) pairs where cy is sampled; the public functions are grids
+of one, bit for bit.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def mc_moments(c, t, n, seed):
 
 
 def _compare(a, b, tol, labels):
-    """Worst-case report over (N, 2, 3, 3) (cx, cy) or (N, 1, 3, 3) cx stacks.
+    """Worst-case report over (N, 2, 3, 3) (cx, cy) or (N, 3, 3) cx stacks.
 
     The worst grid point is the first one with the largest combined error;
     within it X comes before Y and entries go row-major, and the first

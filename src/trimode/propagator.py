@@ -130,7 +130,7 @@ def propagator_degenerate(c, t):
 def propagator_analytic(c, t):
     """Closed-form propagator for whichever regime the couplings are in."""
     _check_time(t)
-    mx = np.array(propagator_rows(c, t)[:3])
+    mx = np.array(propagator_rows(c, float(t))[:3])
     return PropagatorPair(mx, mx * _FLIP, t)
 
 

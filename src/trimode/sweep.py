@@ -340,7 +340,7 @@ def reproduce_figure(which, out_dir, cfg=RunConfig()):
     fig<n>.csv with exactly the plotted curves and fig<n>_params.txt
     recording parameters and the tau convention.
     """
-    if which not in FIGURE_PRESETS:
+    if not _is_int(which) or which not in FIGURE_PRESETS:
         raise ValueError(f"figure must be one of {sorted(FIGURE_PRESETS)}, got {which!r}")
     kind, plotted, couplings = FIGURE_PRESETS[which]
     two = len(couplings) == 2

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from trimode import (
     VlfGains,
     VlfTriple,
     classify_regime,
+    evaluate_all,
     mc_moments,
     moments_at,
     vacuum_moments,
@@ -53,6 +56,33 @@ class TestCouplings:
         for k1, k2 in ((kappa, 1.0), (1.0, kappa), (2 * kappa, kappa)):
             with pytest.raises(InvalidCouplingError, match="normal double"):
                 Couplings(k1, k2)
+
+
+    @pytest.mark.parametrize("value", [np.int64(4_000_000_000), np.float32(1.2), 3,
+                                       Fraction(6, 5)])
+    def test_stores_python_floats(self, value):
+        c = Couplings(value, 1)
+        assert type(c.kappa1) is float and type(c.kappa2) is float
+        assert c.kappa1 == float(value)
+
+    def test_numpy_integers_do_not_overflow(self):
+        # kappa1**2 overflowed int64, and the couplings read as periodic.
+        c = Couplings(np.int64(4_000_000_000), np.int64(1))
+        assert classify_regime(c).kind is RegimeKind.HYPERBOLIC
+        ref = moments_at(Couplings(4e9, 1.0), 1e-9)
+        assert moments_at(c, 1e-9).cx.tobytes() == ref.cx.tobytes()
+
+    def test_float32_computes_in_float64(self):
+        c, ref = Couplings(np.float32(1.2), 1.0), Couplings(float(np.float32(1.2)), 1.0)
+        m = moments_at(c, 2.0)
+        assert m.cx.tobytes() == moments_at(ref, 2.0).cx.tobytes()
+        assert type(evaluate_all(m, 2.0).obr_pair.obr23) is float
+
+    @pytest.mark.parametrize("value", [Decimal("1.2"), "1.2", True, False, 1 + 0j, None])
+    @pytest.mark.parametrize("name", ["kappa1", "kappa2"])
+    def test_rejects_values_that_are_not_real_numbers(self, name, value):
+        with pytest.raises(InvalidCouplingError, match=f"^{name} must be a real number"):
+            Couplings(**{"kappa1": 1.0, "kappa2": 1.0, name: value})
 
 
 class TestClassifyRegime:
@@ -257,6 +287,10 @@ class TestPropagatorPair:
         # The blocks are checked before the time.
         with pytest.raises(ValueError, match=_message(kind, name)):
             PropagatorPair(mx, my, -1.0)
+
+    def test_stores_a_python_float_time(self):
+        t = PropagatorPair(np.eye(3), np.eye(3), np.float32(0.5)).t
+        assert type(t) is float and t == 0.5
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_time_message(self, t):

@@ -309,6 +309,20 @@ class TestGridInvariants:
             assert diffs[-1] < 1e-6
 
 
+@pytest.mark.parametrize("c, propagate", [
+    (HYP, propagator_analytic), (PER, propagator_analytic), (DEG, propagator_degenerate),
+    (HYP, propagator_expm), (HYP, lambda c, t: rk4_propagator(c, t, 400))])
+def test_numpy_times_propagate_as_floats(c, propagate):
+    # A float32 time once ran the analytic rows in float32, 5.5e-8 off
+    # moments_at at the float time.
+    t = np.float32(0.7)
+    pair, ref = propagate(c, t), propagate(c, float(t))
+    assert type(pair.t) is float and pair.t == float(t)
+    assert pair.mx.tobytes() == ref.mx.tobytes() and pair.my.tobytes() == ref.my.tobytes()
+    if propagate in (propagator_analytic, propagator_degenerate):
+        assert outer_moments(pair).cx.tobytes() == moments_at(c, t).cx.tobytes()
+
+
 class TestOuterMoments:
     def test_matches_moments_at(self):
         pair = propagator_analytic(HYP, T1)

@@ -301,9 +301,17 @@ class TestFigures:
             b = reproduce_figure(which, tmp_path / "b", other)
             assert [Path(p).read_bytes() for p in a] == [Path(p).read_bytes() for p in b]
 
-    def test_invalid_figure_number(self, tmp_path):
-        with pytest.raises(ValueError):
-            reproduce_figure(6, tmp_path)
+    @pytest.mark.parametrize("which", [6, True, 1.0])
+    def test_invalid_figure_number(self, which, tmp_path):
+        # True and 1.0 hash as 1 but would name figTrue.csv and fig1.0.csv.
+        with pytest.raises(ValueError, match="figure must be one of"):
+            reproduce_figure(which, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_figure_number(self, tmp_path):
+        paths = reproduce_figure(np.int64(1), tmp_path, RunConfig(points=11))
+        assert [Path(p).name for p in paths] == ["fig1.csv", "fig1_params.txt"]
+        assert Path(paths[1]).read_text().startswith("figure 1: ")
 
 
 class TestOracleCheck:
@@ -677,11 +685,13 @@ def test_oracle_report_bytes(argv, capsys):
 
 
 #: Writes the golden sweeps and figures of tests/test_golden.py into
-#: argv[1] with the same argv, and prints {key: sha256} as JSON.
+#: argv[1] with the same argv, runs trimode eval with each argv of
+#: json.loads(argv[3]), and prints [{key: sha256}, [[exit code, stdout],
+#: ...]] as JSON.
 GOLDEN_DIGESTS = """
 import contextlib, hashlib, io, json, pathlib, sys
 from trimode.cli import main
-out, digests = pathlib.Path(sys.argv[1]), {}
+out, digests, evals = pathlib.Path(sys.argv[1]), {}, []
 for kappa1, kappa2, tau_max, sign in json.loads(sys.argv[2]):
     path = out / "sweep.csv"
     main(["sweep", "--kappa1", repr(kappa1), "--kappa2", repr(kappa2),
@@ -693,25 +703,37 @@ for sign in ("plus", "minus"):
         main(["figures", "--sign", sign, "--out", str(out / sign)])
     for path in (out / sign).iterdir():
         digests[repr((sign, path.name))] = hashlib.sha256(path.read_bytes()).hexdigest()
-print(json.dumps(digests))
+for argv in json.loads(sys.argv[3]):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        evals.append([main(["eval", *argv]), text.getvalue()])
+print(json.dumps([digests, evals]))
 """
 
+#: eval at the three figure couplings, both signs and taus up to 20.
+EVAL_ARGVS = [["--kappa1", kappa1, "--kappa2", kappa2, "--sign", sign, "--tau", tau]
+              for kappa1, kappa2 in (("1.2", "1.0"), ("1.0", "1.8"), ("1.0", "1.0"))
+              for sign in ("plus", "minus") for tau in ("0.5", "3", "12.5", "20")]
 
-def test_golden_bytes_do_not_depend_on_the_cpu(tmp_path):
+
+def test_golden_bytes_do_not_depend_on_the_cpu(tmp_path, capsys):
     # numpy picks its float64 kernels per CPU and OpenBLAS its matmul
     # kernels: with the AVX2 and AVX-512 kernels off (names this numpy does
-    # not know are ignored) every sweep and figure digest stays the same.
-    # Goldens pinned with np.sinh in place of libm's on an AVX-512 machine
-    # would fail here.
+    # not know are ignored) every sweep and figure digest stays the same,
+    # and eval prints what it prints here.  Goldens pinned with np.sinh in
+    # place of libm's on an AVX-512 machine would fail here.
     from test_golden import FIGURES, SWEEPS
 
     env = {**CLI_ENV, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
            "OPENBLAS_CORETYPE": "Nehalem"}
     proc = subprocess.run([sys.executable, "-c", GOLDEN_DIGESTS, str(tmp_path),
-                           json.dumps(list(SWEEPS))],
+                           json.dumps(list(SWEEPS)), json.dumps(EVAL_ARGVS)],
                           capture_output=True, text=True, env=env, check=True)
-    expected = {repr(key): digest for key, digest in {**SWEEPS, **FIGURES}.items()}
-    assert json.loads(proc.stdout) == expected
+    digests, evals = json.loads(proc.stdout)
+    assert digests == {repr(key): digest for key, digest in {**SWEEPS, **FIGURES}.items()}
+    here = [[main(["eval", *argv]), capsys.readouterr().out] for argv in EVAL_ARGVS]
+    assert [rc for rc, _ in here] == [0] * len(EVAL_ARGVS)
+    assert evals == here
 
 
 #: Runs trimode oracle with each argv of json.loads(argv[1]) and prints
