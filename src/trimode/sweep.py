@@ -20,9 +20,9 @@ from .core import (
     Sign,
     SweepResult,
     TauConvention,
-    _check_time,
     _FLIP,
     _block,
+    _check_time,
     _is_int,
     _row_moments,
     classify_regime,

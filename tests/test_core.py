@@ -57,7 +57,6 @@ class TestCouplings:
             with pytest.raises(InvalidCouplingError, match="normal double"):
                 Couplings(k1, k2)
 
-
     @pytest.mark.parametrize("value", [np.int64(4_000_000_000), np.float32(1.2), 3,
                                        Fraction(6, 5)])
     def test_stores_python_floats(self, value):
