@@ -147,13 +147,14 @@ def _block(x):
 
 
 def _check_time(value, name="t"):
-    """ValueError unless value, the time called name, is finite and >= 0."""
+    """The time value, called name, as a float; ValueError unless finite and >= 0."""
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past the double range
         finite = False
     if not (finite and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
 
 
 class InvalidCouplingError(ValueError):
@@ -270,8 +271,7 @@ class PropagatorPair:
     def __post_init__(self):
         object.__setattr__(self, "mx", _frozen_matrix(self.mx, "mx"))
         object.__setattr__(self, "my", _frozen_matrix(self.my, "my"))
-        _check_time(self.t)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _check_time(self.t))
 
     def symplectic_defect(self):
         """Max-abs deviation of mx @ my.T from the identity."""

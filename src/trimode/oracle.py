@@ -8,10 +8,11 @@ compare_moments reduces two states to a structured error report.  RK4
 integrates the X block alone, and every Y block is S mx S with
 S = diag(1, -1, -1), once _x_drift has checked that the Y drift is S ax S
 exactly; on a uniform grid it steps from point to point, by one interval
-operator composed by doubling.  The sampler draws its Wishart pair once
-for all of its times.  The comparison runs on whole grids of cx blocks,
-or of (cx, cy) pairs where cy is sampled; the public functions are grids
-of one, bit for bit.
+operator composed by doubling, and _rk4_grid alone sets the step counts
+from RK4_STEPS_PER_UNIT_TAU.  The sampler draws its Wishart pair once for
+all of its times.  The comparison runs on whole grids of cx blocks, or of
+(cx, cy) pairs where cy is sampled; mc_moments and compare_moments are
+grids of one, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,11 +27,17 @@ from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, _block, _chec
 from .propagator import _EYE, _mul, _product, _x_drift, propagator_rows
 
 __all__ = [
+    "RK4_STEPS_PER_UNIT_TAU",
     "ComparisonReport",
     "rk4_propagator",
     "mc_moments",
     "compare_moments",
 ]
+
+#: Step density of the rk4 comparison in oracle runs: grid point i gets at
+#: least RK4_STEPS_PER_UNIT_TAU * tau_i steps (_rk4_grid).
+RK4_STEPS_PER_UNIT_TAU = 10_000
+
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -75,19 +82,29 @@ def _power(z, n):
     return result
 
 
-def _rk4_grid(ax, t0, n0, dt, m, n):
-    """(3, 3, n) array whose column [:, :, i] is the RK4 X block at
-    t0 + i dt for the X drift ax (each Y block is S mx S): z(t0/n0)^n0
-    times Z^i, Z = z(dt/m)^m and z(h) the RK4 step matrix, so point i
-    takes n0 + i m steps.  Z^i is the product of Z^(2^k) over the set bits
-    k of i, lowest first: each doubling extends the columns [0, w) to
-    [w, 2w) by Z^w in one stacked _product, which also squares Z^w.  No
-    BLAS kernel enters, so the result is the same on every CPU.
+def _rk4_grid(ax, taus, ts):
+    """(3, 3, N) array whose column [:, :, i] is the RK4 X block of the drift
+    ax at t0 + i dt, dt = (t_last - t0) / (N - 1), on a uniform grid of
+    N >= 2 taus at times ts (each Y block is S mx S): z(t0/n0)^n0 Z^i, z(h)
+    the step matrix and Z = z(dt/m)^m.  n0 = max(1, ceil(D tau_0)) and m is
+    the least count >= max(1, ceil(D dtau)) giving n0 + i m >= ceil(D tau_i),
+    D = RK4_STEPS_PER_UNIT_TAU; ValueError when a count overflows.  Z^i is
+    the product of Z^(2^k) over the set bits k of i, lowest first: each
+    doubling extends the columns [0, w) to [w, 2w) by Z^w in one stacked
+    _product, which also squares Z^w.  No BLAS kernel enters, so the
+    result is the same on every CPU.
     """
+    n = len(taus)
+    need = np.ceil(RK4_STEPS_PER_UNIT_TAU * taus)
+    if not np.isfinite(need).all():
+        raise ValueError("rk4 step count overflows; choose a smaller tau")
+    n0 = max(1, int(need[0]))
+    m = max(1, math.ceil(RK4_STEPS_PER_UNIT_TAU * ((taus[-1] - taus[0]) / (n - 1))),
+            math.ceil(((need[1:] - n0) / np.arange(1, n)).max()))
     a = ax.tolist()
     r = np.empty((3, 3, n))
-    r[..., 0] = _power(_rk4_step(a, t0 / n0), n0)
-    z = np.array(_power(_rk4_step(a, dt / m), m))[..., None] if n > 1 else None
+    r[..., 0] = _power(_rk4_step(a, float(ts[0]) / n0), n0)
+    z = np.array(_power(_rk4_step(a, float(ts[-1] - ts[0]) / (n - 1) / m), m))[..., None]
     width = 1
     while width < n:
         w = min(width, n - width)
@@ -102,15 +119,15 @@ def rk4_propagator(c, t, steps):
     """Integrate both quadrature blocks from the identity with classical RK4.
 
     The result is the standard fixed-step RK4 solution with global error
-    O((t/steps)^4): _rk4_grid on a grid of one, with n0 = steps.  Only the
-    X block is integrated; the Y block is S mx S, which _x_drift checks
-    the drift matrices to imply exactly.
+    O((t/steps)^4): z(t/steps)^steps, z the RK4 step matrix, as _rk4_grid
+    forms its first column.  Only the X block is integrated; the Y block is
+    S mx S, which _x_drift checks the drift matrices to imply exactly.
     """
     if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    _check_time(t)
+    t, steps = _check_time(t), int(steps)
     with np.errstate(all="ignore"):
-        mx = _rk4_grid(_x_drift(c), float(t), int(steps), 0.0, 1, 1)[..., 0]
+        mx = np.array(_power(_rk4_step(_x_drift(c).tolist(), t / steps), steps))
     return PropagatorPair(mx, mx * _FLIP, t)
 
 
@@ -150,9 +167,8 @@ def _mc_blocks(c, ts, n, seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
-    for t in ts:
-        _check_time(t)
-    mx = np.array(propagator_rows(c, np.array(ts, dtype=float))[:3]).transpose(2, 0, 1)
+    ts = np.array([_check_time(t) for t in ts])
+    mx = np.array(propagator_rows(c, ts)[:3]).transpose(2, 0, 1)
     m = np.stack([mx, mx * _FLIP], axis=1)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     f = (m @ np.array([_scatter(rng, n), _scatter(rng, n)])).reshape(-1, 3, 3).tolist()

@@ -129,8 +129,8 @@ def propagator_degenerate(c, t):
 
 def propagator_analytic(c, t):
     """Closed-form propagator for whichever regime the couplings are in."""
-    _check_time(t)
-    mx = np.array(propagator_rows(c, float(t))[:3])
+    t = _check_time(t)
+    mx = np.array(propagator_rows(c, t)[:3])
     return PropagatorPair(mx, mx * _FLIP, t)
 
 
@@ -210,9 +210,9 @@ def propagator_expm(c, t):
     Only the X block is exponentiated; the Y block is S mx S, which
     _x_drift checks the drift matrices to imply exactly.
     """
-    _check_time(t)
+    t = _check_time(t)
     with np.errstate(all="ignore"):
-        mx = _expm(_x_drift(c), np.array([float(t)]))[..., 0]
+        mx = _expm(_x_drift(c), np.array([t]))[..., 0]
     return PropagatorPair(mx, mx * _FLIP, t)
 
 
@@ -239,8 +239,7 @@ def moments_at(c, t):
     the criteria.  outer_moments(propagator_expm(c, t)) is the
     matrix-exponential check of the same state; ValueError on overflow.
     """
-    _check_time(t)
-    return MomentState._from_rows(propagator_rows(c, float(t)))
+    return MomentState._from_rows(propagator_rows(c, _check_time(t)))
 
 
 def _closed_form_entries(c, t):
@@ -291,7 +290,7 @@ def closed_form_moments(c, t):
     non-degenerate regimes have these forms; they divide by rate^4 as
     written, so near-degenerate couplings should use moments_at instead.
     """
-    _check_time(t)
+    t = _check_time(t)
     with np.errstate(all="ignore"):
-        cx = _block(_closed_form_entries(c, np.array([float(t)])))[0]
+        cx = _block(_closed_form_entries(c, np.array([t])))[0]
     return MomentState(cx, cx * _FLIP)

@@ -8,7 +8,6 @@ significant digits so parsing a file recovers every value bit-exactly.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 
 import numpy as np
@@ -37,7 +36,6 @@ from .propagator import (
 )
 
 __all__ = [
-    "RK4_STEPS_PER_UNIT_TAU",
     "FIGURE_PRESETS",
     "RunConfig",
     "time_scale",
@@ -48,10 +46,6 @@ __all__ = [
     "run_oracle_check",
     "load_config_file",
 ]
-
-#: Step density of the rk4 comparison in oracle runs: grid point i gets at
-#: least RK4_STEPS_PER_UNIT_TAU * tau_i steps (run_oracle_check).
-RK4_STEPS_PER_UNIT_TAU = 10_000
 
 #: Figure presets: (kind, the CRITERIA columns plotted, the couplings of
 #: each panel), with the published ratios and the other coupling pinned to
@@ -382,15 +376,14 @@ def run_oracle_check(cfg):
     """Cross-validate every moment path over the configured grid.
 
     Compares the verbatim closed-form moments, the analytic propagator
-    outer products (the reference), the matrix-exponential path, rk4 at
-    RK4_STEPS_PER_UNIT_TAU density and Monte Carlo sampling at a few grid
-    points.  Each path but Monte Carlo runs as one pass over the grid, and
-    each comparison reduces the whole grid to its worst point.  expm and
-    rk4 run on the X drift alone, as (3, 3, N) arrays whose rows give the
-    moments through _row_moments.  rk4 steps along the grid, n0 steps to
-    t0 and m more each spacing dt, so its row i sits at t0 + i dt (t_i up
-    to the grid's rounding) after n0 + i m >= RK4_STEPS_PER_UNIT_TAU tau_i
-    steps.  Every deterministic path has cy = S cx S, S = diag(1, -1, -1),
+    outer products (the reference), the matrix-exponential path, rk4 and
+    Monte Carlo sampling at a few grid points.  Each path but Monte Carlo
+    runs as one pass over the grid, and each comparison reduces the whole
+    grid to its worst point.  expm and rk4 run on the X drift alone, as
+    (3, 3, N) arrays whose rows give the moments through _row_moments.
+    rk4 steps along the grid at the density _rk4_grid sets, so its row i
+    sits at t0 + i dt, t_i up to the grid's rounding.
+    Every deterministic path has cy = S cx S, S = diag(1, -1, -1),
     as the Y drift is S ax S (checked exactly first), so its cy errs
     exactly as its cx and only cx is compared; Monte Carlo draws cy
     independently and compares both.
@@ -410,16 +403,7 @@ def run_oracle_check(cfg):
         # The X blocks exp(ax t) and the RK4 blocks stepped along the grid,
         # their rows read as the analytic rows are; each Y block is S mx S.
         via_expm = _block(_row_moments(_finite(_expm(ax, ts), "expm")))
-        # m covers RK4_STEPS_PER_UNIT_TAU per unit of the spacing, raised
-        # where the grid's rounding would leave a point short of need.
-        need = np.ceil(RK4_STEPS_PER_UNIT_TAU * taus)
-        if not np.isfinite(need).all():
-            raise ValueError("rk4 step count overflows; choose a smaller tau")
-        n0 = max(1, int(need[0]))
-        m = max(1, math.ceil(RK4_STEPS_PER_UNIT_TAU * ((taus[-1] - taus[0]) / (n - 1))),
-                math.ceil(((need[1:] - n0) / np.arange(1, n)).max()))
-        rk4 = _rk4_grid(ax, float(ts[0]), n0, float(ts[-1] - ts[0]) / (n - 1), m, n)
-        via_rk4 = _block(_row_moments(_finite(rk4, "rk4")))
+        via_rk4 = _block(_row_moments(_finite(_rk4_grid(ax, taus, ts), "rk4")))
         closed = None
         if classify_regime(c).kind is not RegimeKind.DEGENERATE:
             closed = _finite(_block(_closed_form_entries(c, ts)), "closed-form")

@@ -6,8 +6,9 @@ through the package.  Removing or renaming any of them breaks the
 benchmark without failing any other test.  The last tests guard the
 boundary between the package's modules: no module writes a frozen
 object's attributes from outside core.py or probes a private attribute,
-none forms a moment block with a BLAS Gram product, and only core.py
-states the sign table that turns an X block into its Y block.
+none forms a moment block with a BLAS Gram product, only core.py
+states the sign table that turns an X block into its Y block, and only
+oracle.py names the RK4 step density.
 """
 
 import ast
@@ -88,6 +89,19 @@ def test_workload_names_exist(name):
 
 def test_cli_entry_point_exists():
     assert callable(trimode.cli.main)
+
+
+@pytest.mark.parametrize("layer", ["core", "criteria", "oracle", "propagator", "sweep"])
+def test_every_exported_name_resolves(layer):
+    module = importlib.import_module(f"trimode.{layer}")
+    for name in module.__all__:
+        assert getattr(module, name) is getattr(trimode, name), f"trimode.{layer}.{name}"
+
+
+def test_package_exports_each_name_once():
+    assert len(trimode.__all__) == len(set(trimode.__all__))
+    for name in trimode.__all__:
+        assert hasattr(trimode, name), name
 
 
 def _boundary_crossings(path):
@@ -191,3 +205,13 @@ def test_one_sign_table_turns_x_blocks_into_y_blocks():
     assert [store.split(":")[0] for store in stores] == ["core.py"]
     for layer in ("propagator", "oracle", "sweep"):
         assert importlib.import_module(f"trimode.{layer}")._FLIP is trimode.core._FLIP
+
+
+def test_only_the_rk4_kernel_names_its_step_density():
+    # _rk4_grid derives every step count from RK4_STEPS_PER_UNIT_TAU, so no
+    # other module states, imports or documents the density.
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert paths
+    assert [path.name for path in paths
+            if "RK4_STEPS_PER_UNIT_TAU" in path.read_text(encoding="utf-8")] == ["oracle.py"]
+    assert trimode.RK4_STEPS_PER_UNIT_TAU is trimode.oracle.RK4_STEPS_PER_UNIT_TAU

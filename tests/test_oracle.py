@@ -420,22 +420,25 @@ class TestStackedOracle:
     @pytest.mark.parametrize("grid", STACKED_GRIDS + [dict(tau_min=0.5, tau_max=3.5),
                                                       dict(tau_min=2.0, tau_max=5.0, points=31)])
     def test_every_point_gets_the_rk4_step_density(self, grid, monkeypatch):
-        # n0 + i m steps reach point i.  The last two grids are ones where
-        # m = ceil(10^4 dtau) would leave points short by the rounding of
-        # tau_i; m may exceed it by one step, no more.
-        seen = []
-        original = trimode.sweep._rk4_grid
+        # n0 + i m steps reach point i: z(t0/n0)^n0 reaches the first
+        # point and z(dt/m)^m spans each interval.  The last two grids are
+        # ones where m = ceil(10^4 dtau) would leave points short by the
+        # rounding of tau_i; m may exceed it by one step, no more.
+        steps, powers = [], []
+        for name, seen in (("_rk4_step", steps), ("_power", powers)):
 
-        def recording(ax, t0, n0, dt, m, n):
-            seen.append((n0, m, n))
-            return original(ax, t0, n0, dt, m, n)
+            def recording(z, k, _seen=seen, _original=getattr(trimode.oracle, name)):
+                _seen.append(k)
+                return _original(z, k)
 
-        monkeypatch.setattr(trimode.sweep, "_rk4_grid", recording)
+            monkeypatch.setattr(trimode.oracle, name, recording)
         cfg = RunConfig(**grid)
         run_oracle_check(cfg)
-        taus, density = cfg.taus(), trimode.sweep.RK4_STEPS_PER_UNIT_TAU
-        [(n0, m, n)] = seen
-        assert n == len(taus)
+        taus, density = cfg.taus(), trimode.RK4_STEPS_PER_UNIT_TAU
+        ts, n = oracle_times(cfg), len(taus)
+        [n0, m] = powers
+        assert steps == [float(ts[0]) / n0, float(ts[-1] - ts[0]) / (n - 1) / m]
+        assert (n0, m) == rk4_counts(taus)
         for i, tau in enumerate(taus.tolist()):
             assert n0 + i * m >= density * tau
         assert m <= math.ceil(density * ((taus[-1] - taus[0]) / (n - 1))) + 1
@@ -492,8 +495,7 @@ class TestBitIdentity:
         c, ts = cfg.couplings, oracle_times(cfg)
         (n0, m), n = rk4_counts(cfg.taus()), len(ts)
         ax = drift_matrices(c)[0]
-        dt = float(ts[-1] - ts[0]) / (n - 1)
-        stack = trimode.oracle._rk4_grid(ax, float(ts[0]), n0, dt, m, n)
+        stack = trimode.oracle._rk4_grid(ax, cfg.taus(), ts)
         assert stack.shape == (3, 3, n)
         for i, want in enumerate(rk4_per_point(ax, ts, n0, m)):
             assert np.array_equal(stack[..., i], want)
@@ -613,7 +615,7 @@ class TestOracleWork:
             run_oracle_check(cfg)
             widths = [min(2**k, points - 2**k) for k in range(math.ceil(math.log2(points)))]
             assert calls["_expm"] == [((3, 3), (points,))]
-            assert [call[-1] for call in calls["_rk4_grid"]] == [points]
+            assert calls["_rk4_grid"] == [((3, 3), (points,), (points,))]
             assert calls["_product"] == [((3, 3, w + 1), (3, 3, 1)) for w in widths]
             for shapes in calls.values():
                 shapes.clear()
