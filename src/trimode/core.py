@@ -121,6 +121,11 @@ def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    """Whether x is a real number (a numbers.Real), and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _row_moments(rows):
     """The six independent entries (c11, c22, c33, c12, c13, c23) of the Gram
     matrix cx_ij = r_i . r_j of three rows; ValueError when they overflow."""
@@ -147,14 +152,17 @@ def _block(x):
 
 
 def _check_time(value, name="t"):
-    """The time value, called name, as a float; ValueError unless finite and >= 0."""
+    """The time value, called name, as a float; ValueError unless it is a
+    real number but a bool, finite and >= 0."""
+    if not (isinstance(value, float) or _is_real(value)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        finite = math.isfinite(value)
+        t = float(value)
     except OverflowError:  # an int past the double range
-        finite = False
-    if not (finite and value >= 0):
+        t = math.inf
+    if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return float(value)
+    return t
 
 
 class InvalidCouplingError(ValueError):
@@ -206,7 +214,7 @@ class Couplings:
 
     def __post_init__(self):
         for name, value in (("kappa1", self.kappa1), ("kappa2", self.kappa2)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise InvalidCouplingError(f"{name} must be a real number, got {value!r}")
             try:
                 kappa = float(value)
@@ -376,11 +384,11 @@ class CriteriaReport:
 
     @classmethod
     def from_values(cls, t, sign, values):
-        """A report from the 15 values in CRITERIA order; ValueError otherwise."""
+        """A report at float time t from the 15 values in CRITERIA order; else ValueError."""
         if len(values) != len(CRITERIA):
             raise ValueError(f"expected {len(CRITERIA)} criterion values, got {len(values)}")
         new = tuple.__new__
-        return cls(float(t), sign, new(VlfTriple, values[0:3]), new(VlfTriple, values[3:6]),
+        return cls(t, sign, new(VlfTriple, values[0:3]), new(VlfTriple, values[3:6]),
                    new(VlfGains, values[6:9]), new(ObrSingles, values[9:12]),
                    new(ObrPairs, values[12:15]))
 

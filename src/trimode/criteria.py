@@ -31,7 +31,6 @@ All mode indices in the public functions are 1-based.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -40,8 +39,10 @@ from .core import (
     Sign,
     VlfGains,
     _check_finite,
+    _check_time,
     _dot,
     _is_int,
+    _is_real,
 )
 
 __all__ = [
@@ -276,8 +277,8 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
     X_i - X_j gives r_i - r_j, and Y_i + Y_j + g Y_k gives d - r3 plus
     (g - 1) r1 for k = 1 and (1 - g) r_k otherwise, so unit gains give
     evaluate_all's raw sums bit for bit.  ValueError unless pair is one of
-    (1, 2), (1, 3), (2, 3) and gains three finite reals, or when the sum
-    is not finite.
+    (1, 2), (1, 3), (2, 3) and gains three finite reals but bools, or when
+    the sum is not finite.
     """
     try:
         valid = tuple(pair) in _VALID_PAIRS and all(map(_is_mode, pair))
@@ -287,7 +288,7 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
         raise ValueError(f"pair must be one of {_VALID_PAIRS}, got {pair!r}")
     try:
         g3 = tuple(gains)
-        valid = len(g3) == 3 and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in g3)
+        valid = len(g3) == 3 and all(_is_real(v) and math.isfinite(v) for v in g3)
     except (TypeError, OverflowError):  # not iterable, or an int past the double range
         valid = False
     if not valid:
@@ -311,6 +312,7 @@ def evaluate_all(m, t, sign=Sign.PLUS):
 
     Raw pairwise sums use unit gains, optimised ones the gains from
     vlf_gains; the obr entries use the requested two-mode combination sign,
-    which the report records.
+    which the report records.  ValueError unless t is a time _check_time
+    admits.
     """
-    return CriteriaReport.from_values(t, sign, _state_values(m, sign))
+    return CriteriaReport.from_values(_check_time(t), sign, _state_values(m, sign))

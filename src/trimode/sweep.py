@@ -117,7 +117,11 @@ class RunConfig:
         return Couplings(self.kappa1, self.kappa2)
 
     def taus(self):
-        return np.linspace(self.tau_min, self.tau_max, self.points)
+        """The uniform tau grid; ValueError when rounding repeats a tau."""
+        taus = np.linspace(self.tau_min, self.tau_max, self.points)
+        if np.any(np.diff(taus) <= 0):
+            raise ValueError("taus must be strictly increasing")
+        return taus
 
 
 def time_scale(c, convention):

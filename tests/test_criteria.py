@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,24 @@ class TestEvaluateAll:
             assert all(v >= 0.0 for v in rep.obr_single)
             assert all(v >= 0.0 for v in rep.obr_pair)
 
+    @pytest.mark.parametrize("t,message", [
+        ("1", "t must be a real number, got '1'"),
+        (True, "t must be a real number, got True"),
+        (1j, "t must be a real number, got 1j"),
+        (-5, "t must be finite and >= 0, got -5"),
+        (math.nan, "t must be finite and >= 0, got nan"),
+        (math.inf, "t must be finite and >= 0, got inf"),
+    ], ids=["str", "bool", "complex", "negative", "nan", "inf"])
+    def test_checks_its_time(self, m1, t, message):
+        # Each once reached the report as float(t), or raised a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_all(m1, t)
+
+    def test_records_its_time_as_a_float(self, m1):
+        for t in (np.float64(T1), np.float32(0.5), 2):
+            rep = evaluate_all(m1, t)
+            assert type(rep.t) is float and rep.t == float(t)
+
     def test_minus_sign_recorded(self, m1):
         rep = evaluate_all(m1, T1, Sign.MINUS)
         assert rep.sign is Sign.MINUS
@@ -377,9 +396,10 @@ class TestModeIndices:
         ((1, 2), 1.0, "gains must be three finite reals"),
         ((1, 2), (1.0, 1.0, "1"), "gains must be three finite reals"),
         ((1, 2), (1.0, 1.0, 10**400), "gains must be three finite reals"),
+        ((1, 2), (True, True, True), "gains must be three finite reals"),
         ((1, 3), (1.0, 1e300, 1.0), "vlf value is not finite"),
     ], ids=["int-pair", "nan-gains", "inf-gain", "one-gain", "float-gains", "str-gain",
-            "int-gain-past-double", "sum-overflows"])
+            "int-gain-past-double", "bool-gains", "sum-overflows"])
     def test_vlf_value_checks_its_inputs(self, rows, pair, gains, message):
         # Named like evaluate_all's errors, where a nan was returned or a
         # bare IndexError or TypeError raised.

@@ -3,6 +3,8 @@
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from trimode import (
     compare_moments,
     drift_matrices,
     evaluate_all,
+    mc_moments,
     moments_at,
     outer_moments,
     propagator_analytic,
@@ -321,6 +324,41 @@ def test_numpy_times_propagate_as_floats(c, propagate):
     assert pair.mx.tobytes() == ref.mx.tobytes() and pair.my.tobytes() == ref.my.tobytes()
     if propagate in (propagator_analytic, propagator_degenerate):
         assert outer_moments(pair).cx.tobytes() == moments_at(c, t).cx.tobytes()
+
+
+#: Every public function that takes a time, called at time t.
+TIMED = {
+    "moments_at": lambda t: moments_at(HYP, t),
+    "closed_form_moments": lambda t: closed_form_moments(HYP, t),
+    "propagator_analytic": lambda t: propagator_analytic(HYP, t),
+    "propagator_degenerate": lambda t: propagator_degenerate(DEG, t),
+    "propagator_expm": lambda t: propagator_expm(HYP, t),
+    "rk4_propagator": lambda t: rk4_propagator(HYP, t, 4),
+    "mc_moments": lambda t: mc_moments(HYP, t, 10, 1),
+    "PropagatorPair": lambda t: PropagatorPair(np.eye(3), np.eye(3), t),
+    "evaluate_all": lambda t: evaluate_all(moments_at(HYP, 0.5), t),
+}
+
+
+@pytest.mark.parametrize("call", TIMED.values(), ids=TIMED.keys())
+@pytest.mark.parametrize("t", [True, np.True_, "1", 1j, Decimal("1"), None],
+                         ids=["bool", "np-bool", "str", "complex", "Decimal", "None"])
+def test_a_time_must_be_a_real_number(call, t):
+    # A bool time once ran at t = 1 or 0, and a str or complex one raised
+    # a bare TypeError; couplings reject both by name.
+    with pytest.raises(ValueError, match=re.escape(f"t must be a real number, got {t!r}")):
+        call(t)
+
+
+@pytest.mark.parametrize("call", TIMED.values(), ids=TIMED.keys())
+def test_real_times_that_are_not_floats_run_at_their_float(call):
+    for t in (Fraction(1, 2), np.int64(2), 2):
+        got, want = call(t), call(float(t))
+        for name in ("mx", "my", "cx", "cy"):
+            if hasattr(want, name):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        if hasattr(want, "t"):
+            assert type(got.t) is float and got.t == want.t
 
 
 class TestOuterMoments:

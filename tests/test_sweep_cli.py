@@ -112,6 +112,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got"):
             RunConfig(**kwargs)
 
+    def test_taus_must_be_strictly_increasing(self):
+        # 301 points on [0, 1e-320] round to repeated subnormals.
+        with pytest.raises(ValueError, match="^taus must be strictly increasing$"):
+            RunConfig(tau_max=1e-320).taus()
+        taus = RunConfig(tau_max=1e-320, points=3).taus()
+        assert taus[0] < taus[1] < taus[2] == 1e-320
+
 
 class TestTimeScale:
     def test_rate_convention(self):
@@ -539,6 +546,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: tau must be finite and >= 0, got {float(tau)!r}\n"
+
+    @pytest.mark.parametrize("command", [["sweep"], ["figures", "--which", "1"], ["oracle"]],
+                             ids=["sweep", "figures", "oracle"])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_every_grid_command_rejects_repeated_taus(self, command, source, tmp_path, capsys):
+        # oracle once printed PASS lines over this grid and exited 0.
+        grid = {"tau-min": "0", "tau-max": "1e-320", "points": "301"}
+        if source == "flags":
+            args = [f"--{key}={value}" for key, value in grid.items()]
+        else:
+            path = tmp_path / "grid.cfg"
+            path.write_text("".join(f"{key} = {value}\n" for key, value in grid.items()))
+            args = ["--config", str(path)]
+        out = tmp_path / "out"
+        assert main([*command, *args, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: taus must be strictly increasing\n"
+        assert not out.exists()
 
     def test_invalid_values_exit_code(self, capsys):
         rc = main(["sweep", "--kappa1", "-2"])
