@@ -492,10 +492,10 @@ class TestBitIdentity:
     @pytest.mark.parametrize("kappas", REGIMES)
     def test_rk4_stack_rows_are_the_single_point_propagators(self, kappas, grid):
         cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], **grid)
-        c, ts = cfg.couplings, oracle_times(cfg)
-        (n0, m), n = rk4_counts(cfg.taus()), len(ts)
+        c, taus, ts = cfg.couplings, cfg.taus(), oracle_times(cfg)
+        (n0, m), n = rk4_counts(taus), len(ts)
         ax = drift_matrices(c)[0]
-        stack = trimode.oracle._rk4_grid(ax, cfg.taus(), ts)
+        stack = trimode.oracle._rk4_grid(ax, taus, ts)
         assert stack.shape == (3, 3, n)
         for i, want in enumerate(rk4_per_point(ax, ts, n0, m)):
             assert np.array_equal(stack[..., i], want)
