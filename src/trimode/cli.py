@@ -7,11 +7,11 @@ Subcommands:
   eval     criteria at a single tau, printed as key=value lines
 
 Exit codes: 0 success, 1 failed oracle comparison, 2 usage error,
-3 file I/O error, 4 invalid parameter values.  A subcommand takes flags
-only for the RunConfig fields it reads.  A config file (--config, flat
-key=value lines with '#' comments) may hold every field, so one file
-serves every command; a command takes from it out and the fields it
-reads, as defaults, and explicit flags always win.
+3 file I/O error, 4 invalid parameter values or a grid too large for
+memory.  A subcommand takes flags only for the RunConfig fields it reads.
+A config file (--config, flat key=value lines with '#' comments) may hold
+every field, so one file serves every command; a command takes from it
+out and the fields it reads, as defaults, and explicit flags always win.
 """
 
 from __future__ import annotations
@@ -179,6 +179,9 @@ def main(argv=None):
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
 
 

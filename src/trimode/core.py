@@ -43,7 +43,6 @@ __all__ = [
     "CriteriaReport",
     "SweepResult",
     "classify_regime",
-    "vacuum_moments",
 ]
 
 #: Relative tolerance on |kappa1^2 - kappa2^2| below which the couplings
@@ -266,20 +265,27 @@ def _frozen_matrix(value, name):
 class PropagatorPair:
     """Linear maps taking initial X and Y quadrature vectors to time t.
 
-    The X block mx and Y block my of any exact propagator satisfy
+    Only the X block mx is stored.  The Y drift is S ax S with
+    S = diag(1, -1, -1), so every Y block is my = S mx S exactly, derived
+    and read-only.  An exact propagator satisfies
     mx @ my.T = identity (canonical commutators are preserved); numerical
     integrators only approach that identity at their accuracy level, so it
     is checked by the verification paths rather than enforced here.
     """
 
     mx: np.ndarray
-    my: np.ndarray
     t: float
 
     def __post_init__(self):
         object.__setattr__(self, "mx", _frozen_matrix(self.mx, "mx"))
-        object.__setattr__(self, "my", _frozen_matrix(self.my, "my"))
         object.__setattr__(self, "t", _check_time(self.t))
+
+    @property
+    def my(self):
+        """The Y block S mx S, a read-only array."""
+        my = self.mx * _FLIP
+        my.setflags(write=False)
+        return my
 
     def symplectic_defect(self):
         """Max-abs deviation of mx @ my.T from the identity."""
@@ -463,9 +469,3 @@ def classify_regime(c):
     if gap > 0:
         return Regime(RegimeKind.HYPERBOLIC, math.sqrt(gap))
     return Regime(RegimeKind.PERIODIC, math.sqrt(-gap))
-
-
-def vacuum_moments():
-    """Initial vacuum state: identity moment blocks."""
-    return MomentState(np.eye(3), np.eye(3))
-

@@ -128,7 +128,7 @@ def rk4_propagator(c, t, steps):
     t, steps = _check_time(t), int(steps)
     with np.errstate(all="ignore"):
         mx = np.array(_power(_rk4_step(_x_drift(c).tolist(), t / steps), steps))
-    return PropagatorPair(mx, mx * _FLIP, t)
+    return PropagatorPair(mx, t)
 
 
 def _scatter(rng, n):

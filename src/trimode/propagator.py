@@ -12,7 +12,9 @@ so each block evolves by a matrix exponential of a constant drift.  The
 drift cubes satisfy A^3 = (kappa1^2 - kappa2^2) A, which collapses the
 exponential to three terms: hyperbolic functions when kappa1 > kappa2,
 trigonometric ones when kappa2 > kappa1, and a quadratic polynomial at the
-degenerate point.
+degenerate point.  The Y drift is S ax S with S = diag(1, -1, -1), so a
+propagator is its X block mx (my = S mx S), and every moment state is
+built from the rows of mx.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 import numpy as np
 
 from .core import (
-    Couplings,
     MomentState,
     PropagatorPair,
     RegimeError,
@@ -31,13 +32,11 @@ from .core import (
     _block,
     _check_time,
     _each,
-    _row_moments,
     classify_regime,
 )
 
 __all__ = [
     "drift_matrices",
-    "propagator_degenerate",
     "propagator_analytic",
     "propagator_expm",
     "outer_moments",
@@ -113,25 +112,10 @@ def _x_drift(c):
     return ax
 
 
-def propagator_degenerate(c, t):
-    """Closed-form propagator for couplings inside the degeneracy window.
-
-    At kappa1 = kappa2 the drift is nilpotent, A^3 = 0, and exp(A t) =
-    I + A t + A^2 t^2 / 2 exactly, the limit of the hyperbolic and periodic
-    forms as the rate vanishes; inside the window those forms are used
-    with their small rate.
-    """
-    kind = classify_regime(c).kind
-    if kind is not RegimeKind.DEGENERATE:
-        raise RegimeError(f"couplings {c} are {kind.value}, not degenerate")
-    return propagator_analytic(c, t)
-
-
 def propagator_analytic(c, t):
     """Closed-form propagator for whichever regime the couplings are in."""
     t = _check_time(t)
-    mx = np.array(propagator_rows(c, t)[:3])
-    return PropagatorPair(mx, mx * _FLIP, t)
+    return PropagatorPair(np.array(propagator_rows(c, t)[:3]), t)
 
 
 def _product(x, y):
@@ -213,21 +197,19 @@ def propagator_expm(c, t):
     t = _check_time(t)
     with np.errstate(all="ignore"):
         mx = _expm(_x_drift(c), np.array([t]))[..., 0]
-    return PropagatorPair(mx, mx * _FLIP, t)
+    return PropagatorPair(mx, t)
 
 
 def outer_moments(pair):
-    """Moments a propagator pair produces from vacuum: cx = mx @ mx.T etc.
+    """Moments a propagator pair produces from vacuum: cx = mx @ mx.T and
+    cy = my @ my.T = S cx S.
 
-    When my = S mx S, as for every propagator of these equations of motion,
-    the state comes from the rows of mx, with d = r1 - r2, as in moments_at.
-    Any other pair takes each block from the rows of its own matrix.
+    MomentState._from_rows builds the state from the rows of mx, with
+    d = r1 - r2, as moments_at does, and keeps them for the criteria;
+    ValueError on overflow.
     """
-    if (pair.my == pair.mx * _FLIP).all():
-        r1, r2, r3 = map(tuple, pair.mx.tolist())
-        return MomentState._from_rows((r1, r2, r3, tuple(p - q for p, q in zip(r1, r2))))
-    with np.errstate(all="ignore"):
-        return MomentState(*_block(_row_moments(np.stack([pair.mx, pair.my], -1))))
+    r1, r2, r3 = map(tuple, pair.mx.tolist())
+    return MomentState._from_rows((r1, r2, r3, tuple(p - q for p, q in zip(r1, r2))))
 
 
 def moments_at(c, t):

@@ -117,8 +117,9 @@ class RunConfig:
         return Couplings(self.kappa1, self.kappa2)
 
     def taus(self):
-        """The uniform tau grid; ValueError when rounding repeats a tau."""
-        taus = np.linspace(self.tau_min, self.tau_max, self.points)
+        """The uniform float64 tau grid, whatever real type the endpoints
+        have; ValueError when rounding repeats a tau."""
+        taus = np.linspace(float(self.tau_min), float(self.tau_max), self.points)
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
         return taus

@@ -18,6 +18,7 @@ import pytest
 
 from trimode import (
     Couplings,
+    MomentState,
     RunConfig,
     VlfGains,
     compare_moments,
@@ -26,12 +27,10 @@ from trimode import (
     moments_at,
     outer_moments,
     propagator_analytic,
-    propagator_degenerate,
     propagator_expm,
     reproduce_figure,
     rk4_propagator,
     run_sweep,
-    vacuum_moments,
     vlf_gains,
     vlf_value,
 )
@@ -105,7 +104,7 @@ def test_criterion_02_symplectic_identity(grid):
         worst = max(worst, propagator_analytic(c, t).symplectic_defect())
         worst = max(worst, propagator_expm(c, t).symplectic_defect())
     for t in np.linspace(0.0, 3.0, 26):
-        worst = max(worst, propagator_degenerate(Couplings(1.0, 1.0), t).symplectic_defect())
+        worst = max(worst, propagator_analytic(Couplings(1.0, 1.0), t).symplectic_defect())
         worst = max(worst, propagator_expm(Couplings(1.0, 1.0), t).symplectic_defect())
     ok = worst <= 1e-10
     announce(2, "symplectic identity", ok, f"worst defect {worst:.2e}")
@@ -113,7 +112,7 @@ def test_criterion_02_symplectic_identity(grid):
 
 
 def test_criterion_03_boundary_exactness():
-    rep = evaluate_all(vacuum_moments(), 0.0)
+    rep = evaluate_all(MomentState(np.eye(3), np.eye(3)), 0.0)
     devs = {
         "vlf_opt": max(abs(v - 4.0) for v in rep.vlf_opt),
         "obr_single": max(abs(v - 1.0) for v in rep.obr_single),
@@ -141,7 +140,7 @@ def test_criterion_03_boundary_exactness_raw_sums():
     expected = x_part + y_part
     assert expected == 4.0 + unit_gain**2
 
-    rep = evaluate_all(vacuum_moments(), 0.0)
+    rep = evaluate_all(MomentState(np.eye(3), np.eye(3)), 0.0)
     worst = max(abs(v - expected) for v in rep.vlf_raw)
     above_bound = all(v >= 4.0 for v in rep.vlf_raw)
     ok = worst <= 1e-12 and above_bound

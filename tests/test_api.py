@@ -8,12 +8,15 @@ boundary between the package's modules: no module writes a frozen
 object's attributes from outside core.py or probes a private attribute,
 none forms a moment block with a BLAS Gram product, only core.py
 states the sign table that turns an X block into its Y block, and only
-oracle.py names the RK4 step density.
+oracle.py names the RK4 step density.  Two more keep the package lean:
+no module imports a name it never uses, and every public function has a
+caller in the package or in the benchmark.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
@@ -22,7 +25,8 @@ import pytest
 import trimode
 import trimode.cli
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+TRACER_PATH = BENCH_DIR / "tracer.py"
 SOURCE_DIR = Path(trimode.__file__).resolve().parent
 
 
@@ -215,3 +219,107 @@ def test_only_the_rk4_kernel_names_its_step_density():
     assert [path.name for path in paths
             if "RK4_STEPS_PER_UNIT_TAU" in path.read_text(encoding="utf-8")] == ["oracle.py"]
     assert trimode.RK4_STEPS_PER_UNIT_TAU is trimode.oracle.RK4_STEPS_PER_UNIT_TAU
+
+
+
+def _exported(tree):
+    """The names a module's top-level __all__ lists, or () without one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return tuple(ast.literal_eval(node.value))
+    return ()
+
+
+def _unused_imports(source, name):
+    """Names that source imports but neither reads nor lists in its __all__;
+    a __future__ import is a compiler directive, not a name."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read and bound not in _exported(tree):
+                found.append(f"{name}:{node.lineno} {bound}")
+    return found
+
+
+def test_unused_import_check_finds_each_form():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import math, os",
+        "import numpy as np",
+        "import importlib.util",
+        "from .core import A, B as C, D",
+        "__all__ = ['D']",
+        "x = math.pi + C",
+        "np = 1",
+    ])
+    assert _unused_imports(source, "x") == ["x:2 os", "x:3 np", "x:4 importlib", "x:5 A"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # There is no linter; an import that nothing reads is dead code.
+    # __init__.py only re-exports the modules' names.
+    paths = sorted(path for path in SOURCE_DIR.glob("*.py") if path.name != "__init__.py")
+    assert paths
+    assert [hit for path in paths
+            for hit in _unused_imports(path.read_text(encoding="utf-8"), path.name)] == []
+
+
+def _referenced(tree, calls_only=False):
+    """Every bare name tree reads outside the body of the function of that
+    name; with calls_only, every name it calls, bare or as an attribute.
+    Within the package a function is always read by its bare name, so an
+    attribute that shares a function's name (report.obr_single) is no call."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = None
+        if calls_only and isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        elif not calls_only and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_function_has_a_caller(tracer):
+    # The public API holds what the CLI, the figures and the oracle use,
+    # plus what the benchmark calls or traces.  Classes and constants are
+    # not checked.
+    used = set()
+    for path in SOURCE_DIR.glob("*.py"):
+        used |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
+    used |= _referenced(ast.parse((BENCH_DIR / "workloads.py").read_text(encoding="utf-8")),
+                        calls_only=True)
+    used |= {name for _, name, _ in tracer.FUNCTIONS}
+    functions = [name for name in trimode.__all__ if inspect.isfunction(getattr(trimode, name))]
+    assert functions
+    assert [name for name in functions if name not in used] == []
+
+
+def test_caller_check_ignores_a_function_calling_itself():
+    source = "\n".join([
+        "def f(n):",
+        "    return f(n - 1) if n else g()",
+        "def g():",
+        "    return h",
+        "x = obj.k(1)",
+    ])
+    assert _referenced(ast.parse(source)) == {"g", "h", "n", "obj"}
+    assert _referenced(ast.parse(source), calls_only=True) == {"g", "k"}

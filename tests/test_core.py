@@ -26,7 +26,6 @@ from trimode import (
     evaluate_all,
     mc_moments,
     moments_at,
-    vacuum_moments,
 )
 from trimode.core import _FLIP, _block, _each
 from support import DEG, HYP, PER, T1
@@ -123,12 +122,12 @@ class TestClassifyRegime:
 
 class TestVacuum:
     def test_identity_blocks(self):
-        m = vacuum_moments()
+        m = MomentState(np.eye(3), np.eye(3))
         assert np.array_equal(m.cx, np.eye(3))
         assert np.array_equal(m.cy, np.eye(3))
 
     def test_uncertainty_product_saturates(self):
-        m = vacuum_moments()
+        m = MomentState(np.eye(3), np.eye(3))
         for i in range(3):
             assert m.cx[i, i] * m.cy[i, i] == 1.0
 
@@ -159,7 +158,7 @@ class TestMomentState:
             MomentState(np.eye(3), bad)
 
     def test_blocks_are_readonly(self):
-        m = vacuum_moments()
+        m = MomentState(np.eye(3), np.eye(3))
         with pytest.raises(ValueError):
             m.cx[0, 0] = 2.0
 
@@ -261,40 +260,46 @@ def _message(kind, name):
 class TestPropagatorPair:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            PropagatorPair(np.eye(3), np.eye(3), -1.0)
+            PropagatorPair(np.eye(3), -1.0)
 
     def test_symplectic_defect_of_identity(self):
-        pair = PropagatorPair(np.eye(3), np.eye(3), 0.0)
+        pair = PropagatorPair(np.eye(3), 0.0)
         assert pair.symplectic_defect() == 0.0
 
     def test_accepts_asymmetric_blocks_and_copies_them(self):
         mx, _ = _bad_blocks("asymmetry", "first")
-        my = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        pair = PropagatorPair(mx, my, 0.5)
+        pair = PropagatorPair(mx, 0.5)
         mx[1, 2] = 9.0
         assert pair.mx[1, 2] == 1e-10 and pair.mx[2, 1] == 0.0
-        assert np.array_equal(pair.my, np.eye(3))
+        # The Y block is derived, S mx S, and cannot be written either.
+        assert pair.my.tobytes() == (pair.mx * _FLIP).tobytes()
+        assert pair.my[1, 2] == 1e-10 and pair.my[0, 1] == 0.0
         for block in (pair.mx, pair.my):
             with pytest.raises(ValueError):
                 block[0, 0] = 5.0
+        assert pair.my[0, 0] == 1.0
 
-    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    @pytest.mark.parametrize("where", ["first", "both"])
     @pytest.mark.parametrize("kind", ["shape", "nan", "inf", "-inf", *COMPLEX_KINDS])
     def test_rejection_messages(self, kind, where):
-        mx, my = _bad_blocks(kind, where)
-        name = "my" if where == "second" else "mx"
-        # The blocks are checked before the time.
-        with pytest.raises(ValueError, match=_message(kind, name)):
-            PropagatorPair(mx, my, -1.0)
+        mx, _ = _bad_blocks(kind, where)
+        # The block is checked before the time.
+        with pytest.raises(ValueError, match=_message(kind, "mx")):
+            PropagatorPair(mx, -1.0)
+
+    def test_has_no_y_block_field(self):
+        assert [f.name for f in dataclasses.fields(PropagatorPair)] == ["mx", "t"]
+        with pytest.raises(TypeError):
+            PropagatorPair(np.eye(3), np.eye(3), 0.0)
 
     def test_stores_a_python_float_time(self):
-        t = PropagatorPair(np.eye(3), np.eye(3), np.float32(0.5)).t
+        t = PropagatorPair(np.eye(3), np.float32(0.5)).t
         assert type(t) is float and t == 0.5
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_time_message(self, t):
         with pytest.raises(ValueError, match="^t must be finite and >= 0, got"):
-            PropagatorPair(np.eye(3), np.eye(3), t)
+            PropagatorPair(np.eye(3), t)
 
 
 def _report(**overrides):
@@ -424,7 +429,7 @@ class TestSweepResult:
 
 def _array_values():
     m = moments_at(HYP, T1)
-    pair = PropagatorPair(np.eye(3), np.eye(3), 0.0)
+    pair = PropagatorPair(np.eye(3), 0.0)
     values = np.array([_report().values()] * 2)
     sweep = SweepResult(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values, RunConfig())
     return [(m, MomentState(m.cx, m.cy)), (pair, dataclasses.replace(pair)),

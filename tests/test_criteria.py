@@ -19,7 +19,6 @@ from trimode import (
     obr_pair,
     obr_single,
     time_scale,
-    vacuum_moments,
     vlf_gains,
     vlf_value,
 )
@@ -82,7 +81,7 @@ class TestInferredSingle:
     def test_vacuum(self):
         for i in (1, 2, 3):
             for sign in Sign:
-                assert obr_single(vacuum_moments(), i, sign) == 1.0
+                assert obr_single(MomentState(np.eye(3), np.eye(3)), i, sign) == 1.0
 
     def test_witness_mode_1(self, m1):
         assert mp_residual(m1.cx, *SINGLE[1]) == pytest.approx(VINF_X1, rel=1e-12)
@@ -120,7 +119,7 @@ class TestInferredSingle:
 
 class TestObrSingle:
     def test_vacuum_boundary(self):
-        assert obr_single(vacuum_moments(), 1) == 1.0
+        assert obr_single(MomentState(np.eye(3), np.eye(3)), 1) == 1.0
 
     def test_witness(self, m1):
         assert obr_single(m1, 1) == pytest.approx(OBR1, rel=1e-12)
@@ -168,7 +167,7 @@ class TestInferredPair:
     def test_vacuum(self):
         for j, k in ((2, 3), (1, 3), (1, 2)):
             for sign in Sign:
-                assert obr_pair(vacuum_moments(), j, k, sign) == 4.0
+                assert obr_pair(MomentState(np.eye(3), np.eye(3)), j, k, sign) == 4.0
 
     def test_witness(self, m1):
         assert mp_residual(m1.cx, *PAIR[1]) == pytest.approx(VINFPAIR_X23, rel=1e-12)
@@ -188,7 +187,7 @@ class TestInferredPair:
 
 class TestObrPair:
     def test_vacuum_boundary(self):
-        assert obr_pair(vacuum_moments(), 2, 3) == 4.0
+        assert obr_pair(MomentState(np.eye(3), np.eye(3)), 2, 3) == 4.0
 
     def test_witnesses(self, m1):
         assert obr_pair(m1, 2, 3) == pytest.approx(OBR23, rel=1e-12)
@@ -206,7 +205,7 @@ class TestObrPair:
 
 class TestVlfGains:
     def test_vacuum(self):
-        assert vlf_gains(vacuum_moments()) == VlfGains(0.0, 0.0, 0.0)
+        assert vlf_gains(MomentState(np.eye(3), np.eye(3))) == VlfGains(0.0, 0.0, 0.0)
 
     def test_witness(self, m1):
         gains = vlf_gains(m1)
@@ -228,14 +227,14 @@ class TestVlfGains:
 
 class TestVlfValue:
     def test_vacuum_with_optimal_gains_sits_on_the_bound(self):
-        m = vacuum_moments()
+        m = MomentState(np.eye(3), np.eye(3))
         g = vlf_gains(m)
         for pair in ((1, 2), (1, 3), (2, 3)):
             assert vlf_value(m, pair, g) == 4.0
 
     def test_vacuum_with_unit_gains_is_five(self):
         # V(X_i - X_j) = 2 plus V(Y_1 + Y_2 + Y_3) = 3 on vacuum input
-        m = vacuum_moments()
+        m = MomentState(np.eye(3), np.eye(3))
         for pair in ((1, 2), (1, 3), (2, 3)):
             assert vlf_value(m, pair, UNIT_GAINS) == 5.0
 
@@ -288,7 +287,7 @@ class TestVlfValue:
 
 class TestEvaluateAll:
     def test_vacuum_boundary_report(self):
-        rep = evaluate_all(vacuum_moments(), 0.0)
+        rep = evaluate_all(MomentState(np.eye(3), np.eye(3)), 0.0)
         assert all(v == 4.0 for v in rep.vlf_opt)
         assert all(v == 5.0 for v in rep.vlf_raw)
         assert all(v == 1.0 for v in rep.obr_single)

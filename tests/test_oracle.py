@@ -31,7 +31,6 @@ from trimode import (
     rk4_propagator,
     run_oracle_check,
     time_scale,
-    vacuum_moments,
 )
 from trimode.cli import main
 from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of, row_outer
@@ -180,7 +179,7 @@ class TestMcMoments:
 
 class TestCompareMoments:
     def test_identical_states(self):
-        m = vacuum_moments()
+        m = MomentState(np.eye(3), np.eye(3))
         report = compare_moments(m, m, 1e-12)
         assert report.passed
         assert report.max_abs_err == 0.0
@@ -204,7 +203,7 @@ class TestCompareMoments:
         assert not compare_moments(analytic, coarse, 1e-9).passed
 
     def test_worst_entry_is_labelled(self):
-        a = vacuum_moments()
+        a = MomentState(np.eye(3), np.eye(3))
         cy = np.eye(3)
         cy[1, 2] = cy[2, 1] = 0.5
         b = MomentState(np.eye(3), cy)

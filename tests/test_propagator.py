@@ -24,7 +24,6 @@ from trimode import (
     moments_at,
     outer_moments,
     propagator_analytic,
-    propagator_degenerate,
     propagator_expm,
     rk4_propagator,
 )
@@ -124,29 +123,25 @@ class TestPeriodic:
 
 class TestDegenerate:
     def test_identity_at_zero(self):
-        pair = propagator_degenerate(DEG, 0.0)
+        pair = propagator_analytic(DEG, 0.0)
         assert np.array_equal(pair.mx, np.eye(3))
 
     def test_exact_polynomial(self):
-        pair = propagator_degenerate(DEG, 1.0)
+        pair = propagator_analytic(DEG, 1.0)
         np.testing.assert_allclose(pair.mx, MX_DEG, rtol=0, atol=1e-15)
         np.testing.assert_allclose(pair.my, MY_DEG, rtol=0, atol=1e-15)
         assert pair.mx[2, 2] == 1.0
 
     def test_matches_expm(self):
         for t in (0.3, 1.0, 2.7):
-            poly = propagator_degenerate(DEG, t)
+            poly = propagator_analytic(DEG, t)
             via_expm = propagator_expm(DEG, t)
             assert np.max(np.abs(poly.mx - via_expm.mx)) < 1e-10
             assert np.max(np.abs(poly.my - via_expm.my)) < 1e-10
 
     def test_symplectic(self):
         for t in (0.5, 1.5, 3.0):
-            assert propagator_degenerate(DEG, t).symplectic_defect() < 1e-10
-
-    def test_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            propagator_degenerate(HYP, 1.0)
+            assert propagator_analytic(DEG, t).symplectic_defect() < 1e-10
 
 
 class TestExpm:
@@ -313,7 +308,7 @@ class TestGridInvariants:
 
 
 @pytest.mark.parametrize("c, propagate", [
-    (HYP, propagator_analytic), (PER, propagator_analytic), (DEG, propagator_degenerate),
+    (HYP, propagator_analytic), (PER, propagator_analytic), (DEG, propagator_analytic),
     (HYP, propagator_expm), (HYP, lambda c, t: rk4_propagator(c, t, 400))])
 def test_numpy_times_propagate_as_floats(c, propagate):
     # A float32 time once ran the analytic rows in float32, 5.5e-8 off
@@ -322,7 +317,7 @@ def test_numpy_times_propagate_as_floats(c, propagate):
     pair, ref = propagate(c, t), propagate(c, float(t))
     assert type(pair.t) is float and pair.t == float(t)
     assert pair.mx.tobytes() == ref.mx.tobytes() and pair.my.tobytes() == ref.my.tobytes()
-    if propagate in (propagator_analytic, propagator_degenerate):
+    if propagate is propagator_analytic:
         assert outer_moments(pair).cx.tobytes() == moments_at(c, t).cx.tobytes()
 
 
@@ -331,11 +326,10 @@ TIMED = {
     "moments_at": lambda t: moments_at(HYP, t),
     "closed_form_moments": lambda t: closed_form_moments(HYP, t),
     "propagator_analytic": lambda t: propagator_analytic(HYP, t),
-    "propagator_degenerate": lambda t: propagator_degenerate(DEG, t),
     "propagator_expm": lambda t: propagator_expm(HYP, t),
     "rk4_propagator": lambda t: rk4_propagator(HYP, t, 4),
     "mc_moments": lambda t: mc_moments(HYP, t, 10, 1),
-    "PropagatorPair": lambda t: PropagatorPair(np.eye(3), np.eye(3), t),
+    "PropagatorPair": lambda t: PropagatorPair(np.eye(3), t),
     "evaluate_all": lambda t: evaluate_all(moments_at(HYP, 0.5), t),
 }
 
@@ -367,28 +361,26 @@ class TestOuterMoments:
         m = outer_moments(pair)
         np.testing.assert_allclose(m.cx, CX1, rtol=1e-12)
 
-    def test_other_pairs_carry_no_rows(self):
-        pair = propagator_analytic(HYP, T1)
-        m = outer_moments(PropagatorPair(pair.mx, pair.mx, T1))
-        assert m.rows is None
-        np.testing.assert_allclose(m.cx, CX1, rtol=1e-12)
-        # Each block is the Gram matrix of its own matrix's rows, so it is
-        # exactly symmetric with no symmetrising step.
+    def test_every_pair_keeps_its_rows(self):
+        # A pair is its X block: the state keeps the rows of mx, cx is their
+        # Gram matrix, exactly symmetric with no symmetrising step, and cy
+        # is S cx S.
         rng = np.random.default_rng(17)
         for _ in range(200):
-            mx, my = rng.standard_normal((2, 3, 3)) * 10.0 ** rng.uniform(-3, 3, (2, 1, 1))
-            m = outer_moments(PropagatorPair(mx, my, T1))
-            for block, matrix in ((m.cx, mx), (m.cy, my)):
-                assert np.array_equal(block, block.T)
-                assert np.array_equal(block, row_outer(matrix))
+            mx = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3)
+            m = outer_moments(PropagatorPair(mx, T1))
+            assert m.rows is not None
+            assert m.rows[:3] == tuple(map(tuple, mx.tolist()))
+            assert m.rows[3] == tuple((mx[0] - mx[1]).tolist())
+            assert np.array_equal(m.cx, m.cx.T)
+            assert np.array_equal(m.cx, row_outer(mx))
+            assert m.cy.tobytes() == (m.cx * _FLIP).tobytes()
 
     def test_overflow_is_one_value_error_and_no_warning(self):
-        m = np.full((3, 3), 1e200)
-        for my in (2.0 * m, m * trimode.propagator._FLIP):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="overflow"):
-                    outer_moments(PropagatorPair(m, my, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                outer_moments(PropagatorPair(np.full((3, 3), 1e200), 0.0))
 
     @pytest.mark.parametrize("c, t", [(HYP, T1), (PER, T2), (DEG, 2.0), (HYP, 12.0)])
     def test_propagated_states_take_their_blocks_from_their_rows(self, c, t):

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestRunConfig:
             RunConfig(tau_max=1e-320).taus()
         taus = RunConfig(tau_max=1e-320, points=3).taus()
         assert taus[0] < taus[1] < taus[2] == 1e-320
+
+    @pytest.mark.parametrize("real", [np.float32, np.int64, Fraction],
+                             ids=["float32", "int64", "Fraction"])
+    def test_taus_are_the_float_grid_whatever_the_endpoint_type(self, real):
+        # A float32 tau_max once gave a float32 grid: 288 of its 301 taus
+        # differed from the float grid's, by up to 1.8e-7.
+        for lo, hi in ((0, 3), (1, 3), (2, 7)):
+            want = RunConfig(tau_min=float(lo), tau_max=float(hi)).taus()
+            for kwargs in (dict(tau_min=float(lo), tau_max=real(hi)),
+                           dict(tau_min=real(lo), tau_max=float(hi)),
+                           dict(tau_min=real(lo), tau_max=real(hi))):
+                taus = RunConfig(**kwargs).taus()
+                assert taus.dtype == np.float64
+                assert taus.tobytes() == want.tobytes()
 
 
 class TestTimeScale:
@@ -564,6 +579,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: taus must be strictly increasing\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["sweep"], ["figures", "--which", "1"], ["oracle"]],
+                             ids=["sweep", "figures", "oracle"])
+    def test_a_grid_too_large_for_memory_exits_4(self, command, tmp_path, capsys, monkeypatch):
+        # --points 1000000000000 once raised a MemoryError traceback out of
+        # RunConfig.taus().  The failure is simulated: whether a real
+        # allocation of 7.28 TiB fails at once depends on the machine's
+        # overcommit setting.
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000000000,) and data type float64")
+
+        def too_large(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(RunConfig, "taus", too_large)
+        out = tmp_path / "out"
+        assert main([*command, "--points", "1000000000000", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {message}\n"
         assert not out.exists()
 
     def test_invalid_values_exit_code(self, capsys):
