@@ -146,7 +146,7 @@ def _cmd_oracle(cfg):
 
 
 def _cmd_eval(cfg, tau):
-    _check_time(tau, "tau")
+    tau = _check_time(tau, "tau")
     c = cfg.couplings
     t = tau / time_scale(c, cfg.tau_convention)
     report = evaluate_all(moments_at(c, t), t, cfg.sign)

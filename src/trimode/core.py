@@ -151,8 +151,8 @@ def _block(x):
 
 
 def _check_time(value, name="t"):
-    """The time value, called name, as a float; ValueError unless it is a
-    real number but a bool, finite and >= 0."""
+    """The time value, called name, as a float, +0.0 for -0.0; ValueError
+    unless it is a real number but a bool, finite and >= 0."""
     if not (isinstance(value, float) or _is_real(value)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -161,7 +161,7 @@ def _check_time(value, name="t"):
         t = math.inf
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return t
+    return t + 0.0
 
 
 class InvalidCouplingError(ValueError):

@@ -5,11 +5,11 @@ integrates the equations of motion numerically, mc_moments samples the
 second moments of n vacuum draws through the analytic propagator (one
 Wishart draw per block, so a result depends only on (seed, n)), and
 compare_moments reduces two states to a structured error report.  RK4
-integrates the X block alone, and every Y block is S mx S with
-S = diag(1, -1, -1), once _x_drift has checked that the Y drift is S ax S
-exactly; on a uniform grid it steps from point to point, by one interval
-operator composed by doubling, and _rk4_grid alone sets the step counts
-from RK4_STEPS_PER_UNIT_TAU.  The sampler draws its Wishart pair once for
+integrates the X drift of drift_matrix alone, and every Y block is S mx S
+with S = diag(1, -1, -1), as the Y drift is S ax S; on a uniform grid it
+steps from point to point, by one interval operator composed by
+doubling, and _rk4_grid alone sets the step counts from
+RK4_STEPS_PER_UNIT_TAU.  The sampler draws its Wishart pair once for
 all of its times.  The comparison runs on whole grids of cx blocks, or of
 (cx, cy) pairs where cy is sampled; mc_moments and compare_moments are
 grids of one, bit for bit.
@@ -18,13 +18,14 @@ grids of one, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, _block, _check_time,
                    _is_int, _row_moments)
-from .propagator import _EYE, _mul, _product, _x_drift, propagator_rows
+from .propagator import _EYE, _mul, _product, drift_matrix, propagator_rows
 
 __all__ = [
     "RK4_STEPS_PER_UNIT_TAU",
@@ -55,6 +56,16 @@ class ComparisonReport:
     worst_entry: tuple
     passed: bool
     tolerance: float
+
+
+def _check_count(value, name):
+    """The count value, called name, as an int; ValueError unless it is an
+    integer but a bool and lies in [1, the largest float]."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must fit in a float, got {value!r}")
+    return int(value)
 
 
 def _rk4_step(a, h):
@@ -121,13 +132,12 @@ def rk4_propagator(c, t, steps):
     The result is the standard fixed-step RK4 solution with global error
     O((t/steps)^4): z(t/steps)^steps, z the RK4 step matrix, as _rk4_grid
     forms its first column.  Only the X block is integrated; the Y block is
-    S mx S, which _x_drift checks the drift matrices to imply exactly.
+    S mx S, as the Y drift is S ax S.  ValueError unless steps is a
+    positive integer that fits in a float.
     """
-    if not _is_int(steps) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    t, steps = _check_time(t), int(steps)
+    t, steps = _check_time(t), _check_count(steps, "steps")
     with np.errstate(all="ignore"):
-        mx = np.array(_power(_rk4_step(_x_drift(c).tolist(), t / steps), steps))
+        mx = np.array(_power(_rk4_step(drift_matrix(c).tolist(), t / steps), steps))
     return PropagatorPair(mx, t)
 
 
@@ -161,8 +171,7 @@ def _mc_blocks(c, ts, n, seed):
     from one Philox stream keyed by seed, so a result depends only on
     (seed, n).
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _check_count(n, "n")
     if not _is_int(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:

@@ -31,7 +31,7 @@ from .oracle import _compare, _mc_blocks, _rk4_grid
 from .propagator import (
     _closed_form_entries,
     _expm,
-    _x_drift,
+    drift_matrix,
     propagator_rows,
 )
 
@@ -389,17 +389,17 @@ def run_oracle_check(cfg):
     rk4 steps along the grid at the density _rk4_grid sets, so its row i
     sits at t0 + i dt, t_i up to the grid's rounding.
     Every deterministic path has cy = S cx S, S = diag(1, -1, -1),
-    as the Y drift is S ax S (checked exactly first), so its cy errs
-    exactly as its cx and only cx is compared; Monte Carlo draws cy
-    independently and compares both.
+    as the Y drift is S ax S by construction, so its cy errs exactly as
+    its cx and only cx is compared; Monte Carlo draws cy independently
+    and compares both.
     Returns [(name, ComparisonReport), ...]; a run is good when every
-    report passed.  Raises ValueError when that drift identity fails or a
-    moment of any path is not finite.  The Monte Carlo comparison is
+    report passed.  Raises ValueError when a moment of any path is not
+    finite or the Monte Carlo sample count or seed is out of range.  The Monte Carlo comparison is
     statistical: at the default 10^6 samples its 1e-2 bound on the worst
     entry fails by chance on about 2 of 9000 seeds.
     """
     c = cfg.couplings
-    ax = _x_drift(c)
+    ax = drift_matrix(c)
     taus = cfg.taus()
     n = len(taus)
     with np.errstate(all="ignore"):

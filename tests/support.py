@@ -78,6 +78,21 @@ GRID_COUPLINGS = (
 )
 
 
+def y_drift(c):
+    """The Y drift of the paper's equations of motion, dY/dt = y_drift(c) @ Y
+    with rows = modes 1..3, written out:
+
+        dY1/dt = -kappa1 * Y3
+        dY2/dt =  kappa2 * Y3
+        dY3/dt = -kappa1 * Y1 - kappa2 * Y2
+
+    The package states only the X drift and takes every Y block from it by
+    S = diag(1, -1, -1); this is the independent reference they are
+    checked against."""
+    k1, k2 = c.kappa1, c.kappa2
+    return np.array([[0.0, 0.0, -k1], [0.0, 0.0, k2], [-k1, -k2, 0.0]])
+
+
 def rate_of(c):
     return abs(c.kappa1**2 - c.kappa2**2) ** 0.5
 

@@ -262,6 +262,9 @@ class TestPropagatorPair:
         with pytest.raises(ValueError):
             PropagatorPair(np.eye(3), -1.0)
 
+    def test_negative_zero_time_is_positive_zero(self):
+        assert math.copysign(1.0, PropagatorPair(np.eye(3), -0.0).t) == 1.0
+
     def test_symplectic_defect_of_identity(self):
         pair = PropagatorPair(np.eye(3), 0.0)
         assert pair.symplectic_defect() == 0.0

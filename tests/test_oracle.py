@@ -21,7 +21,7 @@ from trimode import (
     classify_regime,
     closed_form_moments,
     compare_moments,
-    drift_matrices,
+    drift_matrix,
     evaluate_all,
     mc_moments,
     moments_at,
@@ -32,8 +32,7 @@ from trimode import (
     run_oracle_check,
     time_scale,
 )
-from trimode.cli import main
-from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of, row_outer
+from support import CX1, HYP, OMEGA, PER, T1, grid_points, rate_of, row_outer, y_drift
 
 
 class TestRk4:
@@ -73,6 +72,13 @@ class TestRk4:
     def test_invalid_steps(self, steps):
         # True is an int, and must not run one step.
         message = f"steps must be a positive integer, got {steps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rk4_propagator(HYP, 1.0, steps)
+
+    @pytest.mark.parametrize("steps", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_steps_past_the_double_range(self, steps):
+        # 1.0 / steps once raised a bare OverflowError.
+        message = f"steps must fit in a float, got {steps!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             rk4_propagator(HYP, 1.0, steps)
 
@@ -136,6 +142,13 @@ class TestMcMoments:
     def test_invalid_sample_count(self, n):
         # A bool must not reach numpy, which raises a bare TypeError.
         message = f"n must be a positive integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_moments(HYP, 1.0, n, seed=1)
+
+    @pytest.mark.parametrize("n", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_sample_count_past_the_double_range(self, n):
+        # The Wishart draw once raised a bare OverflowError.
+        message = f"n must fit in a float, got {n!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             mc_moments(HYP, 1.0, n, seed=1)
 
@@ -333,7 +346,7 @@ def compare_per_point(a, b, tol, t):
 
 def oracle_per_point(cfg):
     c = cfg.couplings
-    ax, ay = drift_matrices(c)
+    ax, ay = drift_matrix(c), y_drift(c)
     scale = time_scale(c, cfg.tau_convention)
     degenerate = classify_regime(c).kind is RegimeKind.DEGENERATE
     names = ["analytic vs expm", "rk4 vs analytic"]
@@ -450,7 +463,7 @@ class TestStackedOracle:
     def test_rk4_power_is_the_binary_power_bit_for_bit(self, steps):
         t = 1.3
         pair = rk4_propagator(HYP, t, steps)
-        for a, m in zip(drift_matrices(HYP), (pair.mx, pair.my)):
+        for a, m in zip((drift_matrix(HYP), y_drift(HYP)), (pair.mx, pair.my)):
             z = rk4_step_matrix(a, t / steps)
             assert np.array_equal(m, binary_power(z, steps))
             np.testing.assert_allclose(m, np.linalg.matrix_power(np.array(z), steps),
@@ -459,7 +472,7 @@ class TestStackedOracle:
     def test_expm_is_the_per_point_expm_bit_for_bit(self):
         for c, t, _ in grid_points(n_tau=6, tau_max=20.0):
             pair = propagator_expm(c, t)
-            for a, m in zip(drift_matrices(c), (pair.mx, pair.my)):
+            for a, m in zip((drift_matrix(c), y_drift(c)), (pair.mx, pair.my)):
                 assert np.array_equal(m, expm_per_point(a, t))
 
 
@@ -493,7 +506,7 @@ class TestBitIdentity:
         cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], **grid)
         c, taus, ts = cfg.couplings, cfg.taus(), oracle_times(cfg)
         (n0, m), n = rk4_counts(taus), len(ts)
-        ax = drift_matrices(c)[0]
+        ax = drift_matrix(c)
         stack = trimode.oracle._rk4_grid(ax, taus, ts)
         assert stack.shape == (3, 3, n)
         for i, want in enumerate(rk4_per_point(ax, ts, n0, m)):
@@ -523,7 +536,7 @@ class TestBitIdentity:
     def test_expm_stack_columns_are_the_single_point_propagators(self, kappas, grid):
         cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1], **grid)
         c, ts = cfg.couplings, oracle_times(cfg)
-        ax = drift_matrices(c)[0]
+        ax = drift_matrix(c)
         stack = trimode.propagator._expm(ax, ts)
         assert stack.shape == (3, 3, len(ts))
         for i, t in enumerate(ts.tolist()):
@@ -634,45 +647,3 @@ class TestOracleWork:
         monkeypatch.setattr(trimode.sweep, "_compare", recording)
         run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=11))
         assert shapes == [((11, 3, 3),) * 2] * (2 + closed) + [((3, 2, 3, 3),) * 2]
-
-
-@pytest.fixture
-def wrong_y_drift(monkeypatch):
-    """drift_matrices with the sign of ay[2, 0] flipped, so that the Y drift
-    is no longer S ax S, installed in every trimode module that holds it."""
-    original = trimode.drift_matrices
-
-    def wrong(c):
-        ax, ay = original(c)
-        ay = ay.copy()
-        ay[2, 0] = -ay[2, 0]
-        return ax, ay
-
-    for module in (trimode, trimode.propagator, trimode.oracle, trimode.sweep):
-        if getattr(module, "drift_matrices", None) is original:
-            monkeypatch.setattr(module, "drift_matrices", wrong)
-
-
-class TestDriftIdentity:
-    """The expm and RK4 paths derive every Y block from the X block, so a Y
-    drift that is not S ax S must stop the oracle rather than pass it."""
-
-    @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
-    def test_run_oracle_check_fails(self, kappas, wrong_y_drift):
-        with pytest.raises(ValueError, match="drift identity"):
-            run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1]))
-
-    def test_public_propagators_fail(self, wrong_y_drift):
-        with pytest.raises(ValueError, match="drift identity"):
-            propagator_expm(HYP, T1)
-        with pytest.raises(ValueError, match="drift identity"):
-            rk4_propagator(HYP, T1, 100)
-
-    def test_cli_prints_one_error_line_and_no_pass(self, wrong_y_drift, capsys):
-        rc = main(["oracle"])
-        captured = capsys.readouterr()
-        assert rc != 0
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ") and "drift identity" in lines[0]

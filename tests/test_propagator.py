@@ -18,7 +18,7 @@ from trimode import (
     classify_regime,
     closed_form_moments,
     compare_moments,
-    drift_matrices,
+    drift_matrix,
     evaluate_all,
     mc_moments,
     moments_at,
@@ -45,12 +45,13 @@ from support import (
     grid_points,
     rate_of,
     row_outer,
+    y_drift,
 )
 
 
 class TestDrift:
     def test_entries(self):
-        ax, ay = drift_matrices(Couplings(1.0, 1.0))
+        ax, ay = drift_matrix(Couplings(1.0, 1.0)), y_drift(Couplings(1.0, 1.0))
         assert np.array_equal(ax[2], [1.0, -1.0, 0.0])
         assert np.array_equal(ay[2], [-1.0, -1.0, 0.0])
         assert np.array_equal(ax[0], [0.0, 0.0, 1.0])
@@ -58,29 +59,39 @@ class TestDrift:
         assert np.array_equal(ax[1], [0.0, 0.0, 1.0])
         assert np.array_equal(ay[1], [0.0, 0.0, 1.0])
 
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            drift_matrix(HYP)[0, 2] = 0.0
+
     def test_traceless(self):
         for c in GRID_COUPLINGS:
-            ax, ay = drift_matrices(c)
-            assert np.trace(ax) == 0.0
-            assert np.trace(ay) == 0.0
+            assert np.trace(drift_matrix(c)) == 0.0
+            assert np.trace(y_drift(c)) == 0.0
 
     def test_blocks_are_inverse_transposes_of_each_other(self):
-        ax, ay = drift_matrices(HYP)
-        assert np.array_equal(ay, -ax.T)
+        assert np.array_equal(y_drift(HYP), -drift_matrix(HYP).T)
+
+    @pytest.mark.parametrize("c", [*GRID_COUPLINGS, DEG, Couplings(1e-150, 3e150)])
+    def test_y_drift_is_the_flipped_x_drift(self, c):
+        # The identity every Y block of the package rests on, exactly.
+        assert np.array_equal(drift_matrix(c) * _FLIP, y_drift(c))
 
     @pytest.mark.parametrize("c,t", [(HYP, T1), (PER, T2), (DEG, 1.3)])
     def test_equations_of_motion_by_finite_differences(self, c, t):
+        # Each propagator's mx solves dX/dt = ax X and its my, taken from
+        # mx, solves the paper's Y equations dY/dt = y_drift(c) Y.
         regime = classify_regime(c)
         t_char = 1.0 / (regime.rate if regime.rate > 0 else c.kappa_max)
         h = 1e-6 * t_char
-        ax, ay = drift_matrices(c)
-        for block, a in (("mx", ax), ("my", ay)):
-            plus = getattr(propagator_analytic(c, t + h), block)
-            minus = getattr(propagator_analytic(c, t - h), block)
-            deriv = (plus - minus) / (2.0 * h)
-            expected = a @ getattr(propagator_analytic(c, t), block)
-            rel = np.abs(deriv - expected) / np.maximum(1.0, np.abs(expected))
-            assert rel.max() < 1e-5
+        for propagate in (propagator_analytic, propagator_expm,
+                          lambda c, t: rk4_propagator(c, t, 1000)):
+            for block, a in (("mx", drift_matrix(c)), ("my", y_drift(c))):
+                plus = getattr(propagate(c, t + h), block)
+                minus = getattr(propagate(c, t - h), block)
+                deriv = (plus - minus) / (2.0 * h)
+                expected = a @ getattr(propagate(c, t), block)
+                rel = np.abs(deriv - expected) / np.maximum(1.0, np.abs(expected))
+                assert rel.max() < 1e-5
 
 
 class TestHyperbolic:

@@ -23,7 +23,7 @@ import trimode.propagator
 from trimode import (
     Couplings,
     RunConfig,
-    drift_matrices,
+    drift_matrix,
     evaluate_all,
     moments_at,
     outer_moments,
@@ -234,7 +234,7 @@ def test_matrix_exponential_to_double_precision(kappas):
     taus = cfg.taus()[::10]
     assert taus[-1] == 3.0
     ts = taus / time_scale(cfg.couplings, cfg.tau_convention)
-    ax = drift_matrices(cfg.couplings)[0]
+    ax = drift_matrix(cfg.couplings)
     stack = trimode.propagator._expm(ax, ts)
     worst = 0.0
     with mp.workdps(40):

@@ -562,6 +562,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: tau must be finite and >= 0, got {float(tau)!r}\n"
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("kappas", [("1.2", "1.0"), ("1.0", "1.8"), ("1.0", "1.0")])
+    def test_eval_at_negative_zero_is_eval_at_zero(self, kappas, sign, capsys):
+        # tau, t and gains.g3 once printed -0.
+        flags = ["--kappa1", kappas[0], "--kappa2", kappas[1], "--sign", sign]
+        assert main(["eval", "--tau", "0", *flags]) == 0
+        want = capsys.readouterr()
+        assert main(["eval", "--tau", "-0.0", *flags]) == 0
+        assert capsys.readouterr() == want
+        assert "tau = 0\n" in want.out and "-0" not in want.out
+
     @pytest.mark.parametrize("command", [["sweep"], ["figures", "--which", "1"], ["oracle"]],
                              ids=["sweep", "figures", "oracle"])
     @pytest.mark.parametrize("source", ["flags", "config"])
@@ -995,6 +1006,24 @@ class TestDomainEdges:
         assert capsys.readouterr().err == (
             "error: closed-form moments leave double range at kappa1 = 1e+100, "
             "kappa2 = 5e+99\n")
+
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["+10**400", "-10**400"])
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, fields in READS.items()
+        for flag in ("points", "seed", "mc_samples") if flag in fields])
+    def test_integer_flags_at_extreme_values(self, command, flag, value, tmp_path,
+                                             monkeypatch, capsys):
+        # numpy refuses a grid of 10**400 points before it allocates, and
+        # --mc-samples 10**400 once raised OverflowError out of the
+        # Wishart draw.  figures writes to the working directory.
+        monkeypatch.chdir(tmp_path)
+        rc = main([command, f"--{flag.replace('_', '-')}={value}"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("n", [2**63, 2**70])
     def test_mc_samples_past_int64(self, n, capsys):
