@@ -164,6 +164,26 @@ def _check_time(value, name="t"):
     return t + 0.0
 
 
+def _check_count(value, name):
+    """The count value, called name, as an int; ValueError unless it is an
+    integer but a bool and lies in [1, the largest float]."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must fit in a float, got {value!r}")
+    return int(value)
+
+
+def _check_seed(value):
+    """The Monte Carlo seed value as an int; ValueError unless it is an
+    integer but a bool and a Philox key, in [0, 2**128)."""
+    if not _is_int(value):
+        raise ValueError(f"seed must be an integer, got {value!r}")
+    if not 0 <= value < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {value!r}")
+    return int(value)
+
+
 class InvalidCouplingError(ValueError):
     """Couplings outside the valid domain."""
 

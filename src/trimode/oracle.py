@@ -1,4 +1,5 @@
-"""Independent verification paths for the analytic moment dynamics.
+"""Independent verification paths for the analytic moment dynamics, and
+the oracle run, _grid_reports, that compares them on a grid.
 
 None of these share formulas with the closed-form propagators: rk4
 integrates the equations of motion numerically, mc_moments samples the
@@ -10,22 +11,23 @@ with S = diag(1, -1, -1), as the Y drift is S ax S; on a uniform grid it
 steps from point to point, by one interval operator composed by
 doubling, and _rk4_grid alone sets the step counts from
 RK4_STEPS_PER_UNIT_TAU.  The sampler draws its Wishart pair once for
-all of its times.  The comparison runs on whole grids of cx blocks, or of
-(cx, cy) pairs where cy is sampled; mc_moments and compare_moments are
-grids of one, bit for bit.
+the analytic X blocks it is given, and checks no input.  The comparison
+runs on whole grids of cx blocks, or of (cx, cy) pairs where cy is
+sampled; mc_moments and compare_moments are grids of one, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, _block, _check_time,
-                   _is_int, _row_moments)
-from .propagator import _EYE, _mul, _product, drift_matrix, propagator_rows
+from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, RegimeKind, _block,
+                   _check_count, _check_finite, _check_seed, _check_time, _row_moments,
+                   classify_regime)
+from .propagator import (_EYE, _closed_form_entries, _expm, _mul, _product, drift_matrix,
+                         propagator_rows)
 
 __all__ = [
     "RK4_STEPS_PER_UNIT_TAU",
@@ -56,16 +58,6 @@ class ComparisonReport:
     worst_entry: tuple
     passed: bool
     tolerance: float
-
-
-def _check_count(value, name):
-    """The count value, called name, as an int; ValueError unless it is an
-    integer but a bool and lies in [1, the largest float]."""
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if value > sys.float_info.max:
-        raise ValueError(f"{name} must fit in a float, got {value!r}")
-    return int(value)
 
 
 def _rk4_step(a, h):
@@ -158,37 +150,42 @@ def _scatter(rng, n):
     return np.array([[d[0], 0.0, 0.0], [z[0], d[1], 0.0], [z[1], z[2], d[2]]])
 
 
-def _mc_blocks(c, ts, n, seed):
-    """(k, 2, 3, 3) stack of the sampled (cx, cy) at every time of ts.
+def _mc_blocks(mx, n, seed):
+    """(k, 2, 3, 3) stack of the sampled (cx, cy) for a (k, 3, 3) stack mx
+    of analytic X blocks with finite moments C, a count n admitted by
+    _check_count and a seed admitted by _check_seed.
 
     The sample moments of n independent vacuum 6-vectors (X1..X3, Y1..Y3,
-    unit-variance normals) pushed through the analytic propagator blocks.
-    X and Y are independent, so each block is (M A)(M A)' / n, the Gram
-    matrix of the rows of M A (Python floats through _row_moments), for
-    the factor A of one Wishart draw of the
-    n samples' scatter matrix: the law of averaging n outer products, at a
-    cost independent of n.  The pair (Ax, Ay) is drawn once, in that order,
-    from one Philox stream keyed by seed, so a result depends only on
-    (seed, n).
+    unit-variance normals) pushed through the propagator blocks.  X and Y
+    are independent, so each block is (M A)(M A)' / n, the Gram matrix of
+    the rows of M A (Python floats through _row_moments), for the factor A
+    of one Wishart draw of the n samples' scatter matrix: the law of
+    averaging n outer products, at a cost independent of n.  The pair
+    (Ax, Ay) is drawn once, in that order, from one Philox stream keyed by
+    seed, so a result depends only on (seed, n).  A sum n C that overflows
+    is a ValueError naming the sample count.
     """
-    n = _check_count(n, "n")
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed!r}")
-    ts = np.array([_check_time(t) for t in ts])
-    mx = np.array(propagator_rows(c, ts)[:3]).transpose(2, 0, 1)
     m = np.stack([mx, mx * _FLIP], axis=1)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     f = (m @ np.array([_scatter(rng, n), _scatter(rng, n)])).reshape(-1, 3, 3).tolist()
-    x = np.array([_row_moments(rows) for rows in f]).reshape(-1, 2, 6)
+    try:
+        x = np.array([_row_moments(rows) for rows in f]).reshape(-1, 2, 6)
+    except ValueError:
+        raise ValueError(f"Monte Carlo sums of {n} samples overflow double precision; "
+                         "choose a smaller sample count") from None
     return _block(x.T) / n
 
 
 def mc_moments(c, t, n, seed):
     """Sample second moments of the evolved quadratures at time t from n
-    vacuum samples: a grid of one of the sampler run_oracle_check uses."""
-    return MomentState(*_mc_blocks(c, [t], n, seed)[0])
+    vacuum samples: a grid of one of the sampler _grid_reports uses.
+    ValueError for a bad t, n or seed, and when the analytic moments (tau)
+    or their n-sample sums (n) overflow."""
+    t, n, seed = _check_time(t), _check_count(n, "n"), _check_seed(seed)
+    rows = propagator_rows(c, t)[:3]
+    _row_moments(rows)  # analytic moments that overflow blame tau, not n
+    with np.errstate(all="ignore"):
+        return MomentState(*_mc_blocks(np.array([rows]), n, seed)[0])
 
 
 def _compare(a, b, tol, labels):
@@ -221,6 +218,51 @@ def compare_moments(a, b, tol, t=math.nan):
     Records the maximum absolute error and the maximum combined error
     |a - b| / max(1, |a|); passes when the combined maximum is within tol.
     t only labels the worst entry (useful when scanning a grid).  A grid
-    of one: run_oracle_check reduces whole grids the same way.
+    of one: _grid_reports reduces whole grids the same way.
     """
     return _compare(np.array([[a.cx, a.cy]]), np.array([[b.cx, b.cy]]), tol, [t])
+
+
+def _path_moments(stack, path):
+    """The cx blocks of a (3, 3, N) X propagator stack of the named path;
+    ValueError when an entry of the stack is not finite."""
+    _check_finite((stack,), f"{path} moments are not finite; choose a smaller tau")
+    return _block(_row_moments(stack))
+
+
+def _grid_reports(c, taus, ts, n, seed):
+    """[(name, ComparisonReport), ...] of every moment path on a grid of
+    taus at times ts, against the analytic propagator outer products.
+
+    The closed forms, expm and rk4 run as one pass over the grid each, and
+    each comparison reduces the grid to its worst point.  expm and rk4 are
+    (3, 3, N) X stacks read through _row_moments; rk4's row i sits at
+    t0 + i dt (_rk4_grid).  A deterministic path has cy = S cx S, so only
+    cx is compared.  Monte Carlo samples n draws under seed from the
+    analytic X blocks at up to three points, and compares both blocks: at
+    10^6 samples its 1e-2 bound fails by chance on about 2 of 9000 seeds.
+    ValueError when a moment of any path is not finite.
+    """
+    ax = drift_matrix(c)
+    size = len(taus)
+    with np.errstate(all="ignore"):
+        rows = propagator_rows(c, ts)[:3]
+        analytic = _block(_row_moments(rows))
+        via_expm = _path_moments(_expm(ax, ts), "expm")
+        via_rk4 = _path_moments(_rk4_grid(ax, taus, ts), "rk4")
+        closed = None
+        if classify_regime(c).kind is not RegimeKind.DEGENERATE:
+            closed = _block(_closed_form_entries(c, ts))
+            _check_finite((closed,), "closed-form moments are not finite; choose a smaller tau")
+        mc = [i for i in sorted({size // 4, size // 2, size - 1}) if taus[i] > 0]
+        sampled = _mc_blocks(np.array(rows)[..., mc].transpose(2, 0, 1), n, seed)
+
+    reports = [("analytic vs expm", _compare(analytic, via_expm, 1e-9, taus)),
+               ("rk4 vs analytic", _compare(analytic, via_rk4, 1e-8, taus))]
+    if closed is not None:
+        reports.append(("closed-form vs analytic", _compare(closed, analytic, 1e-9, taus)))
+        reports.append(("closed-form vs expm", _compare(closed, via_expm, 1e-9, taus)))
+
+    reference = np.stack([analytic[mc], analytic[mc] * _FLIP], 1)
+    reports.append(("mc vs analytic", _compare(reference, sampled, 1e-2, taus[mc])))
+    return reports

@@ -1,4 +1,6 @@
-"""Parameter sweeps, figure-data reproduction, oracle runs and CSV output.
+"""Parameter sweeps, figure-data reproduction and CSV output, and the
+oracle run's grid: run_oracle_check turns a RunConfig into the times that
+oracle._grid_reports checks every moment path on.
 
 Output files are deterministic: a fixed configuration (including the seed)
 always produces byte-identical bytes.  Floats are printed with 17
@@ -12,28 +14,11 @@ import os
 
 import numpy as np
 
-from .core import (
-    CRITERIA,
-    Couplings,
-    RegimeKind,
-    Sign,
-    SweepResult,
-    TauConvention,
-    _FLIP,
-    _block,
-    _check_time,
-    _is_int,
-    _row_moments,
-    classify_regime,
-)
+from .core import (CRITERIA, Couplings, RegimeKind, Sign, SweepResult, TauConvention,
+                   _check_count, _check_seed, _check_time, _is_int, classify_regime)
 from .criteria import row_criteria
-from .oracle import _compare, _mc_blocks, _rk4_grid
-from .propagator import (
-    _closed_form_entries,
-    _expm,
-    drift_matrix,
-    propagator_rows,
-)
+from .oracle import _grid_reports
+from .propagator import propagator_rows
 
 __all__ = [
     "FIGURE_PRESETS",
@@ -109,8 +94,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points!r}")
-        if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples!r}")
+        _check_count(self.mc_samples, "mc_samples")
+        _check_seed(self.seed)
 
     @property
     def couplings(self):
@@ -370,62 +355,15 @@ def reproduce_figure(which, out_dir, cfg=RunConfig()):
     ]
 
 
-def _finite(stack, name):
-    """stack, or ValueError when any of its moments is not finite."""
-    if not np.isfinite(stack).all():
-        raise ValueError(f"{name} moments are not finite; choose a smaller tau")
-    return stack
-
-
 def run_oracle_check(cfg):
-    """Cross-validate every moment path over the configured grid.
-
-    Compares the verbatim closed-form moments, the analytic propagator
-    outer products (the reference), the matrix-exponential path, rk4 and
-    Monte Carlo sampling at a few grid points.  Each path but Monte Carlo
-    runs as one pass over the grid, and each comparison reduces the whole
-    grid to its worst point.  expm and rk4 run on the X drift alone, as
-    (3, 3, N) arrays whose rows give the moments through _row_moments.
-    rk4 steps along the grid at the density _rk4_grid sets, so its row i
-    sits at t0 + i dt, t_i up to the grid's rounding.
-    Every deterministic path has cy = S cx S, S = diag(1, -1, -1),
-    as the Y drift is S ax S by construction, so its cy errs exactly as
-    its cx and only cx is compared; Monte Carlo draws cy independently
-    and compares both.
-    Returns [(name, ComparisonReport), ...]; a run is good when every
-    report passed.  Raises ValueError when a moment of any path is not
-    finite or the Monte Carlo sample count or seed is out of range.  The Monte Carlo comparison is
-    statistical: at the default 10^6 samples its 1e-2 bound on the worst
-    entry fails by chance on about 2 of 9000 seeds.
-    """
+    """Cross-validate every moment path over the configured grid: the
+    reports of oracle._grid_reports, which decides what a run computes and
+    compares, at the couplings, taus and times tau / time_scale of cfg."""
     c = cfg.couplings
-    ax = drift_matrix(c)
     taus = cfg.taus()
-    n = len(taus)
     with np.errstate(all="ignore"):
         ts = taus / time_scale(c, cfg.tau_convention)
-        analytic = _block(_row_moments(propagator_rows(c, ts)[:3]))
-        # The X blocks exp(ax t) and the RK4 blocks stepped along the grid,
-        # their rows read as the analytic rows are; each Y block is S mx S.
-        via_expm = _block(_row_moments(_finite(_expm(ax, ts), "expm")))
-        via_rk4 = _block(_row_moments(_finite(_rk4_grid(ax, taus, ts), "rk4")))
-        closed = None
-        if classify_regime(c).kind is not RegimeKind.DEGENERATE:
-            closed = _finite(_block(_closed_form_entries(c, ts)), "closed-form")
-        mc = [i for i in sorted({n // 4, n // 2, n - 1}) if taus[i] > 0]
-        sampled = _mc_blocks(c, ts[mc], cfg.mc_samples, cfg.seed)
-
-    reports = [
-        ("analytic vs expm", _compare(analytic, via_expm, 1e-9, taus)),
-        ("rk4 vs analytic", _compare(analytic, via_rk4, 1e-8, taus)),
-    ]
-    if closed is not None:
-        reports.append(("closed-form vs analytic", _compare(closed, analytic, 1e-9, taus)))
-        reports.append(("closed-form vs expm", _compare(closed, via_expm, 1e-9, taus)))
-
-    reference = np.stack([analytic[mc], analytic[mc] * _FLIP], 1)
-    reports.append(("mc vs analytic", _compare(reference, sampled, 1e-2, taus[mc])))
-    return reports
+    return _grid_reports(c, taus, ts, cfg.mc_samples, cfg.seed)
 
 
 def load_config_file(path):

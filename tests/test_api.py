@@ -7,10 +7,13 @@ benchmark without failing any other test.  The last tests guard the
 boundary between the package's modules: no module writes a frozen
 object's attributes from outside core.py or probes a private attribute,
 none forms a moment block with a BLAS Gram product, only core.py
-states the sign table that turns an X block into its Y block, and only
-oracle.py names the RK4 step density.  Two more keep the package lean:
-no module imports a name it never uses, and every public function has a
-caller in the package or in the benchmark.
+states the sign table that turns an X block into its Y block, only
+oracle.py names the RK4 step density, and oracle.py owns the oracle run:
+sweep.py imports no private name of oracle.py or propagator.py but the
+run's entry, and the run's kernels are named only where they live and
+where the oracle run or a tracer-pinned wrapper calls them.  Two more
+keep the package lean: no module imports a name it never uses, and every
+public function has a caller in the package or in the benchmark.
 """
 
 import ast
@@ -207,7 +210,7 @@ def test_one_sign_table_turns_x_blocks_into_y_blocks():
               if isinstance(node, ast.Name) and node.id == "_FLIP"
               and isinstance(node.ctx, ast.Store)]
     assert [store.split(":")[0] for store in stores] == ["core.py"]
-    for layer in ("propagator", "oracle", "sweep"):
+    for layer in ("propagator", "oracle"):
         assert importlib.import_module(f"trimode.{layer}")._FLIP is trimode.core._FLIP
 
 
@@ -219,6 +222,48 @@ def test_only_the_rk4_kernel_names_its_step_density():
     assert [path.name for path in paths
             if "RK4_STEPS_PER_UNIT_TAU" in path.read_text(encoding="utf-8")] == ["oracle.py"]
     assert trimode.RK4_STEPS_PER_UNIT_TAU is trimode.oracle.RK4_STEPS_PER_UNIT_TAU
+
+
+def _private_references(source, names):
+    """(line, name) of each place source imports, reads or reaches through
+    an attribute one of names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_private_reference_check_finds_each_form():
+    source = "from .oracle import _a, b\nx = _a(1) + oracle._c\ny = _d"
+    assert _private_references(source, {"_a", "_c"}) == [(1, "_a"), (2, "_a"), (2, "_c")]
+
+
+#: The oracle run's kernels and the modules that may name each one: the
+#: run itself in oracle.py, and the tracer-pinned single-point wrappers of
+#: expm and the closed forms in propagator.py.
+ORACLE_KERNELS = {"_rk4_grid": {"oracle.py"}, "_mc_blocks": {"oracle.py"},
+                  "_compare": {"oracle.py"}, "_expm": {"oracle.py", "propagator.py"},
+                  "_closed_form_entries": {"oracle.py", "propagator.py"}}
+
+
+def test_oracle_py_owns_the_oracle_run():
+    # oracle._grid_reports decides what a run computes and compares; sweep
+    # only turns a RunConfig into its grid.
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert paths
+    found = {path.name: _private_references(path.read_text(encoding="utf-8"), ORACLE_KERNELS)
+             for path in paths}
+    assert [f"{module}:{line} {name}" for module, hits in found.items()
+            for line, name in hits if module not in ORACLE_KERNELS[name]] == []
+    tree = ast.parse((SOURCE_DIR / "sweep.py").read_text(encoding="utf-8"))
+    assert [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("oracle", "propagator")
+            for alias in node.names if alias.name.startswith("_")] == ["_grid_reports"]
 
 
 

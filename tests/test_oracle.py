@@ -152,6 +152,17 @@ class TestMcMoments:
         with pytest.raises(ValueError, match=re.escape(message)):
             mc_moments(HYP, 1.0, n, seed=1)
 
+    def test_overflowing_sums_name_the_sample_count_and_moments_tau(self):
+        # At t = 1 the analytic moments C are finite and n C is not; at
+        # t = 900 C itself overflows, even for one sample.
+        message = "samples overflow double precision; choose a smaller sample count"
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            mc_moments(HYP, 1.0, 2**1023, 1)
+        assert "tau" not in str(info.value)
+        with pytest.raises(ValueError, match="^second moments overflow double precision; "
+                                             "choose a smaller tau$"):
+            mc_moments(HYP, 900.0, 1, 1)
+
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0), "1", None, math.nan])
     def test_seed_must_be_an_integer(self, seed):
         # A float seed must not be truncated to another seed, and the type
@@ -524,7 +535,8 @@ class TestBitIdentity:
     def test_mc_stack_rows_are_mc_moments(self, kappas, n, seed):
         c = Couplings(*kappas)
         ts = oracle_times(RunConfig(kappa1=kappas[0], kappa2=kappas[1]))[[75, 150, 300]]
-        stack = trimode.oracle._mc_blocks(c, ts, n, seed)
+        mx = np.array([propagator_analytic(c, t).mx for t in ts.tolist()])
+        stack = trimode.oracle._mc_blocks(mx, n, seed)
         assert stack.shape == (3, 2, 3, 3)
         for row, t in zip(stack, ts.tolist()):
             m = mc_moments(c, t, n, seed)
@@ -614,7 +626,7 @@ class TestOracleWork:
         # runs one N-point grid in ceil(log2 N) stacked products, the one
         # at width w appending Z^w to the w points it extends.
         calls = {"_expm": [], "_rk4_grid": [], "_product": []}
-        for module, name in ((trimode.sweep, "_expm"), (trimode.sweep, "_rk4_grid"),
+        for module, name in ((trimode.oracle, "_expm"), (trimode.oracle, "_rk4_grid"),
                              (trimode.oracle, "_product")):
 
             def recording(*args, _name=name, _original=getattr(module, name)):
@@ -638,12 +650,12 @@ class TestOracleWork:
         # Their cy is S cx S on both sides, so only Monte Carlo, whose cy is
         # an independent draw, compares both blocks.
         shapes = []
-        original = trimode.sweep._compare
+        original = trimode.oracle._compare
 
         def recording(a, b, *args):
             shapes.append((a.shape, b.shape))
             return original(a, b, *args)
 
-        monkeypatch.setattr(trimode.sweep, "_compare", recording)
+        monkeypatch.setattr(trimode.oracle, "_compare", recording)
         run_oracle_check(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=11))
         assert shapes == [((11, 3, 3),) * 2] * (2 + closed) + [((3, 2, 3, 3),) * 2]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import trimode.cli
 import trimode.core
+import trimode.oracle
 import trimode.propagator
 import trimode.sweep
 from trimode import (
@@ -1024,6 +1025,35 @@ class TestDomainEdges:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("flag,value", [("seed", -1), ("seed", 2**128),
+                                            ("mc-samples", 10**400)],
+                             ids=["seed=-1", "seed=2**128", "mc-samples=10**400"])
+    def test_bad_oracle_inputs_fail_before_any_path_runs(self, flag, value, monkeypatch,
+                                                         capsys):
+        # These once ran every deterministic path over the grid first, and
+        # the sample count's error named n, not the field.
+        def ran(*args):
+            raise AssertionError("a moment path ran")
+
+        for module in (trimode.propagator, trimode.oracle, trimode.sweep):
+            if hasattr(module, "_expm"):
+                monkeypatch.setattr(module, "_expm", ran)
+        assert main(["oracle", f"--{flag}={value}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {flag.replace('-', '_')} must ")
+
+    def test_sample_sums_past_the_double_range_name_the_sample_count(self, capsys):
+        # The analytic moments are finite, so the count is at fault, not tau.
+        assert main(["oracle", "--mc-samples", str(2**1023), "--points", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: Monte Carlo sums of ")
+        assert line.endswith(" samples overflow double precision; choose a smaller sample count")
+        assert "tau" not in line
 
     @pytest.mark.parametrize("n", [2**63, 2**70])
     def test_mc_samples_past_int64(self, n, capsys):
