@@ -28,6 +28,7 @@ from .propagator import moments_at
 from .sweep import (
     FIGURE_PRESETS,
     RunConfig,
+    _raw_times,
     _run_metadata,
     _write,
     load_config_file,
@@ -35,7 +36,6 @@ from .sweep import (
     run_oracle_check,
     run_sweep,
     sweep_csv_text,
-    time_scale,
     write_sweep_csv,
 )
 
@@ -147,9 +147,8 @@ def _cmd_oracle(cfg):
 
 def _cmd_eval(cfg, tau):
     tau = _check_time(tau, "tau")
-    c = cfg.couplings
-    t = tau / time_scale(c, cfg.tau_convention)
-    report = evaluate_all(moments_at(c, t), t, cfg.sign)
+    t = _raw_times(cfg, tau)
+    report = evaluate_all(moments_at(cfg.couplings, t), t, cfg.sign)
     print(f"tau = {tau:.17g}")
     print(f"t = {report.t:.17g}")
     for key, value in _run_metadata(cfg):

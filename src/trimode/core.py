@@ -103,15 +103,14 @@ def _each(fn, x):
 
 
 def _check_finite(values, message):
-    """ValueError(message) unless every entry of every value is finite."""
+    """ValueError(message) unless every entry of every value is finite:
+    0 * v is 0 for a finite entry and nan for any other, so sums never overflow."""
     total = 0.0
     for v in values:
-        total = total + abs(v)
-    if isinstance(total, float):
-        finite = math.isfinite(total)
-    else:
-        finite = np.isfinite(total).all()
-    if not finite:
+        total = total + 0.0 * v
+    if isinstance(total, np.ndarray):
+        total = total.sum()
+    if not math.isfinite(total):
         raise ValueError(message)
 
 

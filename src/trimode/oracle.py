@@ -239,8 +239,8 @@ def _grid_reports(c, taus, ts, n, seed):
     (3, 3, N) X stacks read through _row_moments; rk4's row i sits at
     t0 + i dt (_rk4_grid).  A deterministic path has cy = S cx S, so only
     cx is compared.  Monte Carlo samples n draws under seed from the
-    analytic X blocks at up to three points, and compares both blocks: at
-    10^6 samples its 1e-2 bound fails by chance on about 2 of 9000 seeds.
+    analytic X blocks at up to three points, and compares both blocks; its
+    1e-2 bound fails by chance at a rate the couplings set (README).
     ValueError when a moment of any path is not finite.
     """
     ax = drift_matrix(c)

@@ -212,39 +212,37 @@ def moments_at(c, t):
 def _closed_form_entries(c, t):
     """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
     transcribed from the solved moment formulas, at every time of an array
-    t; RegimeError at the degenerate point, ValueError where rate^3 or
-    rate^4 leaves double range."""
-    k1, k2 = c.kappa1, c.kappa2
+    t; RegimeError at the degenerate point.  The coefficients have degree 0
+    in (kappa1, kappa2, rate), so all three are scaled by the power of two
+    that puts the rate in [0.5, 1), exactly, and its powers stay normal at
+    every admitted coupling; the argument rate * t is not scaled."""
     regime = classify_regime(c)
     if regime.kind is RegimeKind.DEGENERATE:
         raise RegimeError(
             "closed-form moment expressions are undefined at the degenerate "
             "point; use moments_at"
         )
-    r = regime.rate
-    try:
-        if regime.kind is RegimeKind.HYPERBOLIC:
-            ch = _each(math.cosh, r * t)
-            sh = _each(math.sinh, r * t)
-            xx11 = 1.0 + (2 * k1**2 / r**4) * (k1**2 * sh**2 + 2 * k2**2 * (1 - ch))
-            xx22 = 1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2
-            xx33 = 1.0 + 2 * k1**2 * sh**2 / r**2
-            xx12 = (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2)
-            xx13 = (2 * k1 * sh / r**3) * (k1**2 * ch - k2**2)
-            xx23 = (2 * k1**2 * k2 / r**3) * (ch - 1) * sh
-        else:
-            co = _each(math.cos, r * t)
-            si = _each(math.sin, r * t)
-            xx11 = 1.0 + 2 * k1**2 * (2 * k2**2 * (1 - co) - k1**2 * si**2) / r**4
-            xx22 = 1.0 + 2 * k1**2 * k2**2 * (co - 1) ** 2 / r**4
-            xx33 = 1.0 + 2 * k1**2 * si**2 / r**2
-            xx12 = (2 * k1 * k2 / r**4) * ((k1**2 + k2**2) * (1 - co) - k1**2 * si**2)
-            xx13 = (k1 / r**3) * (2 * k2**2 * si - k1**2 * _each(math.sin, 2 * r * t))
-            xx23 = (2 * k1**2 * k2 * si / r**3) * (1 - co)
-    except (OverflowError, ZeroDivisionError):
-        # Python floats raise on an overflowing power or a zero divisor.
-        raise ValueError(f"closed-form moments leave double range at kappa1 = {k1!r}, "
-                         f"kappa2 = {k2!r}") from None
+    e = -math.frexp(regime.rate)[1]
+    k1, k2, r = (math.ldexp(v, e) for v in (c.kappa1, c.kappa2, regime.rate))
+    x = regime.rate * t
+    if regime.kind is RegimeKind.HYPERBOLIC:
+        ch = _each(math.cosh, x)
+        sh = _each(math.sinh, x)
+        xx11 = 1.0 + (2 * k1**2 / r**4) * (k1**2 * sh**2 + 2 * k2**2 * (1 - ch))
+        xx22 = 1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2
+        xx33 = 1.0 + 2 * k1**2 * sh**2 / r**2
+        xx12 = (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2)
+        xx13 = (2 * k1 * sh / r**3) * (k1**2 * ch - k2**2)
+        xx23 = (2 * k1**2 * k2 / r**3) * (ch - 1) * sh
+    else:
+        co = _each(math.cos, x)
+        si = _each(math.sin, x)
+        xx11 = 1.0 + 2 * k1**2 * (2 * k2**2 * (1 - co) - k1**2 * si**2) / r**4
+        xx22 = 1.0 + 2 * k1**2 * k2**2 * (co - 1) ** 2 / r**4
+        xx33 = 1.0 + 2 * k1**2 * si**2 / r**2
+        xx12 = (2 * k1 * k2 / r**4) * ((k1**2 + k2**2) * (1 - co) - k1**2 * si**2)
+        xx13 = (k1 / r**3) * (2 * k2**2 * si - k1**2 * _each(math.sin, 2 * x))
+        xx23 = (2 * k1**2 * k2 * si / r**3) * (1 - co)
     return xx11, xx22, xx33, xx12, xx13, xx23
 
 
@@ -254,8 +252,8 @@ def closed_form_moments(c, t):
     Kept as a cross-check path that never touches the propagator matrices.
     The Y block follows from the sign pattern <Y1 Y2> = -<X1 X2>,
     <Y1 Y3> = -<X1 X3>, <Y2 Y3> = +<X2 X3> with equal diagonals.  Only the
-    non-degenerate regimes have these forms; they divide by rate^4 as
-    written, so near-degenerate couplings should use moments_at instead.
+    non-degenerate regimes have these forms; near the degenerate point they
+    cancel terms of size (kappa / rate)^4, so use moments_at there instead.
     """
     t = _check_time(t)
     with np.errstate(all="ignore"):

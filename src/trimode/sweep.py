@@ -14,8 +14,8 @@ import os
 
 import numpy as np
 
-from .core import (CRITERIA, Couplings, RegimeKind, Sign, SweepResult, TauConvention,
-                   _check_count, _check_seed, _check_time, _is_int, classify_regime)
+from .core import (CRITERIA, Couplings, RegimeKind, Sign, SweepResult, TauConvention, _check_count,
+                   _check_finite, _check_seed, _check_time, _is_int, classify_regime)
 from .criteria import row_criteria
 from .oracle import _grid_reports
 from .propagator import propagator_rows
@@ -125,6 +125,14 @@ def time_scale(c, convention):
     return c.kappa_max if regime.kind is RegimeKind.DEGENERATE else regime.rate
 
 
+def _raw_times(cfg, taus):
+    """tau / time_scale at cfg's couplings and convention; ValueError naming tau on overflow."""
+    with np.errstate(all="ignore"):
+        ts = taus / time_scale(cfg.couplings, cfg.tau_convention)
+        _check_finite((ts,), "tau / time scale overflows double precision; choose a smaller tau")
+    return ts
+
+
 def run_sweep(cfg):
     """Evaluate every criterion on a uniform tau grid, as one array pass.
 
@@ -132,11 +140,10 @@ def run_sweep(cfg):
     arithmetic moments_at and evaluate_all run on a batch of one.  Raises
     ValueError when a value overflows.
     """
-    c = cfg.couplings
     taus = cfg.taus()
+    ts = _raw_times(cfg, taus)
     with np.errstate(all="ignore"):
-        ts = taus / time_scale(c, cfg.tau_convention)
-        values = np.column_stack(row_criteria(propagator_rows(c, ts), cfg.sign))
+        values = np.column_stack(row_criteria(propagator_rows(cfg.couplings, ts), cfg.sign))
     return SweepResult(taus, ts, values, cfg)
 
 
@@ -359,11 +366,8 @@ def run_oracle_check(cfg):
     """Cross-validate every moment path over the configured grid: the
     reports of oracle._grid_reports, which decides what a run computes and
     compares, at the couplings, taus and times tau / time_scale of cfg."""
-    c = cfg.couplings
     taus = cfg.taus()
-    with np.errstate(all="ignore"):
-        ts = taus / time_scale(c, cfg.tau_convention)
-    return _grid_reports(c, taus, ts, cfg.mc_samples, cfg.seed)
+    return _grid_reports(cfg.couplings, taus, _raw_times(cfg, taus), cfg.mc_samples, cfg.seed)
 
 
 def load_config_file(path):

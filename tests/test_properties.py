@@ -1,17 +1,20 @@
-"""Properties of the criteria core over random couplings and times."""
+"""Properties of the moments and the criteria core over random couplings and times."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trimode import (
     DENOMINATOR_FLOOR,
     Couplings,
     MomentState,
+    RegimeKind,
     RunConfig,
     Sign,
+    classify_regime,
+    closed_form_moments,
     evaluate_all,
     moments_at,
     obr_pair,
@@ -35,6 +38,21 @@ signs = st.sampled_from(list(Sign))
 def state(kappa_pair, tau):
     c = Couplings(*kappa_pair)
     return moments_at(c, tau / c.kappa_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(kappas, kappas), st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+       st.integers(min_value=-400, max_value=400))
+def test_closed_forms_ignore_the_scale_of_time(kappa_pair, tau, k):
+    # kappa -> kappa 2^k, t -> t 2^-k leaves every rate * t unchanged, and
+    # every product stays a normal double, so the moments keep their bits.
+    c = Couplings(*kappa_pair)
+    regime = classify_regime(c)
+    assume(regime.kind is not RegimeKind.DEGENERATE)
+    t = tau / regime.rate
+    scaled = Couplings(*(math.ldexp(v, k) for v in kappa_pair))
+    got = closed_form_moments(scaled, math.ldexp(t, -k)).cx
+    assert got.tobytes() == closed_form_moments(c, t).cx.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

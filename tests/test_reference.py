@@ -23,6 +23,7 @@ import trimode.propagator
 from trimode import (
     Couplings,
     RunConfig,
+    closed_form_moments,
     drift_matrix,
     evaluate_all,
     moments_at,
@@ -246,3 +247,23 @@ def test_matrix_exponential_to_double_precision(kappas):
                     b = exact[j, k]
                     worst = max(worst, float(abs(stack[j, k, i] - b) / max(1, abs(b))))
     assert worst <= 1e-14, worst
+
+
+#: Couplings whose rate powers leave the normal doubles when formed as
+#: written: rate^4 is subnormal at (1e-80, 5e-81), underflows to zero at
+#: (1e-100, 5e-101) and overflows at the others.
+EXTREME_RATES = [(1e-80, 5e-81), (1e100, 5e99), (5e99, 1e100), (1e-100, 5e-101),
+                 (1.5e-154, 1.3e154)]
+
+
+@pytest.mark.parametrize("tau", (0.5, 3.0))
+@pytest.mark.parametrize("kappas", EXTREME_RATES)
+def test_closed_forms_at_extreme_rates(kappas, tau):
+    t = raw_time(*kappas, tau)
+    cx = closed_form_moments(Couplings(*kappas), t).cx
+    with mp.workdps(30):
+        mx, _ = propagators(*kappas, t)
+        exact = mx * mx.T
+        errors = [float(abs(cx[i, j] - exact[i, j]) / max(1, abs(exact[i, j])))
+                  for i in range(3) for j in range(3)]
+    assert max(errors) <= 1e-12, errors

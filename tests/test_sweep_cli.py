@@ -987,8 +987,6 @@ class TestDomainEdges:
         [
             ["eval", "--tau", "1e-150", "--kappa1", "1e-170", "--kappa2", "2e-170"],
             ["eval", "--tau", "1", "--kappa1", "2e160", "--kappa2", "1e160"],
-            ["oracle", "--kappa1", "1e100", "--kappa2", "5e99"],
-            ["oracle", "--kappa1", "1e-100", "--kappa2", "5e-101"],
             ["sweep", "--points", "3", "--tau-max", "1e300", "--kappa1", "1e-10",
              "--kappa2", "1e-10"],
         ],
@@ -1002,11 +1000,27 @@ class TestDomainEdges:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
 
-    def test_closed_form_range_names_the_couplings(self, capsys):
-        assert main(["oracle", "--kappa1", "1e100", "--kappa2", "5e99"]) == 4
+    @pytest.mark.parametrize("kappas", [("1e-80", "5e-81"), ("1e100", "5e99"),
+                                        ("5e99", "1e100"), ("1e-100", "5e-101"),
+                                        ("1.5e-154", "1.3e154")])
+    def test_closed_forms_pass_at_extreme_rates(self, kappas, capsys):
+        # rate^4 as written is subnormal, zero or past the double range at
+        # these couplings; the closed forms never form it.
+        assert main(["oracle", "--kappa1", kappas[0], "--kappa2", kappas[1]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if "closed-form" in line] == [
+            "PASS closed-form vs analytic", "PASS closed-form vs expm"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--points", "2", "--tau-max", "1e308", "--kappa1", "0.5", "--kappa2", "0.6"],
+        ["oracle", "--points", "2", "--tau-max", "1e308", "--kappa1", "0.5", "--kappa2", "0.6"],
+        ["eval", "--tau", "1.7e308", "--kappa1", "0.5", "--kappa2", "0.6"],
+    ])
+    def test_raw_time_past_the_double_range_names_tau(self, argv, capsys):
+        # tau / rate overflows although tau itself is finite.
+        assert main(argv) == 4
         assert capsys.readouterr().err == (
-            "error: closed-form moments leave double range at kappa1 = 1e+100, "
-            "kappa2 = 5e+99\n")
+            "error: tau / time scale overflows double precision; choose a smaller tau\n")
 
     @pytest.mark.parametrize("value", [10**400, -10**400], ids=["+10**400", "-10**400"])
     @pytest.mark.parametrize("command,flag", [
@@ -1112,6 +1126,9 @@ def cli_runs(draw):
 @example(["oracle", "--kappa1", "1e-100", "--kappa2", "5e-101"])
 @example(["sweep", "--points", "3", "--tau-max", "1e300", "--kappa1", "1e-10",
           "--kappa2", "1e-10"])
+@example(["sweep", "--points", "2", "--tau-max", "1e308", "--kappa1", "0.5", "--kappa2", "0.6"])
+@example(["oracle", "--points", "2", "--tau-max", "1e308", "--kappa1", "0.5", "--kappa2", "0.6"])
+@example(["eval", "--tau", "1.7e308", "--kappa1", "0.5", "--kappa2", "0.6"])
 def test_cli_exits_with_a_documented_code(argv):
     # Warnings are errors in this suite, so a leaked RuntimeWarning fails.
     out, err = io.StringIO(), io.StringIO()
@@ -1125,5 +1142,7 @@ def test_cli_exits_with_a_documented_code(argv):
     if rc == 4:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+        # A bare libm message names no input.
+        assert err.getvalue() not in ("error: math domain error\n", "error: math range error\n")
     else:
         assert err.getvalue() == ""
