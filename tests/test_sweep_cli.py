@@ -987,6 +987,9 @@ class TestDomainEdges:
         [
             ["eval", "--tau", "1e-150", "--kappa1", "1e-170", "--kappa2", "2e-170"],
             ["eval", "--tau", "1", "--kappa1", "2e160", "--kappa2", "1e160"],
+            # oracle refuses couplings outside the supported range as eval does.
+            ["oracle", "--kappa1", "2e160", "--kappa2", "1e160"],
+            ["oracle", "--kappa1", "1e-170", "--kappa2", "2e-170"],
             ["sweep", "--points", "3", "--tau-max", "1e300", "--kappa1", "1e-10",
              "--kappa2", "1e-10"],
         ],
