@@ -90,7 +90,8 @@ def _merge_config(args):
     Every RunConfig field is a config key, and a flag of the same name
     where the command reads it; a file value applies only to out and the
     fields the command reads, so a command never fails on one it ignores.
-    A value is cast with the type of the field's default (str for out).
+    A value is cast with the type of the field's default (str for out),
+    and a file value that fails its cast is a ValueError naming its key.
     """
     file_values = {} if args.config is None else load_config_file(args.config)
     fields = dataclasses.fields(RunConfig)
@@ -105,7 +106,10 @@ def _merge_config(args):
             value = file_values.get(f.name)
         if value is not None:
             cast = str if f.default is None else type(f.default)
-            kwargs[f.name] = cast(value)
+            try:
+                kwargs[f.name] = cast(value)
+            except ValueError as exc:
+                raise ValueError(f"config key {f.name!r}: {exc}") from None
     return RunConfig(**kwargs)
 
 

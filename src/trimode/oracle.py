@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, RegimeKind, _block,
-                   _check_count, _check_finite, _check_seed, _check_time, _row_moments,
-                   classify_regime)
+from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, RegimeError, _block,
+                   _check_count, _check_finite, _check_seed, _check_time, _row_moments)
 from .propagator import (_EYE, _closed_form_entries, _expm, _mul, _product, drift_matrix,
                          propagator_rows)
 
@@ -91,11 +90,11 @@ def _rk4_grid(ax, taus, ts):
     N >= 2 taus at times ts (each Y block is S mx S): z(t0/n0)^n0 Z^i, z(h)
     the step matrix and Z = z(dt/m)^m.  n0 = max(1, ceil(D tau_0)) and m is
     the least count >= max(1, ceil(D dtau)) giving n0 + i m >= ceil(D tau_i),
-    D = RK4_STEPS_PER_UNIT_TAU; ValueError when a count overflows.  Z^i is
-    the product of Z^(2^k) over the set bits k of i, lowest first: each
-    doubling extends the columns [0, w) to [w, 2w) by Z^w in one stacked
-    _product, which also squares Z^w.  No BLAS kernel enters, so the
-    result is the same on every CPU.
+    D = RK4_STEPS_PER_UNIT_TAU; ValueError when a count or an entry
+    overflows.  Z^i is the product of Z^(2^k) over the set bits k of i,
+    lowest first: each doubling extends the columns [0, w) to [w, 2w) by
+    Z^w in one stacked _product, which also squares Z^w.  No BLAS kernel
+    enters, so the result is the same on every CPU.
     """
     n = len(taus)
     need = np.ceil(RK4_STEPS_PER_UNIT_TAU * taus)
@@ -115,6 +114,7 @@ def _rk4_grid(ax, taus, ts):
         r[..., width:width + w] = p[..., :w]
         z = p[..., w:]
         width *= 2
+    _check_finite((r,), "rk4 moments are not finite; choose a smaller tau")
     return r
 
 
@@ -223,13 +223,6 @@ def compare_moments(a, b, tol, t=math.nan):
     return _compare(np.array([[a.cx, a.cy]]), np.array([[b.cx, b.cy]]), tol, [t])
 
 
-def _path_moments(stack, path):
-    """The cx blocks of a (3, 3, N) X propagator stack of the named path;
-    ValueError when an entry of the stack is not finite."""
-    _check_finite((stack,), f"{path} moments are not finite; choose a smaller tau")
-    return _block(_row_moments(stack))
-
-
 def _grid_reports(c, taus, ts, n, seed):
     """[(name, ComparisonReport), ...] of every moment path on a grid of
     taus at times ts, against the analytic propagator outer products.
@@ -241,19 +234,20 @@ def _grid_reports(c, taus, ts, n, seed):
     cx is compared.  Monte Carlo samples n draws under seed from the
     analytic X blocks at up to three points, and compares both blocks; its
     1e-2 bound fails by chance at a rate the couplings set (README).
-    ValueError when a moment of any path is not finite.
+    Each kernel raises its own ValueError when its result overflows, and
+    the closed forms' RegimeError at the degenerate point drops their lines.
     """
     ax = drift_matrix(c)
     size = len(taus)
     with np.errstate(all="ignore"):
         rows = propagator_rows(c, ts)[:3]
         analytic = _block(_row_moments(rows))
-        via_expm = _path_moments(_expm(ax, ts), "expm")
-        via_rk4 = _path_moments(_rk4_grid(ax, taus, ts), "rk4")
-        closed = None
-        if classify_regime(c).kind is not RegimeKind.DEGENERATE:
+        via_expm = _block(_row_moments(_expm(ax, ts)))
+        via_rk4 = _block(_row_moments(_rk4_grid(ax, taus, ts)))
+        try:
             closed = _block(_closed_form_entries(c, ts))
-            _check_finite((closed,), "closed-form moments are not finite; choose a smaller tau")
+        except RegimeError:
+            closed = None
         mc = [i for i in sorted({size // 4, size // 2, size - 1}) if taus[i] > 0]
         sampled = _mc_blocks(np.array(rows)[..., mc].transpose(2, 0, 1), n, seed)
 

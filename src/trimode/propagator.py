@@ -31,6 +31,7 @@ from .core import (
     RegimeKind,
     _FLIP,
     _block,
+    _check_finite,
     _check_time,
     _each,
     classify_regime,
@@ -98,9 +99,12 @@ def propagator_rows(c, t):
 
 
 def propagator_analytic(c, t):
-    """Closed-form propagator for whichever regime the couplings are in."""
+    """Closed-form propagator in either regime; ValueError on overflow."""
     t = _check_time(t)
-    return PropagatorPair(np.array(propagator_rows(c, t)[:3]), t)
+    mx = np.array(propagator_rows(c, t)[:3])
+    if not np.isfinite(mx).all():
+        raise ValueError("propagator overflows double precision; choose a smaller tau")
+    return PropagatorPair(mx, t)
 
 
 def _product(x, y):
@@ -145,15 +149,12 @@ def _expm(ax, ts):
     the whole stack.  The points are then ordered by s, descending, and
     only the prefix that still needs a squaring is squared.  Every product
     is written out in _product's order, with no BLAS kernel, so the result
-    is the same on every CPU.  Raises ValueError when a norm overflows.
+    is the same on every CPU.  Raises ValueError when an entry overflows.
     """
     norm = np.abs(ax).sum(axis=0).max()
     e = int(np.frexp(norm)[1])
     a1 = np.ldexp(ax, -e)
-    scaled = np.maximum(ts * norm / 0.5, 1.0)
-    if not np.isfinite(scaled).all():
-        raise ValueError("matrix exponential overflows double precision; choose a smaller tau")
-    mantissa, squarings = np.frexp(scaled)
+    mantissa, squarings = np.frexp(np.maximum(ts * norm / 0.5, 1.0))
     squarings -= mantissa == 0.5  # ceil(log2), exactly
     order = np.argsort(-squarings, kind="stable")
     squarings = squarings[order]
@@ -167,6 +168,7 @@ def _expm(ax, ts):
     for k in range(int(squarings.max(initial=0))):
         live = np.count_nonzero(squarings > k)
         r[..., :live] = _product(r[..., :live], r[..., :live])
+    _check_finite((r,), "matrix exponential overflows double precision; choose a smaller tau")
     result = np.empty_like(r)
     result[..., order] = r
     return result
@@ -212,10 +214,13 @@ def moments_at(c, t):
 def _closed_form_entries(c, t):
     """The six independent entries (c11, c22, c33, c12, c13, c23) of cx,
     transcribed from the solved moment formulas, at every time of an array
-    t; RegimeError at the degenerate point.  The coefficients have degree 0
-    in (kappa1, kappa2, rate), so all three are scaled by the power of two
-    that puts the rate in [0.5, 1), exactly, and its powers stay normal at
-    every admitted coupling; the argument rate * t is not scaled."""
+    t; RegimeError at the degenerate point, ValueError on overflow.  The
+    periodic forms are the hyperbolic ones at an imaginary rate: cosh -> cos,
+    sinh -> i sin and rate^2 -> -rate^2 flip the sign s of k1^2 sh^2 in c11
+    and of c13 and c23 (s = 1 multiplies exactly).  The coefficients have
+    degree 0 in (kappa1, kappa2, rate), so all three are scaled by the power
+    of two that puts the rate in [0.5, 1), exactly, and its powers stay
+    normal at every admitted coupling; the argument rate * t is not scaled."""
     regime = classify_regime(c)
     if regime.kind is RegimeKind.DEGENERATE:
         raise RegimeError(
@@ -224,26 +229,18 @@ def _closed_form_entries(c, t):
         )
     e = -math.frexp(regime.rate)[1]
     k1, k2, r = (math.ldexp(v, e) for v in (c.kappa1, c.kappa2, regime.rate))
+    cosh, sinh, s = ((math.cosh, math.sinh, 1.0) if regime.kind is RegimeKind.HYPERBOLIC
+                     else (math.cos, math.sin, -1.0))
     x = regime.rate * t
-    if regime.kind is RegimeKind.HYPERBOLIC:
-        ch = _each(math.cosh, x)
-        sh = _each(math.sinh, x)
-        xx11 = 1.0 + (2 * k1**2 / r**4) * (k1**2 * sh**2 + 2 * k2**2 * (1 - ch))
-        xx22 = 1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2
-        xx33 = 1.0 + 2 * k1**2 * sh**2 / r**2
-        xx12 = (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2)
-        xx13 = (2 * k1 * sh / r**3) * (k1**2 * ch - k2**2)
-        xx23 = (2 * k1**2 * k2 / r**3) * (ch - 1) * sh
-    else:
-        co = _each(math.cos, x)
-        si = _each(math.sin, x)
-        xx11 = 1.0 + 2 * k1**2 * (2 * k2**2 * (1 - co) - k1**2 * si**2) / r**4
-        xx22 = 1.0 + 2 * k1**2 * k2**2 * (co - 1) ** 2 / r**4
-        xx33 = 1.0 + 2 * k1**2 * si**2 / r**2
-        xx12 = (2 * k1 * k2 / r**4) * ((k1**2 + k2**2) * (1 - co) - k1**2 * si**2)
-        xx13 = (k1 / r**3) * (2 * k2**2 * si - k1**2 * _each(math.sin, 2 * x))
-        xx23 = (2 * k1**2 * k2 * si / r**3) * (1 - co)
-    return xx11, xx22, xx33, xx12, xx13, xx23
+    ch, sh = _each(cosh, x), _each(sinh, x)
+    entries = (1.0 + (2 * k1**2 / r**4) * (s * k1**2 * sh**2 + 2 * k2**2 * (1 - ch)),
+               1.0 + (2 * k1**2 * k2**2 / r**4) * (ch - 1) ** 2,
+               1.0 + 2 * k1**2 * sh**2 / r**2,
+               (k1 * k2 / r**4) * ((k1**2 + k2**2) * (ch - 1) ** 2 + r**2 * sh**2),
+               (2 * s * k1 * sh / r**3) * (k1**2 * ch - k2**2),
+               (2 * s * k1**2 * k2 / r**3) * (ch - 1) * sh)
+    _check_finite(entries, "closed-form moments overflow double precision; choose a smaller tau")
+    return entries
 
 
 def closed_form_moments(c, t):

@@ -371,13 +371,14 @@ def run_oracle_check(cfg):
 
 
 def load_config_file(path):
-    """Parse a flat key=value config file ('#' comments, UTF-8).
+    """Parse a flat key=value config file ('#' comments, UTF-8 with or
+    without a byte-order mark).
 
     Returns the raw string values keyed by normalised (underscore) names;
     type coercion happens where the values are consumed.
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -11,7 +11,8 @@ states the sign table that turns an X block into its Y block, only
 oracle.py names the RK4 step density, and oracle.py owns the oracle run:
 sweep.py imports no private name of oracle.py or propagator.py but the
 run's entry, and the run's kernels are named only where they live and
-where the oracle run or a tracer-pinned wrapper calls them.  Two more
+where the oracle run or a tracer-pinned wrapper calls them, and the run
+leaves each kernel to decide its own domain and overflow.  Two more
 keep the package lean: no module imports a name it never uses, and every
 public function has a caller in the package or in the benchmark.
 """
@@ -265,6 +266,17 @@ def test_oracle_py_owns_the_oracle_run():
             if isinstance(node, ast.ImportFrom) and node.module in ("oracle", "propagator")
             for alias in node.names if alias.name.startswith("_")] == ["_grid_reports"]
 
+
+def test_oracle_kernels_decide_their_own_domain():
+    # Each kernel decides where its reference path exists (the closed forms
+    # raise RegimeError at the degenerate point) and whether its result is
+    # finite; the oracle run only calls the kernels and compares.
+    source = (SOURCE_DIR / "oracle.py").read_text(encoding="utf-8")
+    run = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_grid_reports")
+    assert _private_references(ast.get_source_segment(source, run),
+                               {"classify_regime", "RegimeKind", "_check_finite"}) == []
+    assert _private_references(source, {"classify_regime", "RegimeKind"}) == []
 
 
 def _exported(tree):

@@ -1,5 +1,6 @@
 """Drift construction, closed-form propagators and moment evolution."""
 
+import hashlib
 import math
 import re
 import warnings
@@ -15,6 +16,7 @@ from trimode import (
     MomentState,
     PropagatorPair,
     RegimeError,
+    RunConfig,
     classify_regime,
     closed_form_moments,
     compare_moments,
@@ -26,6 +28,7 @@ from trimode import (
     propagator_analytic,
     propagator_expm,
     rk4_propagator,
+    time_scale,
 )
 from trimode.core import _FLIP, _block, _row_moments
 from support import (
@@ -261,6 +264,34 @@ class TestClosedFormMoments:
         c = Couplings(1e30, 5e29)
         t = 1.0 / classify_regime(c).rate
         assert compare_moments(moments_at(c, t), closed_form_moments(c, t), 1e-12).passed
+
+    #: sha256 of the six entry rows of _closed_form_entries on the default
+    #: oracle grid, captured before the periodic forms became the hyperbolic
+    #: ones continued to an imaginary rate: the hyperbolic forms kept every bit.
+    HYPERBOLIC_DIGESTS = {
+        (1.2, 1.0): "ab11eaa0fe878582a3fbd1cb870660aeed9a4368b3ac7ab559118fcb57e1cd9a",
+        (3.0, 1.0): "796e2eed5259d5931086d507d6215d372431a4286f7a19a97aba90ef95ced365",
+        (1e-80, 5e-81): "f5b26d4f252d8966d689eaee6a5426ab90af8886165cd0fa232ee4b02301c788",
+    }
+
+    @pytest.mark.parametrize("kappas", list(HYPERBOLIC_DIGESTS))
+    def test_hyperbolic_entries_keep_their_bytes(self, kappas):
+        cfg = RunConfig(kappa1=kappas[0], kappa2=kappas[1])
+        ts = cfg.taus() / time_scale(cfg.couplings, cfg.tau_convention)
+        x = np.array(trimode.propagator._closed_form_entries(cfg.couplings, ts))
+        assert x.shape == (6, 301)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == self.HYPERBOLIC_DIGESTS[kappas]
+
+
+@pytest.mark.parametrize("path", [moments_at, propagator_analytic, propagator_expm,
+                                  closed_form_moments], ids=lambda path: path.__name__)
+def test_an_overflow_names_tau(path):
+    # At (1.2, 1.0), t = 2000, sinh(rate t) overflows: each path says so and
+    # names tau, with no warning, rather than reporting a non-finite block.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow.*; choose a smaller tau$"):
+            path(HYP, 2000.0)
 
 
 class TestGridInvariants:

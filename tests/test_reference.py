@@ -256,8 +256,16 @@ EXTREME_RATES = [(1e-80, 5e-81), (1e100, 5e99), (5e99, 1e100), (1e-100, 5e-101),
                  (1.5e-154, 1.3e154)]
 
 
-@pytest.mark.parametrize("tau", (0.5, 3.0))
-@pytest.mark.parametrize("kappas", EXTREME_RATES)
+#: Periodic couplings, whose closed forms are the hyperbolic ones continued
+#: to an imaginary rate, and taus just either side of pi/2, pi, 3 pi/2 and
+#: 2 pi, where cos or sin changes sign and a wrong sign of a continued term
+#: would show.
+PERIODIC_RATES = [(1.0, 1.8), (0.3, 2.5), (1.0, 10.0)]
+SIGN_CHANGE_TAUS = tuple(k * math.pi / 2 + d for k in (1, 2, 3, 4) for d in (-1e-6, 1e-6))
+
+
+@pytest.mark.parametrize("tau", (0.5, 3.0) + SIGN_CHANGE_TAUS)
+@pytest.mark.parametrize("kappas", EXTREME_RATES + PERIODIC_RATES)
 def test_closed_forms_at_extreme_rates(kappas, tau):
     t = raw_time(*kappas, tau)
     cx = closed_form_moments(Couplings(*kappas), t).cx

@@ -478,12 +478,26 @@ class TestCli:
             assert rows[0][0] == 0.5 and len(rows) == 7
 
     @pytest.mark.parametrize("line", ["out-path = x.csv", "colour = red",
-                                      "sign = sideways", "points = 3.5"])
+                                      "sign = sideways", "points = 3.5", "points = 3.0",
+                                      "kappa1 = abc"])
     def test_bad_config_values_exit_4(self, line, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         assert main(["sweep", "--config", str(cfg)]) == 4
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"'{line.partition('=')[0].strip().replace('-', '_')}'" in err
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("kappa1 = 1.0\npoints = 3\n", encoding="utf-8")
+        marked.write_text("kappa1 = 1.0\npoints = 3\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["sweep", "--config", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["sweep", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == want
+        assert "# kappa1 = 1\n" in want.out
 
     #: A bad value of every field some other command reads.
     UNREAD = {"kappa1": "0", "kappa2": "-1", "tau_min": "0.6", "tau_max": "0.5",
@@ -716,10 +730,12 @@ class TestFlagsFromRunConfig:
 #: and for a run whose Monte Carlo comparison fails; a change to how the
 #: paths are computed must leave these bytes as they are.  The expm lines
 #: were re-pinned once, when the matrix exponential became a Horner
-#: polynomial in t with no BLAS product (every max_rel went down), and the
+#: polynomial in t with no BLAS product (every max_rel went down); the
 #: rk4 lines once, when RK4 began to step along the grid with no BLAS
-#: product (every max_rel went down); every other line was held byte for
-#: byte each time.
+#: product (every max_rel went down); and the periodic closed-form vs
+#: analytic line once, when the periodic closed forms became the hyperbolic
+#: ones continued to an imaginary rate (max_rel went down, 1.752e-15 to
+#: 1.665e-15).  Every other line was held byte for byte each time.
 ORACLE_REPORTS = {
     (): (0, """\
 PASS analytic vs expm: max_rel=1.014e-14 max_abs=1.000e-11 tol=1e-09 worst=x[2,2] tau=2.79
@@ -731,7 +747,7 @@ PASS mc vs analytic: max_rel=3.570e-03 max_abs=8.183e-03 tol=1e-02 worst=y[1,1] 
     ("--kappa1", "1.0", "--kappa2", "1.8"): (0, """\
 PASS analytic vs expm: max_rel=6.468e-15 max_abs=3.375e-14 tol=1e-09 worst=x[0,0] tau=2.36
 PASS rk4 vs analytic: max_rel=2.686e-12 max_abs=1.047e-11 tol=1e-08 worst=x[0,2] tau=2.73
-PASS closed-form vs analytic: max_rel=1.752e-15 max_abs=3.553e-15 tol=1e-09 worst=x[0,2] tau=2.72
+PASS closed-form vs analytic: max_rel=1.665e-15 max_abs=5.329e-15 tol=1e-09 worst=x[0,2] tau=2.79
 PASS closed-form vs expm: max_rel=6.638e-15 max_abs=3.464e-14 tol=1e-09 worst=x[0,0] tau=2.36
 PASS mc vs analytic: max_rel=4.773e-03 max_abs=4.773e-03 tol=1e-02 worst=y[1,2] tau=1.5
 """),
