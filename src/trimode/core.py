@@ -78,12 +78,16 @@ def _dot(u, v):
 
 
 def _libm(fn, v):
-    """fn(v) of a float; a result too large for a float becomes an infinity
-    signed like v."""
+    """fn(v) of a float as IEEE has it: a result too large for a float is an
+    infinity signed like v, and sin or cos of an infinite v is nan."""
     try:
         return fn(v)
     except OverflowError:
         return math.copysign(math.inf, v)
+    except ValueError:
+        if math.isinf(v):
+            return math.nan
+        raise
 
 
 def _each(fn, x):
@@ -91,13 +95,13 @@ def _each(fn, x):
     call.  numpy's own float64 kernels round differently and are chosen
     per CPU: np.sinh with AVX-512 differs from math.sinh on about one
     argument in eight, and not at all with it disabled, so output bytes
-    would depend on the machine.  An array is mapped at C level, and
-    entry by entry through _libm only when some entry overflows."""
+    would depend on the machine.  An array is mapped at C level, and entry
+    by entry through _libm only when an entry overflows or leaves fn's domain."""
     if isinstance(x, np.ndarray):
         values = x.tolist()
         try:
             return np.fromiter(map(fn, values), float, len(values))
-        except OverflowError:
+        except (OverflowError, ValueError):
             return np.array([_libm(fn, v) for v in values], dtype=float)
     return _libm(fn, x)
 

@@ -146,19 +146,18 @@ def _expm(ax, ts):
     times a scalar, so the series is a polynomial in that scalar.  With
     a1 = ax 2^-e, ||a1||_1 in [0.5, 1), the coefficients a1^k / k! are
     formed once, and sigma = t 2^(e - s) is run through them by Horner on
-    the whole stack.  The points are then ordered by s, descending, and
-    only the prefix that still needs a squaring is squared.  Every product
-    is written out in _product's order, with no BLAS kernel, so the result
-    is the same on every CPU.  Raises ValueError when an entry overflows.
+    the whole stack.  ts must be non-decreasing, as RunConfig grids and
+    single times are, so s never decreases along it and each squaring
+    covers the suffix that still needs one.  Every product is written out
+    in _product's order, with no BLAS kernel, so the result is the same on
+    every CPU.  Raises ValueError when an entry overflows.
     """
     norm = np.abs(ax).sum(axis=0).max()
     e = int(np.frexp(norm)[1])
     a1 = np.ldexp(ax, -e)
     mantissa, squarings = np.frexp(np.maximum(ts * norm / 0.5, 1.0))
     squarings -= mantissa == 0.5  # ceil(log2), exactly
-    order = np.argsort(-squarings, kind="stable")
-    squarings = squarings[order]
-    sigma = np.ldexp(ts[order], e - squarings)
+    sigma = np.ldexp(ts, e - squarings)
     terms = _taylor_terms(a1)[..., None]
     r = terms[20] * sigma
     for k in range(19, 0, -1):
@@ -166,12 +165,10 @@ def _expm(ax, ts):
         r *= sigma
     r += terms[0]
     for k in range(int(squarings.max(initial=0))):
-        live = np.count_nonzero(squarings > k)
-        r[..., :live] = _product(r[..., :live], r[..., :live])
+        first = np.count_nonzero(squarings <= k)
+        r[..., first:] = _product(r[..., first:], r[..., first:])
     _check_finite((r,), "matrix exponential overflows double precision; choose a smaller tau")
-    result = np.empty_like(r)
-    result[..., order] = r
-    return result
+    return r
 
 
 def propagator_expm(c, t):

@@ -169,24 +169,22 @@ _UNIT8 = np.int64(10**8)
 
 
 def _chunk_tables():
-    """For each 4-digit chunk 0..9999: its text as 8 little-endian bytes,
-    each digit followed by a NUL where a decimal point may go (entries
+    """For each 4-digit chunk 0..9999, its text as 8 little-endian bytes,
+    each digit followed by a NUL where a decimal point may go: entries
     0..9999 as printed, entries 10000..19999 with the trailing zero digits
-    NUL as well), and its count of trailing zero digits (4 for 0)."""
+    NUL as well."""
     chunk = np.arange(10_000, dtype=np.uint64)
     text = np.zeros((2, 10_000), dtype=np.uint64)
-    zeros = np.zeros(10_000, dtype=np.int8)
     for place in range(4):
         digit = chunk // np.uint64(10 ** (3 - place)) % np.uint64(10)
         glyph = (digit + np.uint64(ord("0"))) << np.uint64(16 * place)
         trailing = chunk % np.uint64(10 ** (4 - place)) == 0
         text[0] |= glyph
         text[1] |= np.where(trailing, np.uint64(0), glyph)
-        zeros += trailing
-    return text.ravel(), zeros
+    return text.ravel()
 
 
-_CHUNK_TEXT, _CHUNK_ZEROS = _chunk_tables()
+_CHUNK_TEXT = _chunk_tables()
 _TRIMMED = np.int64(10_000)
 #: The sign, the leading zeros of a fixed-point field NUL-padded to 6 bytes,
 #: then the first digit and a NUL, indexed by
@@ -223,10 +221,13 @@ def _encode_rows(block, seps):
     two-product residual: p >= 1e16 > 2**53 is an even integer.  D < 1e17,
     as the double below each power of ten from 1e-3 to 1e16 lies at least
     8 units of the 17th digit below it, so no rounding carries.  The
-    decimal point replaces the NUL after digit E, the zeros after the last
-    nonzero digit become NUL, and one pass deletes every NUL.  Zeros,
-    non-finite values, |x| outside that range (exponent form) and numbers
-    such as 1200 whose integer part ends in zeros take _scalar_fields.
+    zeros after the last nonzero digit become NUL, and one pass deletes
+    every NUL.  The decimal point replaces the NUL after digit E >= 0
+    exactly when x is not whole: below 2**53 a fraction lies at least an
+    ulp, over half a unit of the 17th digit, from every integer, so its
+    digits never round to an integer.  Zeros, non-finite values, |x| outside
+    that range (exponent form) and whole values such as 1200 that end in 0,
+    whose integer zeros the trimming would eat, take _scalar_fields.
     """
     x = block.ravel()
     a = np.abs(x)
@@ -266,14 +267,10 @@ def _encode_rows(block, seps):
     text = slots.view(np.uint8).reshape(x.size, 40)
     text.reshape(*block.shape, 40)[:, :, 39] = seps
 
-    # The digits left after trimming, 17 - zeros, against the E + 1 of the
-    # integer part: more need a decimal point, fewer lost integer zeros.
-    zeros = (_CHUNK_ZEROS[c4] + zero4 * _CHUNK_ZEROS[c3] + zero34 * _CHUNK_ZEROS[c2]
-             + zero234 * _CHUNK_ZEROS[c1])
-    spare = 16 - e - zeros
-    dotted = np.flatnonzero((e >= 0) & (spare > 0))
+    whole = np.floor(a) == a
+    dotted = np.flatnonzero((e >= 0) & ~whole)
     text.reshape(-1)[dotted * 40 + 2 * e[dotted] + 7] = ord(".")
-    scalar = np.flatnonzero(~inside | (spare < 0))
+    scalar = np.flatnonzero(~inside | (whole & (np.fmod(a, 10.0) == 0)))
     if scalar.size:
         fields = np.array(_scalar_fields(x[scalar]), dtype="S39")
         text[scalar, :39] = fields.view(np.uint8).reshape(scalar.size, 39)

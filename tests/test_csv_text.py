@@ -38,6 +38,15 @@ def _edge_values():
         values += _neighbours(10.0 ** j)
     values += _neighbours(1e-4) + _neighbours(1e16) + _neighbours(2.0 ** 53)
     values += [1200.0, 10.0, 100.5, 1e15 + 0.5, 9999999999999998.0, 0.5, 1.0, 3.0]
+    # A point exactly when not whole, and whole values ending in 0 sent
+    # through _scalar_fields: values next to 2**52 and 2**53, where the
+    # last fractions and then the odd integers end, and whole multiples
+    # of ten up to the largest below 1e16.
+    values += [4503599627370495.5, 4503599627370494.5, 2.0 ** 52 - 1, 2.0 ** 52 + 1,
+               2.0 ** 53 - 2, 2.0 ** 53 - 1, 2.0 ** 53 + 2, 2.0 ** 53 + 4]
+    values += [float(m * 10 ** k) for k in range(1, 16) for m in (1, 3, 99, 123)
+               if m * 10 ** k < 10 ** 16] + [9999999999999990.0, 9999999999999980.0]
+    values += [float(v) for v in range(10 ** 16 - 20, 10 ** 16, 2)]
     values += [-0.0, 0.0, math.nan, math.inf, -math.inf]
     values += [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
     return values
@@ -55,6 +64,22 @@ def test_exact_ties_round_half_even():
     # Both lie halfway between two 17-digit decimals.
     table = np.array([[1000000000000000.25, 1000000000000000.75]])
     assert _csv_body(table) == "1000000000000000.2,1000000000000000.8\n" == reference(table)
+
+
+def test_integers_and_half_integers_of_every_length():
+    # Whether a value is whole decides its decimal point and whether it
+    # ends in integer zeros, so integers of 1 to 17 digits, some ending in
+    # zeros, their half-integers, and both scaled by 10**-k are all checked.
+    rng = np.random.default_rng(29)
+    n = 26_000
+    digits = rng.integers(1, 18, size=n)
+    zeros = rng.integers(0, digits)
+    head = np.floor(rng.uniform(10.0 ** (digits - zeros - 1), 10.0 ** (digits - zeros)))
+    whole = head * 10.0 ** zeros
+    values = np.concatenate([whole, whole + 0.5])
+    values = np.concatenate([values, values * 10.0 ** -rng.integers(1, 21, size=2 * n)])
+    assert values.size >= 10 ** 5
+    assert_encodes(values, columns=8)
 
 
 def test_last_column_negative():
@@ -92,16 +117,27 @@ def test_any_column(values):
 @pytest.mark.parametrize("kappas", [(1.2, 1.0), (1.0, 1.8), (1.0, 1.0)])
 def test_preset_sweeps_stay_vectorised(kappas, monkeypatch):
     # A fallback to '%.17g' per entry would keep every byte and lose the
-    # speed, so the entries sent through the scalar branch are counted.
+    # speed, so the entries sent through the scalar branch are recorded:
+    # exactly those whose own '%.17g' text is in exponent form, nan or inf,
+    # of |x| >= 1e16, or an integer text ending in 0, under 2 % of them.
     sent = []
 
-    def counting(values):
-        sent.append(values.size)
+    def recording(values):
+        sent.append(values.copy())
         return scalar_fields(values)
 
     scalar_fields = trimode.sweep._scalar_fields
-    monkeypatch.setattr(trimode.sweep, "_scalar_fields", counting)
+    monkeypatch.setattr(trimode.sweep, "_scalar_fields", recording)
     result = run_sweep(RunConfig(kappa1=kappas[0], kappa2=kappas[1], points=1001))
     table = np.column_stack([result.taus, result.values])
     assert _csv_body(table) == reference(table)
-    assert sum(sent) < 0.02 * table.size
+
+    def scalar(v):
+        text = "%.17g" % v
+        return ("e" in text or not math.isfinite(v) or abs(v) >= 1e16
+                or text.lstrip("-").isdigit() and text.endswith("0"))
+
+    entries = table.ravel()
+    expected = entries[[scalar(v) for v in entries.tolist()]]
+    assert np.concatenate(sent).tobytes() == expected.tobytes()
+    assert expected.size < 0.02 * table.size

@@ -286,12 +286,15 @@ class TestClosedFormMoments:
 @pytest.mark.parametrize("path", [moments_at, propagator_analytic, propagator_expm,
                                   closed_form_moments], ids=lambda path: path.__name__)
 def test_an_overflow_names_tau(path):
-    # At (1.2, 1.0), t = 2000, sinh(rate t) overflows: each path says so and
-    # names tau, with no warning, rather than reporting a non-finite block.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflow.*; choose a smaller tau$"):
-            path(HYP, 2000.0)
+    # At (1.2, 1.0), t = 2000, sinh(rate t) overflows; at (1, 1e100),
+    # t = 1e300, rate t is infinite and its sin and cos are nan.  Each path
+    # says so and names tau, with no warning, rather than reporting a
+    # non-finite block or a bare math domain error.
+    for c, t in ((HYP, 2000.0), (Couplings(1.0, 1e100), 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow.*; choose a smaller tau$"):
+                path(c, t)
 
 
 class TestGridInvariants:
