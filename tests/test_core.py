@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trimode import (
     Couplings,
@@ -27,7 +30,7 @@ from trimode import (
     mc_moments,
     moments_at,
 )
-from trimode.core import _FLIP, _block, _each
+from trimode.core import _FLIP, _block, _each, _frozen_matrix
 from support import DEG, HYP, PER, T1
 
 
@@ -403,6 +406,88 @@ class TestBlock:
         assert stack.tobytes() == np.array([self._pair(x)[0] for x in self.ENTRIES]).tobytes()
 
 
+#: Floats of every IEEE class: any float, or one of the edge values named.
+EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf,
+     math.nan, -math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[EDGE_FLOATS] * 6))
+@example((0.0, -0.0, 5e-324, -math.inf, math.nan, -math.nan))
+@example((-5e-324, math.inf, -0.0, 2.2250738585072009e-308, 1.0, -1e300))
+def test_block_of_floats_is_row_0_of_length_1_arrays(x):
+    stack = _block(tuple(np.array([v]) for v in x))
+    assert stack.shape == (1, 3, 3)
+    assert _block(x).tobytes() == stack[0].tobytes()
+
+
+#: The independent (i, j) entries of a symmetric 3x3 block, diagonal first.
+UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+@st.composite
+def blocks(draw):
+    """A 3x3 block as MomentState may get it: finite entries or any, and
+    symmetric or with one off-diagonal pair one ulp apart or 0.0 against
+    -0.0; as float64 (half the time), complex or object entries, or nested
+    lists."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    entries = finite if draw(st.booleans()) else EDGE_FLOATS
+    block = np.empty((3, 3))
+    for (i, j), v in zip(UPPER, draw(st.tuples(*[entries] * 6))):
+        block[i, j] = block[j, i] = v
+    i, j = draw(st.sampled_from(UPPER[3:]))
+    skew = draw(st.sampled_from(["none", "ulp", "zero-sign"]))
+    if skew == "ulp":
+        block[j, i] = math.nextafter(block[i, j], math.inf)
+    elif skew == "zero-sign":
+        block[i, j], block[j, i] = 0.0, -0.0
+    kind = draw(st.one_of(st.just("float"),
+                          st.sampled_from(["complex", "object", "object-complex", "list"])))
+    if kind == "complex":
+        return block + 1j * draw(EDGE_FLOATS)
+    if kind.startswith("object"):
+        block = block.astype(object)
+        if kind == "object-complex":
+            block[i, j] = complex(block[i, j], draw(EDGE_FLOATS))
+        return block
+    return block.tolist() if kind == "list" else block
+
+
+def _outcome(build):
+    """The two blocks build() returns, or its ValueError message, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cx, cy = build()
+        except ValueError as e:
+            result = str(e)
+        else:
+            result = [(a.dtype, a.shape, a.flags.writeable, a.tobytes()) for a in (cx, cy)]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks(), blocks())
+def test_moment_state_checks_as_block_by_block(cx, cy):
+    # MomentState accepts finite, exactly symmetric float blocks in one
+    # reduction; every other pair must come out as the block-by-block
+    # checks have it: the same arrays, or the same first fault.
+    def state():
+        m = MomentState(cx, cy)
+        return m.cx, m.cy
+
+    def block_by_block():
+        x, y = _frozen_matrix(cx, "cx"), _frozen_matrix(cy, "cy")
+        for name, arr in (("cx", x), ("cy", y)):
+            if np.max(np.abs(arr - arr.T)) > 1e-14:
+                raise ValueError(f"{name} is not symmetric")
+        return x, y
+
+    assert _outcome(state) == _outcome(block_by_block)
+
+
 class TestEach:
     @pytest.mark.parametrize("x", [1000.0, -1000.0])
     def test_overflow_is_a_signed_infinity(self, x):
@@ -411,6 +496,13 @@ class TestEach:
         assert got.dtype == float
         assert got.tolist() == [math.copysign(math.inf, x), math.sinh(0.5),
                                 math.copysign(math.inf, -x)]
+
+    @pytest.mark.parametrize("x", [1000.0, -1000.0])
+    def test_cosh_overflow_is_positive_infinity(self, x):
+        assert _each(math.cosh, x) == math.inf
+        got = _each(math.cosh, np.array([x, 0.5, -x]))
+        assert got.dtype == float
+        assert got.tolist() == [math.inf, math.cosh(0.5), math.inf]
 
     def test_one_libm_call_per_entry(self):
         xs = np.linspace(-30.0, 30.0, 601)

@@ -164,6 +164,19 @@ class TestObrSingle:
 class TestInferredPair:
     """Residuals V(Q_j + Q_k | Q_i), read through obr_pair."""
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: r1 - r3 is formed by plain subtraction, and "
+                       "the weight of its growing part vanishes with kappa2")
+    @pytest.mark.parametrize("tau", [10.0, 20.0])
+    def test_weak_coupling_does_not_certify(self, tau):
+        # Mode 2 is decoupled at kappa2 = 1e-150, so obr13 = V(X1 + X3) V(Y1 + Y3)
+        # is 4 exactly, on its threshold; the row path reads it below 4.
+        c = Couplings(1.0, 1e-150)
+        t = tau / time_scale(c, TauConvention.RATE)
+        report = evaluate_all(moments_at(c, t), t)
+        assert not report.obr_pair_flag
+        assert abs(report.obr_pair.obr13 - 4.0) <= 1e-12
+
     def test_vacuum(self):
         for j, k in ((2, 3), (1, 3), (1, 2)):
             for sign in Sign:
