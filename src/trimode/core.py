@@ -354,9 +354,10 @@ class MomentState:
         else:
             cx = _frozen_matrix(self.cx, "cx")
             cy = _frozen_matrix(self.cy, "cy")
-            for name, arr in (("cx", cx), ("cy", cy)):
-                if np.max(np.abs(arr - arr.T)) > 1e-14:
-                    raise ValueError(f"{name} is not symmetric")
+            with np.errstate(over="ignore"):  # an overflowing difference is asymmetric
+                for name, arr in (("cx", cx), ("cy", cy)):
+                    if np.max(np.abs(arr - arr.T)) > 1e-14:
+                        raise ValueError(f"{name} is not symmetric")
         object.__setattr__(self, "cx", cx)
         object.__setattr__(self, "cy", cy)
 

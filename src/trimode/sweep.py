@@ -161,9 +161,12 @@ def _halves(a):
     return hi, a - hi
 
 
-#: 10**k for k = 0..22, every one an exact double, and its halves.
-_POW10 = np.array([float(10**k) for k in range(23)])
+#: _POW10[E + 4] is 10**E correctly rounded, for E = -4..22, and its
+#: halves: exact from E = 0, and each the smallest double >= 10**E
+#: (tests/test_csv_text.py checks it exactly).
+_POW10 = np.array([10**j / 10**4 for j in range(27)])
 _POW10_HI, _POW10_LO = _halves(_POW10)
+_LOG10_2 = 0.3010299956639812  # log10(2) rounded to a double
 _UNIT4 = np.int64(10**4)
 _UNIT8 = np.int64(10**8)
 
@@ -215,12 +218,15 @@ def _encode_rows(block, seps):
 
     An entry with 1e-4 <= |x| < 1e16 is laid out in a 40-byte slot: its
     head (sign and leading zeros), 17 digit bytes each followed by a NUL,
-    and the separator.  Its decimal exponent E is checked exactly, and its
-    17 significant digits D = round-half-even(|x| 10**(16 - E)) are exact
-    as p + rint(err), p = fl(|x| 10**(16 - E)) and err Dekker's
-    two-product residual: p >= 1e16 > 2**53 is an even integer.  D < 1e17,
-    as the double below each power of ten from 1e-3 to 1e16 lies at least
-    8 units of the 17th digit below it, so no rounding carries.  The
+    and the separator.  Its decimal exponent E is exact: the binade
+    2**(b-1) <= |x| < 2**b spans a factor 2 < 10, so E is
+    f = floor((b - 1) log10 2), or f + 1 where |x| reaches the smallest
+    double >= 10**(f+1).  Its 17 significant digits
+    D = round-half-even(|x| 10**(16 - E)) are exact as p + rint(err),
+    p = fl(|x| 10**(16 - E)) and err Dekker's two-product residual:
+    p >= 1e16 > 2**53 is an even integer.  D < 1e17, as the double below
+    each power of ten from 1e-3 to 1e16 lies at least 8 units of the 17th
+    digit below it, so no rounding carries.  The
     zeros after the last nonzero digit become NUL, and one pass deletes
     every NUL.  The decimal point replaces the NUL after digit E >= 0
     exactly when x is not whole: below 2**53 a fraction lies at least an
@@ -234,20 +240,12 @@ def _encode_rows(block, seps):
     inside = (a >= 1e-4) & (a < 1e16)
     a = np.where(inside, a, 1.0)
     a_hi, a_lo = _halves(a)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    while True:  # log10 may miss E by one next to a power of ten
-        k = 16 - e
-        p = a * _POW10[k]
-        b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-        err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-        # The sign of p + err against 1e16 and 1e17, exactly: p - 1e16 is
-        # exact (Sterbenz) wherever |err| could tip it.
-        low = (p - 1e16) + err < 0
-        high = (p - 1e17) + err >= 0
-        if not (low | high).any():
-            break
-        e += high
-        e -= low
+    e = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.int64)
+    e += a >= _POW10[e + 5]
+    k = 20 - e  # _POW10[k] = 10**(16 - E)
+    p = a * _POW10[k]
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     d = p.astype(np.int64) + np.rint(err).astype(np.int64)
 
     upper, lower = _divmod(d, _UNIT8)

@@ -150,6 +150,14 @@ class TestMomentState:
         with pytest.raises(ValueError, match="symmetric"):
             MomentState(bad, np.eye(3))
 
+    def test_rejects_asymmetry_whose_difference_overflows(self):
+        # cx[0, 1] - cx[1, 0] overflows to inf, which is asymmetric, with no
+        # RuntimeWarning on the way (the suite makes warnings errors).
+        bad = np.eye(3)
+        bad[0, 1], bad[1, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match="^cx is not symmetric$"):
+            MomentState(bad, np.eye(3))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             MomentState(np.eye(2), np.eye(2))
@@ -480,9 +488,10 @@ def test_moment_state_checks_as_block_by_block(cx, cy):
 
     def block_by_block():
         x, y = _frozen_matrix(cx, "cx"), _frozen_matrix(cy, "cy")
-        for name, arr in (("cx", x), ("cy", y)):
-            if np.max(np.abs(arr - arr.T)) > 1e-14:
-                raise ValueError(f"{name} is not symmetric")
+        with np.errstate(over="ignore"):
+            for name, arr in (("cx", x), ("cy", y)):
+                if np.max(np.abs(arr - arr.T)) > 1e-14:
+                    raise ValueError(f"{name} is not symmetric")
         return x, y
 
     assert _outcome(state) == _outcome(block_by_block)

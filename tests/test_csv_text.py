@@ -6,6 +6,7 @@ it lives in the tests so that the program has one way to write a table.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,11 @@ def _edge_values():
     values = []
     for j in range(-20, 21):
         values += _neighbours(10.0 ** j)
-    values += _neighbours(1e-4) + _neighbours(1e16) + _neighbours(2.0 ** 53)
+    values += _neighbours(1e-4) + _neighbours(1e16)
+    # Every binade edge from below 1e-4 to above 1e16: where the decimal
+    # exponent is read off the binary one.
+    for j in range(-14, 55):
+        values += _neighbours(2.0 ** j)
     values += [1200.0, 10.0, 100.5, 1e15 + 0.5, 9999999999999998.0, 0.5, 1.0, 3.0]
     # A point exactly when not whole, and whole values ending in 0 sent
     # through _scalar_fields: values next to 2**52 and 2**53, where the
@@ -58,6 +63,18 @@ EDGES = _edge_values()
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_edge_values(sign):
     assert_encodes([sign * v for v in EDGES])
+
+
+def test_decimal_exponent_is_exact_on_every_binade():
+    # A binade [2**(b-1), 2**b) spans a factor 2 < 10, so the encoder's
+    # floor((b - 1) log10 2) must be the E with 10**E <= 2**(b-1) < 10**(E+1)
+    # on every binade in [2**-14, 2**54), and the entry of _POW10 it compares
+    # with must be the smallest double >= its power of ten.
+    for b in range(-13, 55):
+        e = int(np.floor((b - 1) * trimode.sweep._LOG10_2))
+        assert Fraction(10) ** e <= Fraction(2) ** (b - 1) < Fraction(10) ** (e + 1)
+    for j, x in enumerate(trimode.sweep._POW10.tolist()):
+        assert Fraction(np.nextafter(x, -math.inf)) < Fraction(10) ** (j - 4) <= Fraction(x)
 
 
 def test_exact_ties_round_half_even():
