@@ -11,7 +11,8 @@ Two families are implemented:
 
 Every criterion is a function of quadratic forms, on the vectors e_i and
 e_i +/- e_j, of the two blocks and of their adjugates: each inference
-residual is a ratio of such forms (see _residual).  A propagated state
+residual is a ratio of such forms, or the unconditioned form where the
+conditioning variance is zero (see _residual).  A propagated state
 keeps the rows r1, r2, r3 of its X propagator block in MomentState.rows,
 and row_criteria reads every form as a squared norm: cx = M M' gives
 q'cx q = |M'q|^2, cy = S cx S with S = diag(1, -1, -1), and the state is
@@ -46,7 +47,6 @@ from .core import (
 )
 
 __all__ = [
-    "DENOMINATOR_FLOOR",
     "UNIT_GAINS",
     "obr_single",
     "obr_pair",
@@ -54,10 +54,6 @@ __all__ = [
     "vlf_value",
     "evaluate_all",
 ]
-
-#: Below this, a variance carries no usable information for inference and
-#: the corresponding correction term is dropped instead of divided by.
-DENOMINATOR_FLOOR = 1e-12
 
 #: Gains of the unoptimised ("raw") pairwise sums.
 UNIT_GAINS = VlfGains(1.0, 1.0, 1.0)
@@ -105,15 +101,15 @@ def _entry_forms(c):
 
 
 def _residual(num, den, own):
-    """The residual-variance formula: num / den, or own when den < floor.
+    """The residual-variance formula: num / den clipped at 0, or own where den <= 0.
 
     The residual of w.Q given v.Q is the Schur complement
     w'Cw - (w'Cv)^2 / v'Cv, which by the Lagrange identity equals
     (w x v)' adj(C) (w x v) / v'Cv; num is that numerator and den = v'Cv.
-    A variance below DENOMINATOR_FLOOR carries no information, so own =
-    w'Cw is returned unchanged there.
+    On a positive-semidefinite C, v'Cv = 0 gives Cv = 0, so the complement
+    is own = w'Cw exactly; any positive den, however small, is divided by.
     """
-    small = den < DENOMINATOR_FLOOR
+    small = den <= 0.0
     if isinstance(small, bool):  # a batch of one: the selects as branches
         if small:
             return own
@@ -147,9 +143,10 @@ def _values(fx, fy, ax, ay, totals, gains, sign):
     sums V(Y_i + Y_j + Y_k) by left-out mode k and the gains.  For mode i
     and j < k the other two, V(Q_i | Q_j + s Q_k) and V(Q_j + s Q_k | Q_i)
     divide one numerator n_i, the adjugate form of e_j - s e_k, by c_i, the
-    form of e_j + s e_k, and by that of e_i (see _residual).  The optimised
-    sums take q_i = V(Y_j + Y_k | Y_i) whatever the sign.  Raises
-    ValueError when sign is not a Sign or a value is not finite.
+    form of e_j + s e_k, and by that of e_i; a zero divisor leaves the
+    unconditioned form (see _residual).  The optimised sums take
+    q_i = V(Y_j + Y_k | Y_i) whatever the sign.  Raises ValueError when
+    sign is not a Sign or a value is not finite.
     """
     (x1, x2, x3), xp, xm = fx
     (y1, y2, y3), yp, ym = fy
@@ -241,8 +238,8 @@ def obr_single(m, i, sign=Sign.PLUS):
 
     Vinf(X_i) = V(X_i) - V(X_i, X_j +/- X_k)^2 / V(X_j +/- X_k), with j < k
     the other two modes, is evaluated without that subtraction (see
-    _residual).  A combination variance below DENOMINATOR_FLOOR yields no
-    information and leaves V(X_i) unchanged.
+    _residual).  A combination with zero variance yields no information
+    and leaves V(X_i) unchanged.
     """
     _check_mode(i)
     return _state_values(m, sign)[8 + i]

@@ -106,7 +106,7 @@ class TestInferredSingle:
             )
 
     def test_uninformative_combination_leaves_variance(self):
-        # V(X2 + X3) below the floor: inference is dropped, not divided by
+        # V(X2 + X3) = 5e-13 is uncorrelated with X1, so it leaves V(X1) as it is
         cx = np.eye(3)
         cx[1, 2] = cx[2, 1] = -(1.0 - 2.5e-13)
         m = MomentState(cx, np.eye(3))
@@ -165,7 +165,7 @@ class TestInferredPair:
     """Residuals V(Q_j + Q_k | Q_i), read through obr_pair."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: r1 - r3 is formed by plain subtraction, and "
+                       reason="ROADMAP item 15: r1 - r3 is formed by plain subtraction, and "
                        "the weight of its growing part vanishes with kappa2")
     @pytest.mark.parametrize("tau", [10.0, 20.0])
     def test_weak_coupling_does_not_certify(self, tau):

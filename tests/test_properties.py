@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trimode import (
-    DENOMINATOR_FLOOR,
     Couplings,
     MomentState,
     RegimeKind,
@@ -96,21 +95,41 @@ def test_mixed_state_takes_the_cofactor_path(kappa_pair, tau, thermal):
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def gapped_states(gap, own):
+    """Two hand-built states, as (X residual, X block, w, v) for the
+    residual of w.X given v.X that one product reads; the vacuum Y block
+    makes V(Y1 | Y2 + Y3) = 1 and V(Y2 + Y3 | Y1) = 2 exactly.  In the
+    first, obr1 conditions X1, of variance own, on V(X2 + X3) = 2 gap; in
+    the second, obr23 conditions X2 + X3 on V(X1) = gap.  Each
+    conditioning variance is small by its size, not by a cancellation, and
+    explains part of what it conditions, so at gap > 0 the Schur
+    complement is below the unconditioned variance; at gap = 0 the
+    covariances vanish with it."""
+    c = math.sqrt(own * gap) / 2
+    single = np.array([[own, c, c], [c, gap, 0.0], [c, 0.0, gap]])
+    c = math.sqrt(gap) / 2
+    b = 0.5 - own / 10
+    pair = np.array([[gap, c, c], [c, 1.0, b], [c, b, 1.0]])
+    return [(obr_single(MomentState(single, np.eye(3)), 1), single, [1, 0, 0], [0, 1, 1]),
+            (obr_pair(MomentState(pair, np.eye(3)), 2, 3) / 2.0, pair, [0, 1, 1], [1, 0, 0])]
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=0.0, max_value=0.49 * DENOMINATOR_FLOOR),
+@given(st.floats(min_value=0.5, max_value=5.0))
+def test_a_zero_variance_leaves_the_unconditioned_variance(own):
+    # v'Cv = 0 on a positive-semidefinite block gives Cv = 0, so the
+    # complement is w'Cw, returned as it is: no 0 / 0 and no clip.
+    (single, _, _, _), (pair, cx, _, _) = gapped_states(0.0, own)
+    assert single == own
+    assert pair == 2.0 + 2.0 * cx[1, 2]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=0.49e-12),
        st.floats(min_value=0.5, max_value=5.0))
-def test_floor_returns_the_unconditioned_variance(gap, own):
-    # The vacuum Y block has residuals V(Y1 | Y2 + Y3) = 1 and
-    # V(Y2 + Y3 | Y1) = 2 exactly, so each product isolates its X residual.
-    # V(X2 + X3) = 2 - 2 (1 - gap) = 2 gap stays below the floor.
-    cx = np.eye(3)
-    cx[0, 0] = own
-    cx[1, 2] = cx[2, 1] = -(1.0 - gap)
-    m = MomentState(cx, np.eye(3))
-    assert obr_single(m, 1) == own
-    # V(X1) below the floor: the pair keeps its own variance 2 + 2 c23.
-    cx = np.eye(3)
-    cx[0, 0] = gap
-    cx[1, 2] = cx[2, 1] = 0.5 - own / 10
-    m = MomentState(cx, np.eye(3))
-    assert obr_pair(m, 2, 3) == (2.0 + 2.0 * cx[1, 2]) * 2.0
+def test_a_small_variance_gives_the_schur_complement(gap, own):
+    # However small, a positive conditioning variance is divided by.  Below
+    # 1e-300 the cofactor products of the block, of size gap * own, leave
+    # the normal doubles and round to a few bits.
+    for got, cx, w, v in gapped_states(gap, own):
+        assert math.isclose(got, mp_residual(cx, w, v), rel_tol=1e-15)

@@ -143,20 +143,47 @@ def rate_tau(kappa1, kappa2, t):
 
 
 #: (kappas, tau) cases, with the test ids a grid of kappas x LONG_TAUS has,
-#: and the weak-coupling line, which ROADMAP item 1 is to mend.
+#: and the weak-coupling line, which ROADMAP item 15 is to mend.
 INFERENCE = [
     pytest.param(kappas, tau, id=f"kappas{i}-{tau}")
     for i, kappas in enumerate((HYPERBOLIC, PERIODIC, DEGENERATE))
     for tau in LONG_TAUS
 ] + [pytest.param(WEAK_COUPLING, 20.0, id="weak-20.0", marks=pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP item 1: r1 - r3 is formed by plain subtraction"))]
+    reason="ROADMAP item 15: r1 - r3 is formed by plain subtraction"))]
 
 
 @pytest.mark.parametrize("kappas,tau", INFERENCE)
 def test_inference_products_to_double_precision(kappas, tau):
     errors = combined_errors(computed(*kappas, tau)[9:], reference(*kappas, tau)[9:])
     assert max(errors) <= 1e-12, errors
+
+
+#: (kappas, tau, index of a criterion that is 1 exactly on a pure state):
+#: its conditioning variance is positive but below 1e-12, obr2 at weak
+#: coupling and obr3 on a periodic point near xi t = pi.
+SQUEEZED_DIVISORS = [
+    pytest.param(WEAK_COUPLING, 20.0, 10, id="weak-obr2"),
+    pytest.param((15.555780459474652, 15.555783539865523), 3.14204402379184, 11,
+                 id="corridor-obr3"),
+]
+
+
+@pytest.mark.parametrize("kappas,tau,index", SQUEEZED_DIVISORS)
+def test_a_squeezed_divisor_is_divided_by(kappas, tau, index):
+    got, want = computed(*kappas, tau)[index], reference(*kappas, tau)[index]
+    assert want == 1.0
+    assert abs(got - want) <= 1e-12, got
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 15: a row combination's squared norm underflows "
+                   "to an exact 0 though mx is invertible")
+def test_an_underflowed_divisor_at_weak_coupling():
+    # At (1, 1e-9), tau 40, obr2's divisor rounds to 0.0, so obr2 reads its
+    # unconditioned 2.77e16, and obr13 reads 0; mpmath gives 1 for both.
+    errors = combined_errors(computed(1.0, 1e-9, 40.0)[9:], reference(1.0, 1e-9, 40.0)[9:])
+    assert max(errors[1], errors[4]) <= 1e-12, errors
 
 
 #: (kappas, tau) cases, with the test ids a grid of kappas x SHORT_TAUS has.
