@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_FLIP, MomentState, PropagatorPair, Quadrature, RegimeError, _block,
-                   _check_count, _check_finite, _check_seed, _check_time, _row_moments)
+                   _check_count, _check_finite, _check_seed, _check_time, _is_real,
+                   _row_moments)
 from .propagator import (_EYE, _closed_form_entries, _expm, _mul, _product, drift_matrix,
                          propagator_rows)
 
@@ -218,8 +219,11 @@ def compare_moments(a, b, tol, t=math.nan):
     Records the maximum absolute error and the maximum combined error
     |a - b| / max(1, |a|); passes when the combined maximum is within tol.
     t only labels the worst entry (useful when scanning a grid).  A grid
-    of one: _grid_reports reduces whole grids the same way.
+    of one: _grid_reports reduces whole grids the same way.  ValueError
+    unless tol is a real number but a bool, and >= 0.
     """
+    if not (_is_real(tol) and tol >= 0):
+        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
     return _compare(np.array([[a.cx, a.cy]]), np.array([[b.cx, b.cy]]), tol, [t])
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimode import (
+    REGIME_TOL,
     Couplings,
     CriteriaReport,
     InvalidCouplingError,
@@ -26,9 +27,12 @@ from trimode import (
     VlfGains,
     VlfTriple,
     classify_regime,
+    closed_form_moments,
     evaluate_all,
     mc_moments,
     moments_at,
+    outer_moments,
+    propagator_expm,
 )
 from trimode.core import _FLIP, _block, _each, _frozen_matrix
 from support import DEG, HYP, PER, T1
@@ -476,12 +480,24 @@ def _outcome(build):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def _mirrored(i, j, upper, lower):
+    """The identity with upper at (i, j) and lower at (j, i)."""
+    block = np.eye(3)
+    block[i, j], block[j, i] = upper, lower
+    return block
+
+
 @settings(max_examples=300, deadline=None)
 @given(blocks(), blocks())
+@example(_mirrored(0, 1, math.inf, math.inf), _mirrored(1, 2, math.nan, math.nan))
+@example(np.eye(3), _mirrored(2, 2, math.inf, math.inf))
+@example(_mirrored(0, 2, 0.0, -0.0), np.eye(3))
+@example(_mirrored(0, 1, 1e308, -1e308), np.eye(3))
+@example(np.eye(3), _mirrored(1, 2, 0.5, math.nextafter(0.5, math.inf)))
 def test_moment_state_checks_as_block_by_block(cx, cy):
     # MomentState accepts finite, exactly symmetric float blocks in one
-    # reduction; every other pair must come out as the block-by-block
-    # checks have it: the same arrays, or the same first fault.
+    # pass; every other pair must come out as the block-by-block checks
+    # have it: the same arrays, or the same first fault.
     def state():
         m = MomentState(cx, cy)
         return m.cx, m.cy
@@ -495,6 +511,24 @@ def test_moment_state_checks_as_block_by_block(cx, cy):
         return x, y
 
     assert _outcome(state) == _outcome(block_by_block)
+
+
+def test_every_built_state_takes_the_fast_path(monkeypatch):
+    # Only the block-by-block checks call _frozen_matrix, so a state the
+    # package builds that reached them would raise here, not just run slower.
+    pair = propagator_expm(HYP, T1)  # PropagatorPair checks mx with it too
+
+    def refuse(value, name):
+        raise AssertionError(f"{name} took the block-by-block checks")
+
+    monkeypatch.setattr("trimode.core._frozen_matrix", refuse)
+    window = Couplings(1.0, 1.0 + REGIME_TOL / 4)
+    for c in (HYP, PER, DEG, window):
+        moments_at(c, T1)
+    outer_moments(pair)
+    mc_moments(HYP, T1, 1000, 7)
+    closed_form_moments(HYP, T1)
+    closed_form_moments(PER, T1)
 
 
 class TestEach:

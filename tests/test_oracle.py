@@ -209,6 +209,17 @@ class TestCompareMoments:
         assert report.max_abs_err == 0.0
         assert report.max_rel_err == 0.0
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf, True, "1e-9", None, 1j])
+    def test_rejects_a_tolerance_that_is_not_a_real_number_ge_0(self, tol):
+        m = MomentState(np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="tol"):
+            compare_moments(m, m, tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-9, math.inf, np.float64(1e-3)])
+    def test_any_real_tolerance_ge_0_passes_identical_states(self, tol):
+        m = MomentState(np.eye(3), np.eye(3))
+        assert compare_moments(m, m, tol).passed
+
     def test_analytic_paths_agree_at_tight_tolerance(self):
         for c, t, tau in grid_points(n_tau=6):
             a = moments_at(c, t)

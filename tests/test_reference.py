@@ -21,6 +21,7 @@ import pytest
 
 import trimode.propagator
 from trimode import (
+    CRITERIA,
     Couplings,
     RunConfig,
     closed_form_moments,
@@ -184,6 +185,26 @@ def test_an_underflowed_divisor_at_weak_coupling():
     # unconditioned 2.77e16, and obr13 reads 0; mpmath gives 1 for both.
     errors = combined_errors(computed(1.0, 1e-9, 40.0)[9:], reference(1.0, 1e-9, 40.0)[9:])
     assert max(errors[1], errors[4]) <= 1e-12, errors
+
+
+#: (kappas, tau, criterion) where weak coupling misreads one criterion
+#: through r1 - r3: g2 reads 2.4687e-08 (mpmath 3.3629e-09) and v13_raw
+#: 3735329.03 (mpmath 3734668.76).
+WEAK_MISREADS = [
+    pytest.param((543.3906230554888, 3.6535163240703814e-06), 23.16459429040148, "g2",
+                 id="g2"),
+    pytest.param((47.42489575016558, 8.823270646219415e-11), 34.923349017542186, "v13_raw",
+                 id="v13_raw"),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 15: r1 - r3 is formed by plain subtraction")
+@pytest.mark.parametrize("kappas,tau,name", WEAK_MISREADS)
+def test_weak_coupling_criterion(kappas, tau, name):
+    index = CRITERIA.index(name)
+    got, want = computed(*kappas, tau)[index], reference(*kappas, tau)[index]
+    assert combined_errors([got], [want])[0] <= 1e-9, (got, want)
 
 
 #: (kappas, tau) cases, with the test ids a grid of kappas x SHORT_TAUS has.
