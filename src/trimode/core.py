@@ -287,15 +287,15 @@ def _frozen_matrix(value, name):
     return arr
 
 
-def _symmetric_and_finite(blocks):
+def _admissible(blocks):
     """Whether each 3x3 block of a float stack has a finite upper triangle
-    that its mirrored entries equal; a finite entry's equal mirror is finite.
-    On blocks this small, one pass over Python floats is about 4x faster
-    than numpy ufuncs and a reduction."""
+    that its mirrored entries equal, and no negative diagonal entry; a
+    finite entry's equal mirror is finite.  On blocks this small, one pass
+    over Python floats is about 4x faster than numpy ufuncs and a reduction."""
     for (a, b, c), (d, e, f), (g, h, i) in blocks.tolist():
         if not (b == d and c == g and f == h
-                and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
-                and math.isfinite(e) and math.isfinite(f) and math.isfinite(i)):
+                and 0.0 <= a < math.inf and math.isfinite(b) and math.isfinite(c)
+                and 0.0 <= e < math.inf and math.isfinite(f) and 0.0 <= i < math.inf):
             return False
     return True
 
@@ -337,7 +337,8 @@ class MomentState:
 
     cx: np.ndarray
     cy: np.ndarray
-    #: X propagator rows (r1, r2, r3, r1 - r2) of a propagated state, else None.
+    #: X propagator rows r1, r2, r3 of a propagated state and their row
+    #: combinations, in propagator._combinations' order, else None.
     rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -349,18 +350,21 @@ class MomentState:
         return m
 
     def __post_init__(self):
-        # Finite, exactly symmetric float blocks pass in one pass over the
-        # Python floats of one (2, 3, 3) copy, made without a cast so that a
-        # complex block cannot lose its imaginary part on the way.  Anything
-        # else is checked block by block: complex entries, the shape and
-        # finiteness of cx then cy, then the symmetry of each to 1e-14, so
-        # the first fault found names its block.
+        # Finite, exactly symmetric float blocks with no negative variance
+        # pass in one pass over the Python floats of one (2, 3, 3) copy, made
+        # without a cast so that a complex block cannot lose its imaginary
+        # part on the way.  Anything else is checked block by block: complex
+        # entries, the shape and finiteness of cx then cy, the symmetry of
+        # each to 1e-14, then the sign of each diagonal, so the first fault
+        # found names its block.  Of the semidefiniteness criteria._residual
+        # assumes, only the diagonal is checked: rounding leaves large pure
+        # states slightly indefinite.
         try:
             blocks = np.array((self.cx, self.cy))
         except (TypeError, ValueError):
             blocks = None
         if (blocks is not None and blocks.dtype == float
-                and blocks.shape == (2, 3, 3) and _symmetric_and_finite(blocks)):
+                and blocks.shape == (2, 3, 3) and _admissible(blocks)):
             blocks.setflags(write=False)
             cx, cy = blocks[0], blocks[1]
         else:
@@ -370,6 +374,9 @@ class MomentState:
                 for name, arr in (("cx", cx), ("cy", cy)):
                     if np.max(np.abs(arr - arr.T)) > 1e-14:
                         raise ValueError(f"{name} is not symmetric")
+            for name, arr in (("cx", cx), ("cy", cy)):
+                if (arr.diagonal() < 0.0).any():
+                    raise ValueError(f"{name} has a negative variance")
         object.__setattr__(self, "cx", cx)
         object.__setattr__(self, "cy", cy)
 

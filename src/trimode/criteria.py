@@ -12,19 +12,18 @@ Two families are implemented:
 Every criterion is a function of quadratic forms, on the vectors e_i and
 e_i +/- e_j, of the two blocks and of their adjugates: each inference
 residual is a ratio of such forms, or the unconditioned form where the
-conditioning variance is zero (see _residual).  A propagated state
-keeps the rows r1, r2, r3 of its X propagator block in MomentState.rows,
-and row_criteria reads every form as a squared norm: cx = M M' gives
-q'cx q = |M'q|^2, cy = S cx S with S = diag(1, -1, -1), and the state is
-pure, so adj(cx) = cy and adj(cy) = cx.  The norms are |r_i|^2 and
-|r_i +/- r_j|^2, with r1 - r2 taken in a factored form that stays exact
-where the two rows nearly cancel, and |r1 - r2 - r3|^2; the gains add
-three dot products.  Nothing large is subtracted, so the values keep
+conditioning variance is zero (see _residual).  A propagated state keeps in
+MomentState.rows the rows r1, r2, r3 of its X propagator block and their
+combinations r_i +/- r_j and r1 - r2 - r3, all formed once in
+propagator_rows; row_criteria reads every form as the squared norm of one:
+cx = M M' gives q'cx q = |M'q|^2, cy = S cx S with S = diag(1, -1, -1),
+and the state is pure, so adj(cx) = cy and adj(cy) = cx.  The gains add
+three dot products, and nothing large is subtracted, so the values keep
 double precision wherever the moments grow.  A state with no rows (Monte
 Carlo, or blocks built by hand) reads its entries and cofactors.  Both
 paths end in _values, one flat assembly of the 15 values with no per-mode
-loop, which runs unchanged on floats (one state, where a call's fixed
-cost dominates) and on arrays (a sweep), bit for bit alike; obr_single,
+loop, which runs unchanged on floats (one state, where a call's fixed cost
+dominates) and on arrays (a sweep), bit for bit alike; obr_single,
 obr_pair and vlf_gains are views of evaluate_all's 15 values.
 All mode indices in the public functions are 1-based.
 """
@@ -187,25 +186,17 @@ def _entry_criteria(x, y, sign):
                    tuple(_gain(y, k) for k in range(3)), sign)
 
 
-def _minus(u, v):
-    return u[0] - v[0], u[1] - v[1], u[2] - v[2]
-
-
 def row_criteria(rows, sign=Sign.PLUS):
-    """Every criterion from the rows (r1, r2, r3, d = r1 - r2) of
-    propagator_rows, as floats (a batch of one) or as equal-length arrays
-    (a sweep, to be run under np.errstate).
+    """Every criterion from the row combinations of propagator_rows, as
+    floats (a batch of one) or as equal-length arrays (a sweep, to be run
+    under np.errstate).
 
-    cx = mx mx' makes every form of cx a squared norm of a row
-    combination; cy = S cx S swaps the plus and minus forms of the pairs
+    cx = mx mx' makes every form of cx the squared norm of one of those
+    combinations; cy = S cx S swaps the plus and minus forms of the pairs
     that contain mode 1, and adj(cx) = cy, adj(cy) = cx.  Raises ValueError
     when the moments overflow.
     """
-    r1, r2, r3, d = rows
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = r1, r2, r3
-    p23, m23 = (b1 + c1, b2 + c2, b3 + c3), (b1 - c1, b2 - c2, b3 - c3)
-    p13, m13 = (a1 + c1, a2 + c2, a3 + c3), (a1 - c1, a2 - c2, a3 - c3)
-    p12, dm3 = (a1 + b1, a2 + b2, a3 + b3), (d[0] - c1, d[1] - c2, d[2] - c3)
+    r1, r2, r3, d, m13, m23, p12, p13, p23, dm3 = rows
     diag = (_dot(r1, r1), _dot(r2, r2), _dot(r3, r3))
     plus = (_dot(p23, p23), _dot(p13, p13), _dot(p12, p12))
     minus = (_dot(m23, m23), _dot(m13, m13), _dot(d, d))
@@ -270,9 +261,9 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
     The gain applied is the one indexed by the mode absent from the pair.
     With the optimal gains this equals V(X_i - X_j) plus the inferred
     variance of Y_i + Y_j estimated from Y_k.  A state with rows reads
-    both as squared norms of row_criteria's row combinations:
-    X_i - X_j gives r_i - r_j, and Y_i + Y_j + g Y_k gives d - r3 plus
-    (g - 1) r1 for k = 1 and (1 - g) r_k otherwise, so unit gains give
+    both as squared norms off its table of row combinations: X_i - X_j
+    is r_i - r_j, and Y_i + Y_j + g Y_k is r1 - r2 - r3 plus (g - 1) r1
+    for k = 1 and (1 - g) r_k otherwise, so unit gains give
     evaluate_all's raw sums bit for bit.  ValueError unless pair is one of
     (1, 2), (1, 3), (2, 3) and gains three finite reals but bools, or when
     the sum is not finite.
@@ -295,10 +286,9 @@ def vlf_value(m, pair, gains=UNIT_GAINS):
     if m.rows is None:
         value = _entry_forms(_entries(m.cx))[2][k] + _y_sum(_entries(m.cy), k, g)
     else:
-        r1, r2, r3, d = rows = m.rows
-        x = (_minus(r2, r3), _minus(r1, r3), d)[k]
+        x = m.rows[5 - k]  # r2 - r3, r1 - r3 or d
         w = g - 1.0 if k == 0 else 1.0 - g
-        y = [s + w * r for s, r in zip(_minus(d, r3), rows[k])]
+        y = [s + w * r for s, r in zip(m.rows[9], m.rows[k])]
         value = _dot(x, x) + _dot(y, y)
     _check_finite((value,), "vlf value is not finite: a variance overflows")
     return value

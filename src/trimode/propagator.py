@@ -76,12 +76,21 @@ def _factors(c, t):
     return 2.0 * half * half, _each(fn, rate * t) / rate
 
 
+def _combinations(r1, r2, r3, d):
+    """The ten row combinations the criteria read: r1, r2, r3, d = r1 - r2 as
+    given, r1 - r3, r2 - r3, r1 + r2, r1 + r3, r2 + r3 and d - r3 = r1 - r2 - r3."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = r1, r2, r3
+    return (r1, r2, r3, d, (a1 - c1, a2 - c2, a3 - c3), (b1 - c1, b2 - c2, b3 - c3),
+            (a1 + b1, a2 + b2, a3 + b3), (a1 + c1, a2 + c2, a3 + c3),
+            (b1 + c1, b2 + c2, b3 + c3), (d[0] - c1, d[1] - c2, d[2] - c3))
+
+
 def propagator_rows(c, t):
-    """Rows r1, r2, r3 of the X propagator block, and d = r1 - r2.
+    """Rows r1, r2, r3 of the X propagator block, with their _combinations.
 
     mx = [[d11, -off, p], [off, d22, q], [p, -q, d33]] with d11 = 1 +
     kappa1^2 a, d22 = 1 - kappa2^2 a, d33 = 1 + gap a, off = kappa1 kappa2 a,
-    p = kappa1 b and q = kappa2 b.  d is taken in the factored form
+    p = kappa1 b and q = kappa2 b.  d = r1 - r2 is taken in the factored form
     (1 + kappa1 delta a, -(1 + kappa2 delta a), delta b), delta = kappa1 -
     kappa2, so it stays exact where r1 and r2 nearly cancel.  The Y block
     is the inverse transpose, my = S mx S with S = diag(1, -1, -1), which
@@ -95,7 +104,7 @@ def propagator_rows(c, t):
     r2 = (off, 1.0 - k2 * k2 * a, q)
     r3 = (p, -q, 1.0 + delta * (k1 + k2) * a)
     d = (1.0 + k1 * delta * a, -(1.0 + k2 * delta * a), delta * b)
-    return r1, r2, r3, d
+    return _combinations(r1, r2, r3, d)
 
 
 def propagator_analytic(c, t):
@@ -188,12 +197,13 @@ def outer_moments(pair):
     """Moments a propagator pair produces from vacuum: cx = mx @ mx.T and
     cy = my @ my.T = S cx S.
 
-    MomentState._from_rows builds the state from the rows of mx, with
-    d = r1 - r2, as moments_at does, and keeps them for the criteria;
-    ValueError on overflow.
+    MomentState._from_rows builds the state from the _combinations of the
+    rows of mx, with the plain d = r1 - r2, as moments_at does, and keeps
+    them for the criteria; ValueError on overflow.
     """
     r1, r2, r3 = map(tuple, pair.mx.tolist())
-    return MomentState._from_rows((r1, r2, r3, tuple(p - q for p, q in zip(r1, r2))))
+    d = tuple(p - q for p, q in zip(r1, r2))
+    return MomentState._from_rows(_combinations(r1, r2, r3, d))
 
 
 def moments_at(c, t):
@@ -201,8 +211,8 @@ def moments_at(c, t):
 
     The initial covariance is the identity, so cx = mx @ mx.T and
     cy = my @ my.T = S cx S.  MomentState._from_rows builds the state from
-    the rows of mx (propagator_rows on a batch of one) and keeps them for
-    the criteria.  outer_moments(propagator_expm(c, t)) is the
+    propagator_rows on a batch of one and keeps that table for the
+    criteria.  outer_moments(propagator_expm(c, t)) is the
     matrix-exponential check of the same state; ValueError on overflow.
     """
     return MomentState._from_rows(propagator_rows(c, _check_time(t)))

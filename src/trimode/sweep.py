@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from enum import Enum
 
 import numpy as np
 
@@ -92,6 +93,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if type(f.default) is int and not _is_int(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if isinstance(f.default, Enum) and not isinstance(value, type(f.default)):
+                raise ValueError(f"{f.name} must be a {type(f.default).__name__}, got {value!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points!r}")
         _check_count(self.mc_samples, "mc_samples")

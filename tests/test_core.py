@@ -162,6 +162,16 @@ class TestMomentState:
         with pytest.raises(ValueError, match="^cx is not symmetric$"):
             MomentState(bad, np.eye(3))
 
+    @pytest.mark.parametrize("cx,cy,name", [
+        (-np.eye(3), np.eye(3), "cx"),
+        (np.eye(3), -np.eye(3), "cy"),
+        (np.diag([1.0, 1.0, -1e-3]), np.eye(3), "cx"),
+    ])
+    def test_rejects_a_negative_variance(self, cx, cy, name):
+        # Each once passed, and the criteria certified entanglement from it.
+        with pytest.raises(ValueError, match=f"^{name} has a negative variance$"):
+            MomentState(cx, cy)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             MomentState(np.eye(2), np.eye(2))
@@ -508,6 +518,9 @@ def test_moment_state_checks_as_block_by_block(cx, cy):
             for name, arr in (("cx", x), ("cy", y)):
                 if np.max(np.abs(arr - arr.T)) > 1e-14:
                     raise ValueError(f"{name} is not symmetric")
+        for name, arr in (("cx", x), ("cy", y)):
+            if (arr.diagonal() < 0.0).any():
+                raise ValueError(f"{name} has a negative variance")
         return x, y
 
     assert _outcome(state) == _outcome(block_by_block)

@@ -22,6 +22,8 @@ from trimode import (
     vlf_gains,
     vlf_value,
 )
+from trimode.criteria import _VALID_PAIRS
+from trimode.propagator import propagator_rows
 from support import (
     CY1,
     G1,
@@ -369,6 +371,29 @@ class TestEvaluateAll:
                 evaluate_all(m, T1, sign)
             with pytest.raises(ValueError, match="sign must be"):
                 obr_single(m, 1, sign)
+
+    @pytest.mark.parametrize("entry", range(3, 10))
+    def test_reads_the_row_combinations_it_is_given(self, entry):
+        # Every criterion reads each row combination off the state's table
+        # and forms none itself, so a NaN planted in one entry must reach it.
+        rows = list(propagator_rows(HYP, T1))
+        rows[entry] = (math.nan,) * 3
+        m = MomentState._from_rows(tuple(rows))
+        with pytest.raises(ValueError, match="second moments overflow|criteria are not finite"):
+            evaluate_all(m, T1)
+        for pair in {3: [(1, 2)], 4: [(1, 3)], 5: [(2, 3)], 9: _VALID_PAIRS}.get(entry, []):
+            with pytest.raises(ValueError, match="vlf value is not finite"):
+                vlf_value(m, pair)
+
+    @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+    def test_the_biseparable_point_does_not_certify(self, sign):
+        # At (1.0, 1.8) and rate-convention tau = pi, b = sin(pi) / rate is
+        # zero up to rounding: mode 3 factors off (3 | 12).
+        t = math.pi / time_scale(PER, TauConvention.RATE)
+        rep = evaluate_all(moments_at(PER, t), t, sign)
+        assert not (rep.vlf_flag or rep.obr_single_flag or rep.obr_pair_flag)
+        assert rep.obr_single.obr2 == rep.obr_single.obr3 == 1.0
+        assert abs(rep.obr_pair.obr12 - 4.0) <= 1e-12
 
     def test_rescaling_invariance(self):
         for scale in (0.5, 2.0, 3.7):

@@ -414,9 +414,10 @@ class TestOuterMoments:
         for _ in range(200):
             mx = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3)
             m = outer_moments(PropagatorPair(mx, T1))
-            assert m.rows is not None
-            assert m.rows[:3] == tuple(map(tuple, mx.tolist()))
-            assert m.rows[3] == tuple((mx[0] - mx[1]).tolist())
+            r1, r2, r3 = mx
+            table = (r1, r2, r3, r1 - r2, r1 - r3, r2 - r3, r1 + r2, r1 + r3, r2 + r3,
+                     r1 - r2 - r3)
+            assert m.rows == tuple(tuple(v.tolist()) for v in table)
             assert np.array_equal(m.cx, m.cx.T)
             assert np.array_equal(m.cx, row_outer(mx))
             assert m.cy.tobytes() == (m.cx * _FLIP).tobytes()

@@ -106,6 +106,18 @@ class TestRunConfig:
             RunConfig(**{name: value})
         assert getattr(RunConfig(**{name: np.int64(3)}), name) == 3
 
+    @pytest.mark.parametrize("name,value", [
+        ("sign", "plus"), ("sign", None), ("tau_convention", "rate"),
+        ("tau_convention", Sign.PLUS),
+    ])
+    def test_the_enum_fields_must_be_members(self, name, value):
+        # Checked at construction: the oracle never reads the sign, so a
+        # run_oracle_check on a bad one used to pass without a word.
+        kind = type(getattr(RunConfig(), name)).__name__
+        message = f"{name} must be a {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(points=3, **{name: value})
+
     @pytest.mark.parametrize("kwargs,name", [
         (dict(tau_max=10**400), "tau_max"),
         (dict(tau_min=10**400, tau_max=10**401), "tau_min"),
