@@ -343,10 +343,15 @@ class MomentState:
 
     @classmethod
     def _from_rows(cls, rows):
-        """The pure state cx_ij = r_i . r_j, cy = S cx S, that keeps its rows."""
+        """The pure state cx_ij = r_i . r_j, cy = S cx S, that keeps its rows,
+        built without __post_init__, whose checks its read-only blocks pass by
+        construction: _BLOCK_INDEX makes them exactly symmetric, _row_moments
+        raises unless they are finite, and a diagonal entry is a sum of squares."""
         cx = _block(_row_moments(rows[:3]))
-        m = cls(cx, cx * _FLIP)
-        object.__setattr__(m, "rows", rows)
+        cy = cx * _FLIP
+        cx.flags.writeable = cy.flags.writeable = False
+        m = object.__new__(cls)
+        vars(m).update(cx=cx, cy=cy, rows=rows)
         return m
 
     def __post_init__(self):

@@ -24,6 +24,7 @@ import inspect
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trimode
@@ -60,6 +61,9 @@ def test_tracer_installs_and_uninstalls(tracer, capsys):
     t.install(trimode)
     try:
         assert trimode.cli.main(["eval", "--tau", "1"]) == 0
+        # A propagated state skips MomentState.__init__, so a hand-built one
+        # shows that the wrapped class is traced.
+        trimode.MomentState(np.eye(3), np.eye(3))
     finally:
         t.uninstall()
     capsys.readouterr()

@@ -24,6 +24,7 @@ from trimode import (
     RunConfig,
     Sign,
     SweepResult,
+    TauConvention,
     VlfGains,
     VlfTriple,
     classify_regime,
@@ -31,10 +32,16 @@ from trimode import (
     evaluate_all,
     mc_moments,
     moments_at,
+    obr_pair,
+    obr_single,
     outer_moments,
+    propagator_analytic,
     propagator_expm,
+    time_scale,
+    vlf_gains,
+    vlf_value,
 )
-from trimode.core import _FLIP, _block, _each, _frozen_matrix
+from trimode.core import _FLIP, _admissible, _block, _each, _frozen_matrix
 from support import DEG, HYP, PER, T1
 
 
@@ -542,6 +549,66 @@ def test_every_built_state_takes_the_fast_path(monkeypatch):
     mc_moments(HYP, T1, 1000, 7)
     closed_form_moments(HYP, T1)
     closed_form_moments(PER, T1)
+
+
+def test_a_propagated_state_skips_the_init_checks(monkeypatch):
+    # A state built from propagator rows never runs __post_init__, and no
+    # criterion needs it to have run.
+    pair = propagator_expm(HYP, T1)
+
+    def refuse(self):
+        raise AssertionError("MomentState.__post_init__ ran")
+
+    monkeypatch.setattr(MomentState, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="__post_init__ ran"):
+        MomentState(np.eye(3), np.eye(3))
+    window = Couplings(1.0, 1.0 + REGIME_TOL / 4)
+    for m in [moments_at(c, T1) for c in (HYP, PER, DEG, window)] + [outer_moments(pair)]:
+        gains = vlf_gains(m)
+        for modes in ((1, 2), (1, 3), (2, 3)):
+            vlf_value(m, modes)
+            vlf_value(m, modes, gains)
+        for sign in Sign:
+            evaluate_all(m, T1, sign)
+            for i, (j, k) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
+                obr_single(m, i, sign)
+                obr_pair(m, j, k, sign)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9, max_size=9),
+       st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 400.0))
+@example([0.0, -0.0, 5e-324] * 3, 1.0, 1.0, 0.0)
+@example([1e154] * 9, 1.0, 1.0 + REGIME_TOL / 4, 400.0)
+def test_a_state_from_rows_passes_the_init_checks_as_built(entries, k1, k2, tau):
+    # What __post_init__ would accept unchanged, bit for bit: read-only
+    # float64 blocks that the fast pass admits.  Rows whose Gram entries
+    # overflow raise _row_moments' error instead.
+    states = []
+    for build in (lambda: moments_at(Couplings(k1, k2), tau / max(k1, k2)),
+                  lambda: outer_moments(PropagatorPair(np.reshape(entries, (3, 3)), 0.0))):
+        try:
+            states.append(build())
+        except ValueError as e:
+            assert str(e) == "second moments overflow double precision; choose a smaller tau"
+    for m in states:
+        for block in (m.cx, m.cy):
+            assert block.dtype == np.float64 and block.shape == (3, 3)
+            assert not block.flags.writeable
+        assert _admissible(np.array((m.cx, m.cy)))
+        rebuilt = MomentState(m.cx, m.cy)
+        assert rebuilt.cx.tobytes() == m.cx.tobytes()
+        assert rebuilt.cy.tobytes() == m.cy.tobytes()
+
+
+def test_gram_entries_that_overflow_raise():
+    # At (1.2, 1.0) and rate-convention tau 700 every propagator entry is
+    # finite and their squares are not; only _row_moments can say so.
+    t = 700.0 / time_scale(HYP, TauConvention.RATE)
+    assert np.isfinite(propagator_analytic(HYP, t).mx).all()
+    with pytest.raises(ValueError, match="^second moments overflow double precision; "
+                                         "choose a smaller tau$"):
+        moments_at(HYP, t)
 
 
 class TestEach:

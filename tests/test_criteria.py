@@ -311,6 +311,17 @@ class TestEvaluateAll:
         assert not rep.obr_single_flag
         assert not rep.obr_pair_flag
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_an_indefinite_block_does_not_certify(self):
+        # cx has eigenvalues -1, 1 and 3 but no negative variance, which is
+        # all MomentState checks of the semidefiniteness the criteria
+        # assume; both signs read v12_raw = -3 and obr_pair = (0, 0, 0).
+        cx = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        cy = np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for sign in Sign:
+            rep = evaluate_all(MomentState(cx, cy), 0.0, sign)
+            assert not (rep.vlf_flag or rep.obr_single_flag or rep.obr_pair_flag), sign
+
     def test_witness_report(self, m1):
         rep = evaluate_all(m1, T1)
         assert rep.t == T1

@@ -220,7 +220,8 @@ class TestMoments:
                                    Couplings(1.0, 1.00001)])
     def test_classifies_the_regime_once(self, c, monkeypatch):
         # One point, counted in calls rather than timed: no regime
-        # classification, one validated MomentState and no PropagatorPair.
+        # classification, no PropagatorPair, and no MomentState.__init__,
+        # whose checks a state built from its rows passes by construction.
         counts = dict.fromkeys(("classify_regime", "MomentState", "PropagatorPair"), 0)
 
         def counting(*args, **kwargs):
@@ -235,7 +236,7 @@ class TestMoments:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
         evaluate_all(moments_at(c, 1.3), 1.3)
-        assert counts == {"classify_regime": 0, "MomentState": 1, "PropagatorPair": 0}
+        assert counts == {"classify_regime": 0, "MomentState": 0, "PropagatorPair": 0}
         propagator_analytic(c, 1.3)
         assert counts["classify_regime"] == 0
 
