@@ -319,6 +319,9 @@ class PropagatorPair:
         object.__setattr__(self, "mx", _frozen_matrix(self.mx, "mx"))
         object.__setattr__(self, "t", _check_time(self.t))
 
+    def __reduce__(self):  # a copy or pickle is rebuilt, read-only
+        return PropagatorPair, (self.mx, self.t)
+
     @property
     def my(self):
         """The Y block S mx S, a read-only array."""
@@ -343,16 +346,25 @@ class MomentState:
 
     @classmethod
     def _from_rows(cls, rows):
-        """The pure state cx_ij = r_i . r_j, cy = S cx S, that keeps its rows,
-        built without __post_init__, whose checks its read-only blocks pass by
-        construction: _BLOCK_INDEX makes them exactly symmetric, _row_moments
-        raises unless they are finite, and a diagonal entry is a sum of squares."""
-        cx = _block(_row_moments(rows[:3]))
-        cy = cx * _FLIP
-        cx.flags.writeable = cy.flags.writeable = False
+        """The pure state cx_ij = r_i . r_j, cy = S cx S, that keeps its rows and
+        forms both blocks on the first read of either (the criteria read rows)
+        with no __post_init__: _BLOCK_INDEX makes them exactly symmetric, _row_moments
+        raises here unless they are finite, and a diagonal entry is a sum of squares."""
+        _row_moments(rows[:3])
         m = object.__new__(cls)
-        vars(m).update(cx=cx, cy=cy, rows=rows)
+        vars(m)["rows"] = rows
         return m
+
+    def __getattr__(self, name):
+        if name not in ("cx", "cy") or self.rows is None:
+            raise AttributeError(f"'MomentState' object has no attribute {name!r}")
+        cx = _block(_row_moments(self.rows[:3]))
+        vars(self).update(cx=cx, cy=cx * _FLIP)
+        self.cx.flags.writeable = self.cy.flags.writeable = False
+        return vars(self)[name]
+
+    def __reduce__(self):  # a copy or pickle is rebuilt, read-only, with any rows
+        return (self._from_rows, (self.rows,)) if self.rows else (MomentState, (self.cx, self.cy))
 
     def __post_init__(self):
         # Finite, exactly symmetric float blocks with no negative variance
@@ -496,6 +508,9 @@ class SweepResult:
         for name, arr in (("taus", taus), ("ts", ts), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):  # a copy or pickle is rebuilt, read-only
+        return SweepResult, (self.taus, self.ts, self.values, self.meta)
 
     @property
     def reports(self):

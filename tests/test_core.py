@@ -1,7 +1,9 @@
 """Data model, regime classification and vacuum state."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -41,7 +43,7 @@ from trimode import (
     vlf_gains,
     vlf_value,
 )
-from trimode.core import _FLIP, _admissible, _block, _each, _frozen_matrix
+from trimode.core import _FLIP, _admissible, _block, _each, _frozen_matrix, _row_moments
 from support import DEG, HYP, PER, T1
 
 
@@ -564,15 +566,35 @@ def test_a_propagated_state_skips_the_init_checks(monkeypatch):
         MomentState(np.eye(3), np.eye(3))
     window = Couplings(1.0, 1.0 + REGIME_TOL / 4)
     for m in [moments_at(c, T1) for c in (HYP, PER, DEG, window)] + [outer_moments(pair)]:
-        gains = vlf_gains(m)
-        for modes in ((1, 2), (1, 3), (2, 3)):
-            vlf_value(m, modes)
-            vlf_value(m, modes, gains)
-        for sign in Sign:
-            evaluate_all(m, T1, sign)
-            for i, (j, k) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
-                obr_single(m, i, sign)
-                obr_pair(m, j, k, sign)
+        _read_every_criterion(m)
+
+
+def _read_every_criterion(m):
+    """Every criterion of the state m, through every public reader."""
+    gains = vlf_gains(m)
+    for modes in ((1, 2), (1, 3), (2, 3)):
+        vlf_value(m, modes)
+        vlf_value(m, modes, gains)
+    for sign in Sign:
+        evaluate_all(m, T1, sign)
+        for i, (j, k) in zip((1, 2, 3), ((2, 3), (1, 3), (1, 2))):
+            obr_single(m, i, sign)
+            obr_pair(m, j, k, sign)
+
+
+def test_evaluating_a_propagated_state_forms_no_block(monkeypatch):
+    # The criteria read a propagated state's rows, so neither block is laid
+    # out until something reads it.
+    def refuse(x):
+        raise AssertionError("a block was laid out")
+
+    monkeypatch.setattr("trimode.core._block", refuse)
+    window = Couplings(1.0, 1.0 + REGIME_TOL / 4)
+    states = [moments_at(c, T1) for c in (HYP, PER, DEG, window)]
+    for m in states + [outer_moments(propagator_expm(HYP, T1))]:
+        _read_every_criterion(m)
+    with pytest.raises(AssertionError, match="a block was laid out"):
+        states[0].cy
 
 
 @settings(max_examples=300, deadline=None)
@@ -599,6 +621,31 @@ def test_a_state_from_rows_passes_the_init_checks_as_built(entries, k1, k2, tau)
         rebuilt = MomentState(m.cx, m.cy)
         assert rebuilt.cx.tobytes() == m.cx.tobytes()
         assert rebuilt.cy.tobytes() == m.cy.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9, max_size=9),
+       st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 400.0), st.booleans())
+@example([1e154] * 9, 1.0, 1.0 + REGIME_TOL / 4, 400.0, False)
+def test_a_state_from_rows_forms_its_blocks_once_on_first_read(entries, k1, k2, tau, x_first):
+    # Whichever block is read first, both come out as the eager layout of
+    # the rows, bit for bit, read-only float64, and every later read returns
+    # the same two arrays.
+    for build in (lambda: moments_at(Couplings(k1, k2), tau / max(k1, k2)),
+                  lambda: outer_moments(PropagatorPair(np.reshape(entries, (3, 3)), 0.0))):
+        try:
+            m = build()
+        except ValueError as e:
+            assert str(e) == "second moments overflow double precision; choose a smaller tau"
+            continue
+        first = m.cx if x_first else m.cy
+        assert first is (m.cx if x_first else m.cy)
+        cx = _block(_row_moments(m.rows[:3]))
+        for block, laid_out in ((m.cx, cx), (m.cy, cx * _FLIP)):
+            assert block.dtype == np.float64 and block.shape == (3, 3)
+            assert not block.flags.writeable
+            assert block.tobytes() == laid_out.tobytes()
+        assert m.cx is m.cx and m.cy is m.cy
 
 
 def test_gram_entries_that_overflow_raise():
@@ -661,3 +708,47 @@ def test_array_value_types_compare_and_hash_by_identity(value, twin):
     assert hash(value) == hash(value)
     assert value in {value} and twin not in {value}
 
+
+
+def _frozen_values():
+    m = moments_at(HYP, T1)
+    values = np.array([_report().values()] * 2)
+    return [m, MomentState(m.cx, m.cy), mc_moments(HYP, T1, 1000, 3), propagator_expm(HYP, T1),
+            SweepResult(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values, RunConfig())]
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("value", _frozen_values(),
+                         ids=["rows", "blocks", "mc", "pair", "sweep"])
+def test_copies_and_pickles_are_read_only_and_bit_identical(value, clone):
+    twin = clone(value)
+    assert type(twin) is type(value)
+    for f in dataclasses.fields(value):
+        a, b = getattr(value, f.name), getattr(twin, f.name)
+        if isinstance(a, np.ndarray):
+            assert b.dtype == a.dtype and b.shape == a.shape and b.tobytes() == a.tobytes()
+            with pytest.raises(ValueError):
+                b.flat[0] = -5.0
+        else:
+            assert b == a
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_a_copy_of_a_state_with_rows_is_rebuilt_from_them(read):
+    # A copy or pickle keeps the rows and lays out its own blocks only when
+    # read, so no write through its blocks can part them from the rows the
+    # criteria evaluate.
+    m = moments_at(HYP, T1)
+    if read:
+        assert not m.cx.flags.writeable
+    for twin in (copy.copy(m), copy.deepcopy(m), _pickled(m)):
+        assert twin.rows == m.rows
+        assert "cx" not in vars(twin) and "cy" not in vars(twin)
+        with pytest.raises(ValueError):
+            twin.cx[0, 0] = -5.0
+        assert evaluate_all(twin, T1).values() == evaluate_all(m, T1).values()
