@@ -12,9 +12,10 @@ oracle.py names the RK4 step density, and oracle.py owns the oracle run:
 sweep.py imports no private name of oracle.py or propagator.py but the
 run's entry, and the run's kernels are named only where they live and
 where the oracle run or a tracer-pinned wrapper calls them, and the run
-leaves each kernel to decide its own domain and overflow.  Two more
-keep the package lean: no module imports a name it never uses, and every
-public function has a caller in the package or in the benchmark.
+leaves each kernel to decide its own domain and overflow.  Three more
+keep the package lean: no module imports a name it never uses, every
+public function has a caller in the package or in the benchmark, and
+every private function and constant has a reader in the package.
 """
 
 import ast
@@ -372,6 +373,48 @@ def test_every_public_function_has_a_caller(tracer):
     functions = [name for name in trimode.__all__ if inspect.isfunction(getattr(trimode, name))]
     assert functions
     assert [name for name in functions if name not in used] == []
+
+
+def _private_definitions(tree):
+    """The private functions and constants tree defines at module level:
+    names with a leading underscore, but no dunder such as __all__."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_private_definition_check_finds_each_form():
+    source = "\n".join([
+        "__all__ = ['f']",
+        "_A = 1",
+        "_B, C = 2, 3",
+        "_D: int = 4",
+        "def _e():",
+        "    _local = 5",
+        "def f():",
+        "    pass",
+        "class _G:",
+        "    _H = 6",
+    ])
+    assert _private_definitions(ast.parse(source)) == {"_A", "_B", "_D", "_e"}
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    # A private function or constant that only tests or the benchmark read
+    # is a path no run takes; a function calling itself is no reader.
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE_DIR.glob("*.py"))]
+    assert trees
+    read = set().union(*map(_referenced, trees))
+    defined = set().union(*map(_private_definitions, trees))
+    assert defined
+    assert sorted(defined - read) == []
 
 
 def test_caller_check_ignores_a_function_calling_itself():

@@ -30,7 +30,6 @@ from trimode import (
     VlfGains,
     VlfTriple,
     classify_regime,
-    closed_form_moments,
     evaluate_all,
     mc_moments,
     moments_at,
@@ -43,7 +42,7 @@ from trimode import (
     vlf_gains,
     vlf_value,
 )
-from trimode.core import _FLIP, _admissible, _block, _each, _frozen_matrix, _row_moments
+from trimode.core import _FLIP, _block, _each, _frozen_matrix, _row_moments
 from support import DEG, HYP, PER, T1
 
 
@@ -514,9 +513,9 @@ def _mirrored(i, j, upper, lower):
 @example(_mirrored(0, 1, 1e308, -1e308), np.eye(3))
 @example(np.eye(3), _mirrored(1, 2, 0.5, math.nextafter(0.5, math.inf)))
 def test_moment_state_checks_as_block_by_block(cx, cy):
-    # MomentState accepts finite, exactly symmetric float blocks in one
-    # pass; every other pair must come out as the block-by-block checks
-    # have it: the same arrays, or the same first fault.
+    # MomentState checks hand-built blocks on one path; every pair must come
+    # out as the block-by-block checks spelled out below have it: the same
+    # arrays, or the same first fault.
     def state():
         m = MomentState(cx, cy)
         return m.cx, m.cy
@@ -533,24 +532,6 @@ def test_moment_state_checks_as_block_by_block(cx, cy):
         return x, y
 
     assert _outcome(state) == _outcome(block_by_block)
-
-
-def test_every_built_state_takes_the_fast_path(monkeypatch):
-    # Only the block-by-block checks call _frozen_matrix, so a state the
-    # package builds that reached them would raise here, not just run slower.
-    pair = propagator_expm(HYP, T1)  # PropagatorPair checks mx with it too
-
-    def refuse(value, name):
-        raise AssertionError(f"{name} took the block-by-block checks")
-
-    monkeypatch.setattr("trimode.core._frozen_matrix", refuse)
-    window = Couplings(1.0, 1.0 + REGIME_TOL / 4)
-    for c in (HYP, PER, DEG, window):
-        moments_at(c, T1)
-    outer_moments(pair)
-    mc_moments(HYP, T1, 1000, 7)
-    closed_form_moments(HYP, T1)
-    closed_form_moments(PER, T1)
 
 
 def test_a_propagated_state_skips_the_init_checks(monkeypatch):
@@ -604,8 +585,8 @@ def test_evaluating_a_propagated_state_forms_no_block(monkeypatch):
 @example([1e154] * 9, 1.0, 1.0 + REGIME_TOL / 4, 400.0)
 def test_a_state_from_rows_passes_the_init_checks_as_built(entries, k1, k2, tau):
     # What __post_init__ would accept unchanged, bit for bit: read-only
-    # float64 blocks that the fast pass admits.  Rows whose Gram entries
-    # overflow raise _row_moments' error instead.
+    # float64 blocks.  Rows whose Gram entries overflow raise _row_moments'
+    # error instead.
     states = []
     for build in (lambda: moments_at(Couplings(k1, k2), tau / max(k1, k2)),
                   lambda: outer_moments(PropagatorPair(np.reshape(entries, (3, 3)), 0.0))):
@@ -617,7 +598,6 @@ def test_a_state_from_rows_passes_the_init_checks_as_built(entries, k1, k2, tau)
         for block in (m.cx, m.cy):
             assert block.dtype == np.float64 and block.shape == (3, 3)
             assert not block.flags.writeable
-        assert _admissible(np.array((m.cx, m.cy)))
         rebuilt = MomentState(m.cx, m.cy)
         assert rebuilt.cx.tobytes() == m.cx.tobytes()
         assert rebuilt.cy.tobytes() == m.cy.tobytes()

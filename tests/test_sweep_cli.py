@@ -866,6 +866,37 @@ def test_oracle_lines_do_not_depend_on_the_cpu():
     assert [tuple(run) for run in json.loads(proc.stdout)] == list(ORACLE_REPORTS.values())
 
 
+#: One run of each subcommand; figures writes into the directory it is given.
+CLI_RUNS = [["sweep"], ["figures", "--out", "figures"], ["oracle", "--points", "2"],
+            ["eval", "--tau", "2.5"]]
+
+
+def _cli_outputs(capsys):
+    """(exit code, stdout, stderr) of each of CLI_RUNS in the working
+    directory, then the name and bytes of every file the runs wrote."""
+    runs = [(main(argv), *capsys.readouterr()) for argv in CLI_RUNS]
+    return runs, {path.name: path.read_bytes() for path in sorted(Path("figures").iterdir())}
+
+
+def test_no_cli_run_builds_a_state_through_its_checks(tmp_path, capsys, monkeypatch):
+    # Every state a run evaluates is built from propagator rows, and the
+    # oracle compares bare blocks, so no run reaches MomentState's checks
+    # on hand-built blocks; a speed-up that routed one through them would
+    # fail here.
+    def refuse(self):
+        raise AssertionError("MomentState.__post_init__ ran")
+
+    outputs = []
+    for where in (tmp_path / "plain", tmp_path / "refused"):
+        if outputs:
+            monkeypatch.setattr(trimode.core.MomentState, "__post_init__", refuse)
+        where.mkdir()
+        monkeypatch.chdir(where)
+        outputs.append(_cli_outputs(capsys))
+    assert [rc for rc, _, _ in outputs[0][0]] == [0] * len(CLI_RUNS)
+    assert outputs[1] == outputs[0]
+
+
 def eval_values(capsys, *argv):
     assert main(["eval", *argv]) == 0
     out = capsys.readouterr().out
