@@ -271,10 +271,7 @@ def _encode_rows(block, seps):
     whole = np.floor(a) == a
     dotted = np.flatnonzero((e >= 0) & ~whole)
     text.reshape(-1)[dotted * 40 + 2 * e[dotted] + 7] = ord(".")
-    scalar = ~inside
-    whole_at = np.flatnonzero(whole)  # fmod's cost grows with |x|, so only whole entries pay
-    scalar[whole_at[np.fmod(a[whole_at], 10.0) == 0]] = True
-    scalar = np.flatnonzero(scalar)
+    scalar = np.flatnonzero(~inside | (whole & (np.fmod(a, 10.0) == 0)))
     if scalar.size:
         fields = np.array(_scalar_fields(x[scalar]), dtype="S39")
         text[scalar, :39] = fields.view(np.uint8).reshape(scalar.size, 39)

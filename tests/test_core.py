@@ -584,9 +584,9 @@ def test_evaluating_a_propagated_state_forms_no_block(monkeypatch):
 @example([0.0, -0.0, 5e-324] * 3, 1.0, 1.0, 0.0)
 @example([1e154] * 9, 1.0, 1.0 + REGIME_TOL / 4, 400.0)
 def test_a_state_from_rows_passes_the_init_checks_as_built(entries, k1, k2, tau):
-    # What __post_init__ would accept unchanged, bit for bit: read-only
-    # float64 blocks.  Rows whose Gram entries overflow raise _row_moments'
-    # error instead.
+    # What __post_init__ would accept unchanged, bit for bit: read-only,
+    # exactly symmetric float64 blocks (the rebuild forgives 1e-14).  Rows
+    # whose Gram entries overflow raise _row_moments' error instead.
     states = []
     for build in (lambda: moments_at(Couplings(k1, k2), tau / max(k1, k2)),
                   lambda: outer_moments(PropagatorPair(np.reshape(entries, (3, 3)), 0.0))):
@@ -598,6 +598,7 @@ def test_a_state_from_rows_passes_the_init_checks_as_built(entries, k1, k2, tau)
         for block in (m.cx, m.cy):
             assert block.dtype == np.float64 and block.shape == (3, 3)
             assert not block.flags.writeable
+            assert np.array_equal(block, block.T)
         rebuilt = MomentState(m.cx, m.cy)
         assert rebuilt.cx.tobytes() == m.cx.tobytes()
         assert rebuilt.cy.tobytes() == m.cy.tobytes()
